@@ -207,7 +207,7 @@ plt.savefig("symbol_audit.png", dpi=150)
 # subcommands
 # ---------------------------------------------------------------------------
 
-def run_symbol_audit(cfg: RunConfig, out: str, jobs: int) -> int:
+def run_symbol_audit(cfg: RunConfig, out: str) -> int:
     a = cfg.audit
     all_pass = True
     first_csv = None
@@ -240,7 +240,7 @@ def run_symbol_audit(cfg: RunConfig, out: str, jobs: int) -> int:
     return 0 if all_pass else 1
 
 
-def run_layer_check(cfg: RunConfig, out: str, jobs: int) -> int:
+def run_layer_check(cfg: RunConfig, out: str) -> int:
     lay = cfg.layer
     pml = cfg.pml
     ok = True
@@ -279,7 +279,7 @@ def _chi_l2(blk, source) -> float:
     return float(np.sqrt(max(v.sum(), 0.0)))
 
 
-def run_freq_solve(cfg: RunConfig, out: str, jobs: int) -> int:
+def run_freq_solve(cfg: RunConfig, out: str) -> int:
     variant = cfg.numerics["variant"]
     with_layer = variant == "pml_layer"
     mesh = build_mesh(cfg.geometry, cfg.pml if with_layer else None,
@@ -310,7 +310,7 @@ def run_freq_solve(cfg: RunConfig, out: str, jobs: int) -> int:
     return 0
 
 
-def run_td(cfg: RunConfig, out: str, jobs: int) -> int:
+def run_td(cfg: RunConfig, out: str) -> int:
     mesh = build_mesh(cfg.geometry, cfg.pml, cfg.numerics["mesh_size"])
     blk = build_blocks(mesh, cfg.numerics["n_modes"])
     probes = locate_probes(mesh, cfg.probes)
@@ -401,7 +401,7 @@ def _time_route_errors(cfg: RunConfig, L_values) -> list[float]:
     return errors
 
 
-def run_convergence(cfg: RunConfig, out: str, jobs: int) -> int:
+def run_convergence(cfg: RunConfig, out: str) -> int:
     L_values = cfg.sweep["L_values"]
     if len(L_values) < 3:
         raise ConfigError("convergence sweep needs at least 3 L values")
@@ -431,7 +431,7 @@ def run_convergence(cfg: RunConfig, out: str, jobs: int) -> int:
     return code
 
 
-def run_parseval(cfg: RunConfig, out: str, jobs: int) -> int:
+def run_parseval(cfg: RunConfig, out: str) -> int:
     par = cfg.parseval
     s1 = par["s1"]
     horizon, n_time = par["horizon"], par["n_time"]
@@ -495,13 +495,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         np.random.seed(cfg.numerics["seed"])
-        return _COMMANDS[args.command](cfg, args.out, args.jobs)
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,9 @@ def principal_sqrt(z):
     if np.any(on_cut):
         raise BranchError("argument on the closed negative real axis")
     w = np.sqrt(z)  # numpy principal branch: Re >= 0, cut on negative axis
-    out = np.where(w.real > 0, w, -w)
+    # Re underflows to 0 for tiny Im z, Re z < 0: keep Re > 0, w * w ~ z
+    out = np.where(w.real > 0, w,
+                   np.finfo(float).smallest_subnormal + 1j * w.imag)
     return out if out.ndim else complex(out)
 
 

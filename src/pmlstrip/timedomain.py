@@ -10,7 +10,6 @@ contour in the right half-plane.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .fem import FemBlocks, assemble, free_dofs, load_vector, \
     quadratic_form, solve_frequency
 from .model import MediaParams, SourceSpec
-from .xform import TruncationWarning
+from .xform import TruncationWarning, inverse_laplace_grid
 
 
 class ProbeError(ValueError):
@@ -45,31 +44,26 @@ class ProbeSet:
 
 
 def locate_probes(mesh, points) -> ProbeSet:
+    """First containing triangle of each point (barycentric weights
+    >= -1e-10), tested against all triangles at once; degenerate ones
+    (det = 0) get non-finite weights and never match."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     tri_idx = np.empty(points.shape[0], dtype=np.int64)
     bary = np.empty((points.shape[0], 3))
-    verts = mesh.vertices
-    tris = mesh.triangles
+    a, b, c = np.moveaxis(mesh.vertices[mesh.triangles], 1, 0)
+    e1, e2 = b - a, c - a
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
     for k, pt in enumerate(points):
-        found = False
-        for t in range(tris.shape[0]):
-            a, b, c = verts[tris[t]]
-            m = np.array([[b[0] - a[0], c[0] - a[0]],
-                          [b[1] - a[1], c[1] - a[1]]])
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            if det == 0.0:
-                continue
-            r = pt - a
-            l1 = (m[1, 1] * r[0] - m[0, 1] * r[1]) / det
-            l2 = (-m[1, 0] * r[0] + m[0, 0] * r[1]) / det
+        r = pt - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            l1 = (e2[:, 1] * r[:, 0] - e2[:, 0] * r[:, 1]) / det
+            l2 = (-e1[:, 1] * r[:, 0] + e1[:, 0] * r[:, 1]) / det
             l0 = 1.0 - l1 - l2
-            if min(l0, l1, l2) >= -1e-10:
-                tri_idx[k] = t
-                bary[k] = (l0, l1, l2)
-                found = True
-                break
-        if not found:
+        hit = np.flatnonzero(np.min([l0, l1, l2], axis=0) >= -1e-10)
+        if hit.size == 0:
             raise ProbeError(f"probe point {tuple(pt)} outside the mesh")
+        tri_idx[k] = t = hit[0]
+        bary[k] = (l0[t], l1[t], l2[t])
     return ProbeSet(points=points, tri=tri_idx, bary=bary)
 
 
@@ -306,32 +300,24 @@ def synthesize(values: np.ndarray, cfg: ContourConfig,
     """Inverse transform of conjugate-symmetric contour data.
 
     values holds the transform on the nonnegative half grid (last axis);
-    the result is e^{s1 t}/pi * Re trapz(values * e^{i s2 t}).
+    the result is e^{s1 t}/pi * Re trapz(values * e^{i s2 t}), i.e.
+    twice the full-line inversion restricted to the half grid.
     """
-    s2 = cfg.half_grid()
-    t = np.asarray(t, dtype=float)
-    out = np.empty(values.shape[:-1] + t.shape)
-    for k, tk in enumerate(t):
-        phase = np.exp(1j * s2 * tk)
-        out[..., k] = np.exp(cfg.s1 * tk) / np.pi \
-            * np.real(np.trapezoid(values * phase, dx=s2[1] - s2[0],
-                                   axis=-1))
-    return out
+    return 2.0 * inverse_laplace_grid(values, cfg.s1, cfg.half_grid(), t)
 
 
 def reconstruct_signal(transform, cfg: ContourConfig,
                        t: np.ndarray) -> np.ndarray:
     """Self-reconstruction of a scalar signal from its closed-form
-    transform (the calibration oracle for the contour parameters)."""
-    s2 = cfg.half_grid()
-    vals = np.array([transform(cfg.s1 + 1j * w) for w in s2])
-    return synthesize(vals, cfg, t)
+    transform (the calibration oracle for the contour parameters);
+    transform is evaluated once on the array of half-grid s values."""
+    return synthesize(transform(cfg.s1 + 1j * cfg.half_grid()), cfg, t)
 
 
 def contour_synthesize(blk: FemBlocks, media: MediaParams,
                        source: SourceSpec, cfg: ContourConfig,
                        probes: ProbeSet, variant: str = "exact_dtn",
-                       pml=None, jobs: int = 1,
+                       pml=None,
                        check_tolerance: float = 1e-3) -> TimeTrajectory:
     """Probe pressure trajectories from per-frequency solves on the
     contour s = s1 + i s2, exploiting conjugate symmetry."""
@@ -347,25 +333,16 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
                       f"reconstruction error {err:.2e}",
                       TruncationWarning, stacklevel=2)
 
-    s2 = cfg.half_grid()
-
-    def solve_one(w):
+    rows = []
+    for w in cfg.half_grid():
         s = cfg.s1 + 1j * w
         system = assemble(blk, media, s, source.spatial,
                           complex(source.pulse.laplace(s)), variant, pml)
-        sol = solve_frequency(system)
-        return probe_values(blk.mesh, probes, sol.p_hat)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(solve_one, s2))
-    else:
-        rows = [solve_one(w) for w in s2]
-    vals = np.stack(rows, axis=-1)          # (n_probes, n_half)
-    traj = TimeTrajectory(t=np.asarray(t, dtype=float),
-                          probe_p=synthesize(vals, cfg, t),
+        rows.append(probe_values(blk.mesh, probes,
+                                 solve_frequency(system).p_hat))
+    return TimeTrajectory(t=np.asarray(t, dtype=float),
+                          probe_p=synthesize(np.stack(rows, axis=-1), cfg, t),
                           meta={"variant": variant, "s1": cfg.s1,
                                 "s2_max": cfg.s2_max,
                                 "n_freq": cfg.n_freq,
                                 "reconstruction_error": err})
-    return traj

@@ -4,7 +4,8 @@ Fixed-grid trapezoid quadrature throughout (bit-reproducible for
 identical grids), sharpened by Euler-Maclaurin endpoint corrections so
 the transforms stay accurate for strongly oscillatory e^{-i s2 t}
 factors, and by a closed-form contour-tail estimate where a truncated
-s2 integral would otherwise dominate the error.
+s2 integral would otherwise dominate the error.  Sums along s = s1 + i*s2
+are chirp-z transforms over uniform s2 and t grids (Rabiner et al. 1969).
 """
 
 from __future__ import annotations
@@ -14,11 +15,22 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.integrate import cumulative_simpson
 
 
 class TruncationWarning(UserWarning):
     """The sampled horizon or contour truncates a slowly decaying tail."""
+
+
+def _uniform_step(x: np.ndarray) -> float:
+    """Step of a uniform 1-D grid (0 for a single point)."""
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("grid must be non-empty and 1-D")
+    step = (x[-1] - x[0]) / max(x.size - 1, 1)
+    if not np.allclose(np.diff(x), step, rtol=1e-8, atol=0.0):
+        raise ValueError("grid must be uniform")
+    return float(step)
 
 
 @dataclass
@@ -31,11 +43,9 @@ class SampledSignal:
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.values = np.asarray(self.values)
-        if self.t.size < 4 or self.t[0] != 0.0:
-            raise ValueError("grid must start at t = 0 with >= 4 samples")
-        dt = np.diff(self.t)
-        if dt[0] <= 0 or not np.allclose(dt, dt[0], rtol=1e-8, atol=0.0):
-            raise ValueError("grid must be uniform")
+        if self.t.size < 4 or self.t[0] != 0.0 or _uniform_step(self.t) <= 0:
+            raise ValueError("grid must start at t = 0 and increase, with "
+                             ">= 4 samples")
 
     @property
     def dt(self) -> float:
@@ -49,24 +59,44 @@ class SampledSignal:
 
 _D1 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0   # O(dt^4) slope
 _D3 = np.array([-5.0, 18.0, -24.0, 14.0, -3.0]) / 2.0     # O(dt^2) f'''
+# Euler-Maclaurin terms - dt^2/12 (f'(b) - f'(a)) + dt^4/720 (f'''(b) -
+# f'''(a)) by those stencils, as unit-step weights on the end samples
+_EC = _D1 / 12.0 - _D3 / 720.0
 
 
-def _trapz_ec(f: np.ndarray, dt: float):
-    """Twice end-corrected trapezoid along the last axis:
+def _rule_weights(n: int, end_corrected: bool) -> np.ndarray:
+    """Unit-step trapezoid weights on n samples, with the end correction
+    on the first and last five when end_corrected: keeps the rule sharp
+    for strongly oscillatory transforms without analytic derivatives."""
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    if end_corrected:
+        w[:5] += _EC
+        w[-1:-6:-1] += _EC
+    return w
 
-        trapz - dt^2/12 (f'(b) - f'(a)) + dt^4/720 (f'''(b) - f'''(a))
 
-    with one-sided stencils, keeping the rule sharp for strongly
-    oscillatory transforms without analytic endpoint derivatives."""
-    core = np.trapezoid(f, dx=dt, axis=-1)
-    head = f[..., :5]
-    tail = f[..., -1:-6:-1]
-    fp_a = head @ _D1 / dt
-    fp_b = -(tail @ _D1) / dt
-    f3_a = head @ _D3 / dt ** 3
-    f3_b = -(tail @ _D3) / dt ** 3
-    return core - dt ** 2 / 12.0 * (fp_b - fp_a) \
-        + dt ** 4 / 720.0 * (f3_b - f3_a)
+def _chirp_quad(fw: np.ndarray, x: np.ndarray, y: np.ndarray,
+                sign: float) -> np.ndarray:
+    """dx sum_n fw[..., n] e^{sign i x[n] y[k]} over uniform grids x
+    (quadrature weights already in fw, leading axes batched) and y.
+
+    With x = x0 + n dx, y = y0 + k dy and a = dx dy, x y = x0 y +
+    n dx y0 + a (n^2 + k^2 - (k - n)^2) / 2: one FFT convolution with the
+    chirp e^{-i sign a j^2/2} (Bluestein), not the N x M kernel."""
+    dx, dy = _uniform_step(x), _uniform_step(y)
+    n, m = x.size, y.size
+    # a j^2/2 runs to many turns: reducing it modulo one turn in long
+    # double keeps round-off at the direct kernel's eps |x y| (x86-64)
+    turns = np.arange(max(n, m), dtype=np.longdouble) ** 2 \
+        * (sign * dx * dy / (4.0 * np.pi))
+    chirp = np.exp(-2j * np.pi * (turns - np.round(turns)).astype(float))
+    size = sfft.next_fast_len(n + m - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m], kernel[size - n + 1:] = chirp[:m], chirp[n - 1:0:-1]
+    pre = np.exp(sign * 1j * dx * y[0] * np.arange(n)) * np.conj(chirp[:n])
+    conv = sfft.ifft(sfft.fft(fw * pre, size) * sfft.fft(kernel))[..., :m]
+    return dx * conv * np.conj(chirp[:m]) * np.exp(sign * 1j * x[0] * y)
 
 
 def laplace_numeric(sig: SampledSignal, s: complex) -> complex:
@@ -79,7 +109,7 @@ def laplace_numeric(sig: SampledSignal, s: complex) -> complex:
     if s.real <= 0:
         raise ValueError("s must lie in the right half-plane")
     integrand = np.exp(-s * sig.t) * sig.values
-    val = complex(_trapz_ec(integrand, sig.dt))
+    val = complex(sig.dt * (integrand @ _rule_weights(sig.t.size, True)))
     # crude tail bound assuming |u| stops growing past the horizon
     tail = abs(sig.values[-1]) * np.exp(-s.real * sig.t[-1]) / s.real
     if tail > 1e-10 * max(abs(val), 1e-300):
@@ -91,36 +121,25 @@ def laplace_numeric(sig: SampledSignal, s: complex) -> complex:
 
 def laplace_grid(sig: SampledSignal, s1: float,
                  s2: np.ndarray) -> np.ndarray:
-    """Vectorized transform along the vertical line s = s1 + i*s2.
-
-    Chunked so the (len(s2) x len(t)) kernel never materializes whole.
-    """
+    """Transform along the vertical line s = s1 + i*s2 for a uniform
+    s2 grid: the end-corrected rule of laplace_numeric, its weights
+    folded into the samples, as one chirp-z sum over all s2."""
     if s1 <= 0:
         raise ValueError("s1 must be positive")
-    s2 = np.asarray(s2, dtype=float)
-    damped = np.exp(-s1 * sig.t) * sig.values
-    out = np.empty(s2.shape, dtype=complex)
-    chunk = max(1, int(4e6 // max(sig.t.size, 1)))
-    for lo in range(0, s2.size, chunk):
-        w = s2[lo:lo + chunk, None]
-        kern = np.exp(-1j * w * sig.t[None, :]) * damped[None, :]
-        out[lo:lo + chunk] = _trapz_ec(kern, sig.dt)
-    return out
+    fw = np.exp(-s1 * sig.t) * sig.values * _rule_weights(sig.t.size, True)
+    return _chirp_quad(fw, sig.t, np.asarray(s2, dtype=float), -1.0)
 
 
 def inverse_laplace_grid(vals: np.ndarray, s1: float, s2: np.ndarray,
                          t: np.ndarray) -> np.ndarray:
-    """Synthesize u(t) = (e^{s1 t}/2pi) int vals(s2) e^{i s2 t} ds2 by
-    trapezoid over the sampled contour; real part is taken (conjugate
-    symmetry of transforms of real signals)."""
+    """Synthesize u(t) = (e^{s1 t}/2pi) Re int vals(s2) e^{i s2 t} ds2
+    by trapezoid on a uniform s2 grid (last axis of vals; leading axes
+    batched), one chirp-z sum over a uniform t grid.  The real part is
+    taken (conjugate symmetry of transforms of real signals)."""
+    s2 = np.asarray(s2, dtype=float)
     t = np.asarray(t, dtype=float)
-    ds2 = s2[1] - s2[0]
-    out = np.empty(t.shape, dtype=float)
-    for k, tk in enumerate(t):
-        out[k] = (np.exp(s1 * tk) / (2.0 * np.pi)
-                  * np.real(np.trapezoid(vals * np.exp(1j * s2 * tk),
-                                         dx=ds2)))
-    return out
+    return np.exp(s1 * t) / (2.0 * np.pi) * np.real(_chirp_quad(
+        vals * _rule_weights(s2.size, False), s2, t, 1.0))
 
 
 def transform_property_check(u: Callable, du: Callable, d2u: Callable,
@@ -186,6 +205,6 @@ def parseval_residual(u: SampledSignal, v: SampledSignal, s1: float,
         warnings.warn("contour truncation dominates the Parseval check",
                       TruncationWarning, stacklevel=2)
     lhs = lhs + tail
-    rhs = _trapz_ec(np.exp(-2.0 * s1 * u.t) * u.values * np.conj(v.values),
-                    u.dt)
+    rhs = u.dt * (np.exp(-2.0 * s1 * u.t) * u.values * np.conj(v.values)) \
+        @ _rule_weights(u.t.size, True)
     return float(abs(lhs - rhs))

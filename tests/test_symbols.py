@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmlstrip import (BoundaryTrace, BranchError, PmlProfile, apply_dtn,
@@ -27,6 +27,7 @@ class TestPrincipalSqrt:
 
     @given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
                               allow_nan=False, allow_infinity=False))
+    @example(complex(-1.0, 5e-324))
     def test_positive_real_part(self, z):
         if z.real <= 0 and z.imag == 0:
             return

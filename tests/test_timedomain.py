@@ -6,8 +6,9 @@ import pytest
 from pmlstrip import (ContourConfig, Geometry, MediaParams, PmlProfile,
                       Pulse, Rectangle, SourceSpec, SurfaceProfile,
                       build_blocks, build_mesh, causality_margin,
-                      energy_trace, locate_probes, newmark_run,
-                      probe_values, reconstruct_signal, time_matrices)
+                      energy_trace, inverse_laplace_grid, locate_probes,
+                      newmark_run, probe_values, reconstruct_signal,
+                      synthesize, time_matrices)
 from pmlstrip.timedomain import ProbeError
 
 MEDIA = MediaParams()
@@ -108,6 +109,29 @@ class TestContour:
             ContourConfig(s1=1.0, s2_max=10.0, n_freq=4)
         cfg = ContourConfig(s1=1.0, s2_max=10.0, n_freq=5)
         assert cfg.half_grid() == pytest.approx([0.0, 5.0, 10.0])
+
+    def test_synthesize_is_twice_half_grid_inversion(self):
+        cfg = ContourConfig(s1=0.8, s2_max=30.0, n_freq=301)
+        half = cfg.half_grid()
+        s = cfg.s1 + 1j * half
+        vals = np.stack([Pulse().laplace(s), 1.0 / (s + 1.0) ** 2])
+        t = np.linspace(0.0, 4.0, 81)
+        out = synthesize(vals, cfg, t)
+        assert out.shape == (2, t.size)
+        assert np.array_equal(
+            out, 2.0 * inverse_laplace_grid(vals, cfg.s1, half, t))
+        # one trapezoid sum per time, as e^{s1 t}/pi Re trapz on the half
+        # grid
+        looped = np.stack([np.exp(cfg.s1 * tk) / np.pi * np.real(
+            np.trapezoid(vals * np.exp(1j * half * tk), half, axis=-1))
+            for tk in t], axis=-1)
+        assert np.max(np.abs(out - looped)) < 1e-12
+        # conjugate-symmetric data: the full line gives the same signal
+        full = np.linspace(-cfg.s2_max, cfg.s2_max, cfg.n_freq)
+        sf = cfg.s1 + 1j * full
+        vals_full = np.stack([Pulse().laplace(sf), 1.0 / (sf + 1.0) ** 2])
+        assert np.max(np.abs(out - inverse_laplace_grid(
+            vals_full, cfg.s1, full, t))) < 1e-12
 
     def test_pulse_self_reconstruction(self):
         p = Pulse()

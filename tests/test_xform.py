@@ -1,13 +1,42 @@
 """Laplace-transform quadrature, inversion and the Plancherel identity."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import pmlstrip
 from pmlstrip import (Pulse, SampledSignal, TruncationWarning,
                       inverse_laplace_grid, laplace_grid, laplace_numeric,
                       parseval_residual, transform_property_check)
+
+D1 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+D3 = np.array([-5.0, 18.0, -24.0, 14.0, -3.0]) / 2.0
+
+
+def direct_laplace_grid(sig, s1, s2):
+    """The full len(s2) x len(t) kernel, trapezoid row by row plus
+    - dt^2/12 (f'(b) - f'(a)) + dt^4/720 (f'''(b) - f'''(a)) from
+    one-sided stencils on the five head and tail samples."""
+    f = np.exp(-(s1 + 1j * s2[:, None]) * sig.t[None, :]) * sig.values
+    dt = sig.dt
+    head, tail = f[:, :5], f[:, -1:-6:-1]
+    fp_a, fp_b = head @ D1 / dt, -(tail @ D1) / dt
+    f3_a, f3_b = head @ D3 / dt ** 3, -(tail @ D3) / dt ** 3
+    return np.trapezoid(f, dx=dt, axis=-1) \
+        - dt ** 2 / 12.0 * (fp_b - fp_a) + dt ** 4 / 720.0 * (f3_b - f3_a)
+
+
+def looped_inverse(vals, s1, s2, t):
+    """One trapezoid sum over s2 per output time."""
+    out = np.empty(vals.shape[:-1] + t.shape)
+    for k, tk in enumerate(t):
+        out[..., k] = np.exp(s1 * tk) / (2.0 * np.pi) * np.real(
+            np.trapezoid(vals * np.exp(1j * s2 * tk), s2, axis=-1))
+    return out
 
 
 class TestSampledSignal:
@@ -52,6 +81,69 @@ class TestLaplaceNumeric:
             ref = np.array([laplace_numeric(sig, complex(1.0, w))
                             for w in s2])
         assert np.max(np.abs(vals - ref)) < 1e-12
+
+
+class TestChirpZ:
+    SIG = SampledSignal.sample(lambda t: np.exp(-t) * np.cos(3 * t)
+                               + t * np.exp(-0.3 * t), 12.0, 600)
+
+    @pytest.mark.parametrize("s2", [
+        np.linspace(-10.0, 10.0, 41),       # odd, symmetric
+        np.linspace(-10.0, 10.0, 40),       # even
+        np.linspace(-3.0, 25.0, 57),        # asymmetric start
+        np.array([2.5]),                    # single frequency
+    ])
+    def test_forward_matches_direct_kernel(self, s2):
+        vals = laplace_grid(self.SIG, 0.7, s2)
+        ref = direct_laplace_grid(self.SIG, 0.7, s2)
+        assert vals.shape == s2.shape
+        assert np.max(np.abs(vals - ref)) < 1e-12
+
+    def test_inverse_matches_time_loop(self):
+        p = Pulse()
+        s2 = np.linspace(-80.0, 90.0, 1201)
+        vals = np.stack([p.laplace(1.0 + 1j * s2),
+                         p.laplace(1.0 + 1j * s2) / (1.0 + 1j * s2)])
+        t = np.linspace(0.35, 2.5, 44)       # nonzero first time
+        recon = inverse_laplace_grid(vals, 1.0, s2, t)
+        assert recon.shape == (2, t.size)
+        assert np.max(np.abs(recon - looped_inverse(vals, 1.0, s2, t))) \
+            < 1e-12
+        assert np.max(np.abs(recon[0] - inverse_laplace_grid(
+            vals[0], 1.0, s2, t))) == 0.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is plain double here")
+    def test_round_off_on_long_contour(self):
+        # 12001 frequencies against 51 times: the chirp phase runs to
+        # ~1e5 radians, yet the sum keeps the direct kernel's round-off
+        s2 = np.linspace(-400.0, 400.0, 12001)
+        vals = 1.0 / (2.0 + 1j * s2)        # L(e^{-t}) at s = 1 + i s2
+        t = np.linspace(0.0, 3.0, 51)
+        recon = inverse_laplace_grid(vals, 1.0, s2, t)
+        assert np.max(np.abs(recon - looped_inverse(vals, 1.0, s2, t))) \
+            < 1e-12
+
+    def test_rejects_nonuniform_grids(self):
+        s2 = np.linspace(-5.0, 5.0, 11)
+        bent = s2 + 1e-3 * s2 ** 2
+        with pytest.raises(ValueError):
+            laplace_grid(self.SIG, 1.0, bent)
+        t = np.linspace(0.0, 2.0, 9)
+        vals = np.ones(s2.size, dtype=complex)
+        with pytest.raises(ValueError):
+            inverse_laplace_grid(vals, 1.0, bent, t)
+        with pytest.raises(ValueError):
+            inverse_laplace_grid(vals, 1.0, s2, t ** 2)
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        src = os.path.dirname(os.path.dirname(pmlstrip.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import pmlstrip; "
+                "print('scipy.signal' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestInversion:
