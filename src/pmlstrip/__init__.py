@@ -16,15 +16,15 @@ from .model import (Geometry, GeometryError, MediaParams, OutOfLayerError,
                     sigma_profile, stretched_coordinate, validate_media)
 from .symbols import (BoundaryTrace, BranchError, SymbolAudit, apply_dtn,
                       beta, beta_grid, cu_bound, default_xi_grid,
-                      dtn_symbol, modal_passivity_check, pml_dtn_symbol,
-                      principal_sqrt, symbol_gap, symbol_gap_sup,
-                      trace_sobolev_norm, weighted_gap)
+                      dtn_symbol, dtn_symbol_grid, modal_passivity_check,
+                      pml_dtn_symbol, principal_sqrt, symbol_gap,
+                      symbol_gap_sup, trace_sobolev_norm, weighted_gap)
 from .layer_bvp import (LayerMode, LayerSolution, analytic_layer_solution,
                         fd_layer_solve, numeric_dtn_at_h)
 from .mesh import StripMesh, build_mesh, export_mesh
 from .fem import (AssemblyError, FemBlocks, FrequencySolution,
                   FrequencySystem, SingularSystemError, assemble,
-                  build_blocks, coercivity_probe, dtn_block,
+                  build_blocks, coercivity_probe, dofs_to_nodal, dtn_block,
                   fluid_error_norms, free_dofs, frequency_matrix,
                   h_norm_sq, load_vector, manufactured_residual,
                   nodal_to_dofs, solve_frequency, stability_ratios)

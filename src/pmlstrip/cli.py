@@ -341,12 +341,9 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> list[float]:
     chi = cfg.source.spatial
     s1 = cfg.numerics["s1"]
     s_list = [complex(s1, s2) for s2 in cfg.numerics["freq_s2_values"]]
-    refs = {}
-    for s in s_list:
-        scale = complex(cfg.source.pulse.laplace(s))
-        sol = solve_frequency(assemble(blk_ref, cfg.media, s, chi, scale,
-                                       "exact_dtn"))
-        refs[s] = sol
+    refs = {s: solve_frequency(assemble(
+        blk_ref, cfg.media, s, chi, complex(cfg.source.pulse.laplace(s)),
+        "exact_dtn")) for s in s_list}
     nv_ref = mesh_ref.n_vertices
     errors = []
     for L in L_values:

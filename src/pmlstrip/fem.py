@@ -2,10 +2,16 @@
 
 One continuous P1 space for the pressure on the fluid (and layer)
 region, two P1 components for the displacement on the inclusion.  The
-assembly produces s-independent real blocks that the frequency-domain
-forms combine with complex weights and the time integrator combines
-with real ones.  The transparent-boundary term on x3 = h couples the
-top-row pressure nodes through a truncated Fourier-mode multiplier.
+assembly produces s-independent real blocks; the time integrator
+combines them with real weights.  The transparent-boundary term on
+x3 = h couples the top-row pressure nodes through a truncated
+Fourier-mode multiplier B(s).  The frequency-domain form is affine in
+the weights theta(s) = (1/s, s/c^2, rho0 conj(s) lam, rho0 conj(s) mu,
+rho0 rho_e |s|^2 s, -rho0 s, rho0 conj(s)) of the blocks (K, M, K_div,
+K_eps, M_solid, C_pu, C_up), plus -B(s)/s on Gamma_h x Gamma_h.  On
+first use per variant family the blocks are laid out as one term table
+(AffineForm), so a frequency costs one weight combination, a scatter of
+-B(s)/s and a gather onto the free dofs.  The time route never builds it.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import FLUID, MARKER_GAMMA_F, MARKER_GAMMA_HL, PML, SOLID, \
-    StripMesh
+from .mesh import FLUID, MARKER_GAMMA, MARKER_GAMMA_F, MARKER_GAMMA_HL, \
+    PML, SOLID, StripMesh
 from .model import MediaParams, PmlProfile, sigma_profile
-from .symbols import dtn_symbol, pml_dtn_symbol
+from .symbols import dtn_symbol_grid
 
 VARIANTS = ("exact_dtn", "pml_dtn", "pml_layer")
 
@@ -44,12 +50,16 @@ class SingularSystemError(RuntimeError):
 @dataclass
 class DofMap:
     """Global unknown numbering: pressure dofs first, then interleaved
-    displacement components, all on periodic master nodes."""
+    displacement components, all on periodic master nodes.
+
+    node_dof[v] = (pressure, u1, u2) dofs of vertex v, which a periodic
+    slave shares with its master; ``size`` (one past the last dof) marks
+    a vertex without that dof.
+    """
 
     p_nodes: np.ndarray        # master node ids carrying a pressure dof
     u_nodes: np.ndarray        # master node ids carrying displacement dofs
-    p_index: dict
-    u_index: dict
+    node_dof: np.ndarray       # (n_vertices, 3)
 
     @property
     def n_p(self) -> int:
@@ -64,22 +74,28 @@ class DofMap:
         return self.n_p + 2 * self.n_u
 
     def pdof(self, nodes) -> np.ndarray:
-        return np.array([self.p_index[n] for n in np.atleast_1d(nodes)])
+        return self._lookup(nodes, 0)
 
     def udof(self, nodes, comp) -> np.ndarray:
-        return np.array([self.n_p + 2 * self.u_index[n] + comp
-                         for n in np.atleast_1d(nodes)])
+        return self._lookup(nodes, 1 + comp)
+
+    def _lookup(self, nodes, col) -> np.ndarray:
+        dofs = self.node_dof[np.atleast_1d(nodes), col]
+        if np.any(dofs == self.size):
+            raise KeyError("vertex without the requested dof")
+        return dofs
 
 
 def build_dofmap(mesh: StripMesh) -> DofMap:
     p_nodes = mesh.masters(mesh.nodes_of_region(FLUID, PML))
-    u_nodes = mesh.masters(mesh.nodes_of_region(SOLID)) \
-        if np.any(mesh.tri_region == SOLID) else np.zeros(0, dtype=np.int64)
-    return DofMap(
-        p_nodes=p_nodes, u_nodes=u_nodes,
-        p_index={int(n): i for i, n in enumerate(p_nodes)},
-        u_index={int(n): i for i, n in enumerate(u_nodes)},
-    )
+    u_nodes = mesh.masters(mesh.nodes_of_region(SOLID))
+    n_p, size = p_nodes.size, p_nodes.size + 2 * u_nodes.size
+    node_dof = np.full((mesh.n_vertices, 3), size, dtype=np.int64)
+    node_dof[p_nodes, 0] = np.arange(n_p)
+    node_dof[u_nodes, 1] = n_p + 2 * np.arange(u_nodes.size)
+    node_dof[u_nodes, 2] = node_dof[u_nodes, 1] + 1
+    return DofMap(p_nodes=p_nodes, u_nodes=u_nodes,
+                  node_dof=node_dof[mesh.node_master])
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +133,12 @@ def _scatter(dofr, dofc, vals, shape):
 
 @dataclass
 class FemBlocks:
-    """All s-independent matrices of the strip problem on one mesh."""
+    """All s-independent matrices of the strip problem on one mesh.
+
+    ``cache`` holds what is derived from the blocks on first use: the
+    midpoint load operators and one AffineForm per variant family.  The
+    blocks are not to be modified once either exists.
+    """
 
     mesh: StripMesh
     dof: DofMap
@@ -143,17 +164,17 @@ class FemBlocks:
     dirichlet_hl: np.ndarray = None      # pressure dofs on the layer top
     above_h_pdofs: np.ndarray = None     # pressure dofs strictly above x3=h
     meta: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict, repr=False)
 
 
-def _assemble_scalar(mesh, dof, which, weight_k=None, weight_m=None,
-                     anisotropic=False, pml=None, h=None):
+def _assemble_scalar(mesh, dof, which, anisotropic=False, pml=None,
+                     h=None):
     """Stiffness and mass over a triangle subset, optionally weighted by
     the layer profile (midpoint quadrature)."""
     tris, c, area, g, mid = _tri_geometry(mesh, which)
     nt = tris.shape[0]
     ndof = dof.size
-    masters = mesh.node_master[tris]
-    dofs = np.vectorize(dof.p_index.__getitem__)(masters)
+    dofs = dof.node_dof[tris, 0]
 
     if pml is not None:
         sig = sigma_profile(mid[:, :, 1], pml, h)       # (nt, 3)
@@ -190,35 +211,21 @@ def _assemble_solid(mesh, dof):
         return z, z, z, z
     tris, c, area, g, mid = _tri_geometry(mesh, which)
     nt = tris.shape[0]
-    masters = mesh.node_master[tris]
-    nd = np.vectorize(dof.u_index.__getitem__)(masters)
     # interleaved (node, comp) dofs
-    dcomp = np.empty((nt, 6), dtype=np.int64)
-    dcomp[:, 0::2] = dof.n_p + 2 * nd
-    dcomp[:, 1::2] = dof.n_p + 2 * nd + 1
+    dcomp = dof.node_dof[tris][:, :, 1:].reshape(nt, 6)
 
     # div-div: A * g_i[a] * g_j[b]
     ga = g.reshape(nt, 6)                        # (i,a) flattened
     Kdiv = area[:, None, None] * np.einsum("ti,tj->tij", ga, ga)
     # 2 eps:eps: A * (delta_ab g_i.g_j + g_i[b] g_j[a])
     gdot = np.einsum("tia,tja->tij", g, g)
-    Keps = np.zeros((nt, 6, 6))
-    for i in range(3):
-        for a in range(2):
-            for j in range(3):
-                for b in range(2):
-                    Keps[:, 2 * i + a, 2 * j + b] = \
-                        (gdot[:, i, j] if a == b else 0.0) \
-                        + g[:, i, b] * g[:, j, a]
+    Keps = (np.einsum("tij,ab->tiajb", gdot, np.eye(2))
+            + np.einsum("tib,tja->tiajb", g, g)).reshape(nt, 6, 6)
     Keps *= area[:, None, None]
-    # vector mass and componentwise H1 stiffness
-    Mel = np.einsum("t,qi,qj->tij", area / 3.0, _PHI_MID, _PHI_MID)
-    Mvec = np.zeros((nt, 6, 6))
-    Kh1 = np.zeros((nt, 6, 6))
-    Ks = area[:, None, None] * gdot
-    for a in range(2):
-        Mvec[:, a::2, a::2] = Mel
-        Kh1[:, a::2, a::2] = Ks
+    # vector mass and componentwise H1 stiffness: scalar blocks per comp
+    Mvec, Kh1 = (np.einsum("tij,ab->tiajb", X, np.eye(2)).reshape(nt, 6, 6)
+                 for X in (np.einsum("t,qi,qj->tij", area / 3.0, _PHI_MID,
+                                     _PHI_MID), area[:, None, None] * gdot))
 
     rows = np.repeat(dcomp, 6, axis=1)
     cols = np.tile(dcomp, (1, 6))
@@ -232,31 +239,21 @@ def _assemble_solid(mesh, dof):
 def _assemble_coupling(mesh, dof):
     """Interface blocks: C_pu[q_i, u_(j,k)] = int_Gamma n_k phi_j phi_i
     and its transpose-structured partner C_up."""
-    from .mesh import MARKER_GAMMA
     edges = mesh.boundary_edges[MARKER_GAMMA]
-    ndof = dof.size
-    if edges.size == 0:
-        z = sp.csr_matrix((ndof, ndof))
-        return z, z
-    rows_pu, cols_pu, vals_pu = [], [], []
-    for (a, b), n in zip(edges, mesh.gamma_normals):
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        ell = float(np.hypot(*(vb - va)))
-        ma, mb = mesh.node_master[a], mesh.node_master[b]
-        pd = [dof.p_index[int(ma)], dof.p_index[int(mb)]]
-        for k in range(2):
-            if n[k] == 0.0:
-                continue
-            ud = [dof.n_p + 2 * dof.u_index[int(ma)] + k,
-                  dof.n_p + 2 * dof.u_index[int(mb)] + k]
-            for i in range(2):
-                for j in range(2):
-                    w = n[k] * ell / 6.0 * (2.0 if i == j else 1.0)
-                    rows_pu.append(pd[i])
-                    cols_pu.append(ud[j])
-                    vals_pu.append(w)
-    C_pu = sp.coo_matrix((vals_pu, (rows_pu, cols_pu)),
-                         shape=(ndof, ndof)).tocsr()
+    n = mesh.gamma_normals
+    d = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    ell = np.hypot(d[:, 0], d[:, 1])
+    # entries indexed (edge, component k, test node i, trial node j)
+    vals = (n * ell[:, None] / 6.0)[:, :, None, None] \
+        * np.array([[2.0, 1.0], [1.0, 2.0]])
+    rows = np.broadcast_to(dof.node_dof[edges, 0][:, None, :, None],
+                           vals.shape)
+    cols = np.broadcast_to(
+        dof.node_dof[edges][:, :, 1:].transpose(0, 2, 1)[:, :, None, :],
+        vals.shape)
+    keep = np.broadcast_to((n != 0.0)[:, :, None, None], vals.shape)
+    C_pu = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(dof.size, dof.size)).tocsr()
     return C_pu, C_pu.T.tocsr()
 
 
@@ -273,8 +270,7 @@ def _modal_operator(mesh, dof, n_modes):
     n = np.arange(-N, N + 1)
     xi = 2.0 * np.pi * n / period
     E = (w / period) * np.exp(-1j * np.outer(xi, x))
-    dofs = dof.pdof(mesh.node_master[nodes])
-    return dofs, E, xi
+    return dof.pdof(nodes), E, xi
 
 
 def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
@@ -299,15 +295,12 @@ def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
 
     gf = mesh.masters(np.unique(mesh.boundary_edges[MARKER_GAMMA_F]))
     blk.dirichlet_f = dof.pdof(gf)
-    if MARKER_GAMMA_HL in mesh.boundary_edges:
-        ghl = mesh.masters(np.unique(mesh.boundary_edges[MARKER_GAMMA_HL]))
-        blk.dirichlet_hl = dof.pdof(ghl)
-    else:
-        blk.dirichlet_hl = np.zeros(0, dtype=np.int64)
+    ghl = mesh.boundary_edges.get(MARKER_GAMMA_HL,
+                                  np.zeros(0, dtype=np.int64))
+    blk.dirichlet_hl = dof.pdof(mesh.masters(np.unique(ghl)))
     h = mesh.geometry.h
-    above = dof.p_nodes[mesh.vertices[dof.p_nodes, 1] > h + 1e-12]
-    blk.above_h_pdofs = dof.pdof(above) if above.size else \
-        np.zeros(0, dtype=np.int64)
+    blk.above_h_pdofs = dof.pdof(
+        dof.p_nodes[mesh.vertices[dof.p_nodes, 1] > h + 1e-12])
     return blk
 
 
@@ -343,18 +336,14 @@ def dtn_block(blk: FemBlocks, media: MediaParams, s: complex,
               variant: str, pml: PmlProfile | None = None) -> np.ndarray:
     """Dense Gamma_h block representing int_{Gamma_h} B[p] conj(q):
     period * E^H diag(symbol) E via the trace Parseval identity."""
-    if variant == "exact_dtn":
-        sym = np.array([dtn_symbol(x, s, media.c) for x in blk.modal_xi])
-    elif variant == "pml_dtn":
-        profile = pml if pml is not None else blk.mesh.pml
-        if profile is None:
-            raise AssemblyError("pml_dtn variant needs a layer profile")
-        Lt = profile.L_tilde
-        sym = np.array([pml_dtn_symbol(x, s, media.c, Lt)
-                        for x in blk.modal_xi])
-    else:
+    if variant not in ("exact_dtn", "pml_dtn"):
         raise AssemblyError("no boundary operator for variant "
                             f"{variant!r}")
+    profile = pml if pml is not None else blk.mesh.pml
+    if variant == "pml_dtn" and profile is None:
+        raise AssemblyError("pml_dtn variant needs a layer profile")
+    sym = dtn_symbol_grid(blk.modal_xi, s, media.c, profile.L_tilde
+                          if variant == "pml_dtn" else None)
     E = blk.modal_E
     return blk.mesh.geometry.period * (E.conj().T * sym) @ E
 
@@ -373,45 +362,121 @@ def free_dofs(blk: FemBlocks, variant: str) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+@dataclass
+class AffineForm:
+    """The s-independent part of one variant family's form.
+
+    terms[q] holds the block weighted by theta_q (module docstring) on
+    the sparsity pattern of ``pattern``: the union of the blocks'
+    nonzeros and, for the boundary-map family, every Gamma_h x Gamma_h
+    pair, at positions gamma_slots (row-major).  ``gather`` picks the
+    values of the free-dof submatrix in the order of ``reduced``.
+    """
+
+    pattern: sp.csr_matrix
+    terms: np.ndarray               # (7, nnz) real
+    gamma_slots: np.ndarray
+    free: np.ndarray
+    gather: np.ndarray
+    reduced: sp.csc_matrix
+
+
+def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
+    """Term table of the variant's family, built on its first use."""
+    if variant not in VARIANTS:
+        raise AssemblyError(f"unknown variant {variant!r}")
+    layer = variant == "pml_layer"
+    if ("affine", layer) in blk.cache:
+        return blk.cache["affine", layer]
+    free = free_dofs(blk, variant)
+    n = blk.dof.size
+    blocks = [blk.K_all, blk.M_all] if layer else [blk.K_fluid, blk.M_fluid]
+    blocks += [blk.K_div, blk.K_eps, blk.M_solid, blk.C_pu, blk.C_up]
+    gh = np.zeros(0, dtype=np.int64) if layer else blk.gamma_h_dofs
+    gh_rows, gh_cols = np.repeat(gh, gh.size), np.tile(gh, gh.size)
+    # sparse sums drop exact zeros: the pattern keeps the positions where
+    # some term is nonzero, as the sum of the weighted blocks would
+    pattern = sum((abs(A) for A in blocks), sp.csr_matrix(
+        (np.ones(gh_rows.size), (gh_rows, gh_cols)), shape=(n, n)))
+    pattern.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    keys = rows * n + pattern.indices
+    terms = np.zeros((len(blocks), keys.size))
+    for q, A in enumerate(blocks):
+        A = A.tocoo()
+        nz = A.data != 0.0
+        np.add.at(terms[q], np.searchsorted(
+            keys, A.row[nz].astype(np.int64) * n + A.col[nz]), A.data[nz])
+    rank = np.full(n, -1)
+    rank[free] = np.arange(free.size)
+    r, c = rank[rows], rank[pattern.indices]
+    gather = np.flatnonzero((r >= 0) & (c >= 0))
+    gather = gather[np.lexsort((r[gather], c[gather]))]
+    reduced = sp.csc_matrix(
+        (np.zeros(gather.size), r[gather],
+         np.searchsorted(c[gather], np.arange(free.size + 1))),
+        shape=(free.size, free.size))
+    form = AffineForm(pattern=pattern, terms=terms,
+                      gamma_slots=np.searchsorted(keys, gh_rows * n + gh_cols),
+                      free=free, gather=gather, reduced=reduced)
+    blk.cache["affine", layer] = form
+    return form
+
+
+def _form_data(blk, media, s, variant, pml):
+    """(AffineForm, complex values on its pattern) of the form at s."""
+    form = _affine_form(blk, variant)
+    rho0, sc = media.rho0, np.conj(s)
+    theta = np.array([1.0 / s, s / media.c ** 2, rho0 * sc * media.lam,
+                      rho0 * sc * media.mu,
+                      rho0 * media.rho_e * (abs(s) ** 2 * s), -rho0 * s,
+                      rho0 * sc], dtype=complex)
+    data = theta.real @ form.terms + 1j * (theta.imag @ form.terms)
+    if form.gamma_slots.size:
+        data[form.gamma_slots] -= \
+            (dtn_block(blk, media, s, variant, pml) / s).ravel()
+    return form, data
+
+
+def _with_data(template, data):
+    """A sparse matrix with the template's pattern and the given values."""
+    return type(template)((data, template.indices, template.indptr),
+                          shape=template.shape)
+
+
 def frequency_matrix(blk: FemBlocks, media: MediaParams,
                      s: complex, variant: str,
                      pml: PmlProfile | None = None) -> sp.csr_matrix:
     """Global (unreduced) matrix of the chosen sesquilinear form, with
-    rows = test dofs and columns = trial dofs."""
-    if variant not in VARIANTS:
-        raise AssemblyError(f"unknown variant {variant!r}")
-    rho0, rho_e, c = media.rho0, media.rho_e, media.c
-    if variant == "pml_layer":
-        Kf, Mf = blk.K_all, blk.M_all
-    else:
-        Kf, Mf = blk.K_fluid, blk.M_fluid
-    A = (1.0 / s) * Kf + (s / c ** 2) * Mf
-    A = A + rho0 * np.conj(s) * (media.lam * blk.K_div + media.mu * blk.K_eps)
-    A = A + rho0 * rho_e * (abs(s) ** 2 * s) * blk.M_solid
-    A = A - rho0 * s * blk.C_pu + rho0 * np.conj(s) * blk.C_up
-    A = sp.csr_matrix(A, dtype=complex)
-    if variant in ("exact_dtn", "pml_dtn"):
-        B = dtn_block(blk, media, s, variant, pml)
-        gh = blk.gamma_h_dofs
-        A = A.tolil()
-        A[np.ix_(gh, gh)] = A[np.ix_(gh, gh)].toarray() - B / s
-        A = A.tocsr()
-    return A
+    rows = test dofs and columns = trial dofs: the family's term table
+    (built on first use, then shared with assemble) combined at s."""
+    form, data = _form_data(blk, media, s, variant, pml)
+    return _with_data(form.pattern, data)
 
 
 def load_vector(blk: FemBlocks, spatial, variant: str = "exact_dtn"):
     """Nodal load int_{Omega_h} chi(x) phi_i dx (fluid region only; the
     source is supported below x3 = h)."""
-    mesh, dof = blk.mesh, blk.dof
-    which = np.flatnonzero(mesh.tri_region == FLUID)
-    tris, c, area, g, mid = _tri_geometry(mesh, which)
-    chi = spatial(mid[:, :, 0], mid[:, :, 1])           # (nt, 3)
-    vals = np.einsum("tq,qi->ti", (area / 3.0)[:, None] * chi, _PHI_MID)
-    masters = mesh.node_master[tris]
-    dofs = np.vectorize(dof.p_index.__getitem__)(masters)
-    vec = np.zeros(dof.size)
-    np.add.at(vec, dofs.ravel(), vals.ravel())
-    return vec
+    return _midpoint_load(blk, spatial)
+
+
+def _midpoint_load(blk: FemBlocks, func, region=FLUID, col=0) -> np.ndarray:
+    """int_region func phi_i by edge-midpoint quadrature, onto the dofs
+    in column col of node_dof: one sparse product with the region's
+    load operator, built on first use."""
+    if ("load", region, col) not in blk.cache:
+        which = np.flatnonzero(blk.mesh.tri_region == region)
+        tris, c, area, g, mid = _tri_geometry(blk.mesh, which)
+        w = (area / 3.0)[:, None, None] * _PHI_MID        # (t, q, i)
+        rows = np.broadcast_to(blk.dof.node_dof[tris, col][:, None, :],
+                               w.shape)
+        cols = np.broadcast_to(
+            np.arange(w.shape[0] * 3).reshape(-1, 3, 1), w.shape)
+        op = sp.csr_matrix((w.ravel(), (rows.ravel(), cols.ravel())),
+                           shape=(blk.dof.size, w.shape[0] * 3))
+        blk.cache["load", region, col] = (mid[:, :, 0], mid[:, :, 1], op)
+    x1, x3, op = blk.cache["load", region, col]
+    return op @ np.broadcast_to(func(x1, x3), x1.shape).ravel()
 
 
 def assemble(blk: FemBlocks, media: MediaParams, s: complex,
@@ -422,15 +487,16 @@ def assemble(blk: FemBlocks, media: MediaParams, s: complex,
     The transformed source is g_hat(x, s) = g_hat_scale * chi(x); the
     right-hand side of the variational problem is int g_hat / c^2 * q.
     """
-    A = frequency_matrix(blk, media, s, variant, pml)
-    b = np.zeros(blk.dof.size, dtype=complex)
+    form, data = _form_data(blk, media, s, variant, pml)
+    free = form.free
+    rhs = np.zeros(free.size, dtype=complex)
     if g_hat_spatial is not None:
-        b = (g_hat_scale / media.c ** 2) \
-            * load_vector(blk, g_hat_spatial).astype(complex)
-    free = free_dofs(blk, variant)
-    return FrequencySystem(matrix=A[np.ix_(free, free)].tocsc(),
-                           rhs=b[free], free=free, blocks=blk,
-                           media=media, s=s, variant=variant)
+        rhs = (g_hat_scale / media.c ** 2) \
+            * load_vector(blk, g_hat_spatial)[free].astype(complex)
+    return FrequencySystem(matrix=_with_data(form.reduced,
+                                             data[form.gather]),
+                           rhs=rhs, free=free, blocks=blk, media=media, s=s,
+                           variant=variant)
 
 
 def solve_frequency(system: FrequencySystem,
@@ -459,21 +525,9 @@ def solve_frequency(system: FrequencySystem,
 
 
 def _expand_solution(system: FrequencySystem, x_free, res):
-    blk = system.blocks
-    x = np.zeros(blk.dof.size, dtype=complex)
+    x = np.zeros(system.blocks.dof.size, dtype=complex)
     x[system.free] = x_free
-    mesh = blk.mesh
-    p_hat = np.zeros(mesh.n_vertices, dtype=complex)
-    u_hat = np.zeros((mesh.n_vertices, 2), dtype=complex)
-    for node in blk.dof.p_nodes:
-        p_hat[node] = x[blk.dof.p_index[int(node)]]
-    for node in blk.dof.u_nodes:
-        iu = blk.dof.u_index[int(node)]
-        u_hat[node, 0] = x[blk.dof.n_p + 2 * iu]
-        u_hat[node, 1] = x[blk.dof.n_p + 2 * iu + 1]
-    # propagate to periodic slave nodes
-    p_hat = p_hat[mesh.node_master]
-    u_hat = u_hat[mesh.node_master]
+    p_hat, u_hat = dofs_to_nodal(system.blocks, x)
     return FrequencySolution(p_hat=p_hat, u_hat=u_hat, x=x, system=system,
                              residual=res)
 
@@ -492,6 +546,14 @@ def nodal_to_dofs(blk: FemBlocks, p_nodal: np.ndarray,
         x[blk.dof.n_p::2] = u[blk.dof.u_nodes, 0]
         x[blk.dof.n_p + 1::2] = u[blk.dof.u_nodes, 1]
     return x
+
+
+def dofs_to_nodal(blk: FemBlocks, x: np.ndarray):
+    """Per-vertex (p, u) of a global dof vector, the inverse of
+    nodal_to_dofs: periodic slaves repeat their master and a vertex
+    without a dof reads 0."""
+    padded = np.append(x, np.zeros(1, dtype=x.dtype))
+    return padded[blk.dof.node_dof[:, 0]], padded[blk.dof.node_dof[:, 1:]]
 
 
 def h_norm_sq(blk: FemBlocks, x: np.ndarray, layer: bool = False) -> float:
@@ -518,12 +580,14 @@ def coercivity_probe(blk: FemBlocks, media: MediaParams, s: complex,
     """
     A = matrix if matrix is not None \
         else frequency_matrix(blk, media, s, variant, pml)
-    free = free_dofs(blk, variant)
-    mask = np.zeros(blk.dof.size, dtype=bool)
-    mask[free] = True
-    w = np.where(mask, omega, 0.0)
+    w = np.where(np.isin(np.arange(blk.dof.size), free_dofs(blk, variant)),
+                 omega, 0.0)
     re_a = float(np.real(quadratic_form(A, w)))
     return re_a, h_norm_sq(blk, w, layer=(variant == "pml_layer"))
+
+
+def _sqrt_form(A: sp.spmatrix, x: np.ndarray) -> float:
+    return float(np.sqrt(max(quadratic_form(A, x).real, 0.0)))
 
 
 def stability_ratios(sol: FrequencySolution, g_norm: float) -> dict:
@@ -536,17 +600,12 @@ def stability_ratios(sol: FrequencySolution, g_norm: float) -> dict:
     x = sol.x
     Kf = blk.K_all_iso if layer else blk.K_fluid
     Mf = blk.M_all_iso if layer else blk.M_fluid
-    grad_p = np.sqrt(max(np.real(quadratic_form(Kf, x)), 0.0))
-    s_p = abs(s) * np.sqrt(max(np.real(quadratic_form(Mf, x)), 0.0))
-    grad_u = np.sqrt(max(np.real(quadratic_form(blk.K_solid_h1, x)), 0.0))
-    div_u = np.sqrt(max(np.real(quadratic_form(blk.K_div, x)), 0.0))
-    s_u = abs(s) * np.sqrt(max(np.real(quadratic_form(blk.M_solid, x)), 0.0))
+    lhs = {"fluid_lhs": _sqrt_form(Kf, x) + abs(s) * _sqrt_form(Mf, x),
+           "solid_lhs": _sqrt_form(blk.K_solid_h1, x)
+           + _sqrt_form(blk.K_div, x) + abs(s) * _sqrt_form(blk.M_solid, x)}
     if g_norm == 0.0:
-        zero = grad_p + s_p + grad_u + div_u + s_u
-        return {"fluid_ratio": 0.0 if zero == 0 else np.inf,
-                "solid_ratio": 0.0 if zero == 0 else np.inf,
-                "fluid_lhs": grad_p + s_p,
-                "solid_lhs": grad_u + div_u + s_u}
+        ratio = 0.0 if lhs["fluid_lhs"] + lhs["solid_lhs"] == 0 else np.inf
+        return {"fluid_ratio": ratio, "solid_ratio": ratio, **lhs}
     if sys_.variant in ("exact_dtn", "pml_dtn"):
         env_f = abs(s) / s1 * g_norm
         env_s = g_norm / (s1 * min(1.0, s1))
@@ -555,10 +614,8 @@ def stability_ratios(sol: FrequencySolution, g_norm: float) -> dict:
         factor = 1.0 + pml.sigma0 / s1
         env_f = factor * abs(s) / s1 * g_norm
         env_s = np.sqrt(factor) / (s1 * min(1.0, s1)) * g_norm
-    return {"fluid_ratio": (grad_p + s_p) / env_f,
-            "solid_ratio": (grad_u + div_u + s_u) / env_s,
-            "fluid_lhs": grad_p + s_p,
-            "solid_lhs": grad_u + div_u + s_u}
+    return {"fluid_ratio": lhs["fluid_lhs"] / env_f,
+            "solid_ratio": lhs["solid_lhs"] / env_s, **lhs}
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +645,8 @@ def manufactured_residual(blk: FemBlocks, media: MediaParams, s: complex,
         + s / c ** 2 * p_expr
     f_fluid = sym.lambdify((x1, x3), F_f, "numpy")
 
-    rhs = np.zeros(blk.dof.size, dtype=complex)
     mesh, dof = blk.mesh, blk.dof
-    which = np.flatnonzero(mesh.tri_region == FLUID)
-    tris, cc, area, g, mid = _tri_geometry(mesh, which)
-    fv = np.asarray(f_fluid(mid[:, :, 0], mid[:, :, 1]), dtype=complex)
-    fv = np.broadcast_to(fv, mid[:, :, 0].shape)
-    vals = np.einsum("tq,qi->ti", (area / 3.0)[:, None] * fv, _PHI_MID)
-    masters = mesh.node_master[tris]
-    dofs = np.vectorize(dof.p_index.__getitem__)(masters)
-    np.add.at(rhs, dofs.ravel(), vals.ravel())
+    rhs = _midpoint_load(blk, f_fluid).astype(complex)
 
     grad_p = [sym.lambdify((x1, x3), sym.diff(p_expr, v), "numpy")
               for v in (x1, x3)]
@@ -619,18 +668,8 @@ def manufactured_residual(blk: FemBlocks, media: MediaParams, s: complex,
         Fs2 = rho0 * np.conj(s) * (-lame2 + rho_e * s ** 2 * u2e)
         fs = [sym.lambdify((x1, x3), e, "numpy") for e in (Fs1, Fs2)]
 
-        which_s = np.flatnonzero(mesh.tri_region == SOLID)
-        tris_s, cs, area_s, gs, mid_s = _tri_geometry(mesh, which_s)
-        masters_s = mesh.node_master[tris_s]
-        nd = np.vectorize(dof.u_index.__getitem__)(masters_s)
         for comp in (0, 1):
-            fvs = np.asarray(fs[comp](mid_s[:, :, 0], mid_s[:, :, 1]),
-                             dtype=complex)
-            fvs = np.broadcast_to(fvs, mid_s[:, :, 0].shape)
-            vals_s = np.einsum("tq,qi->ti",
-                               (area_s / 3.0)[:, None] * fvs, _PHI_MID)
-            dofs_s = dof.n_p + 2 * nd + comp
-            np.add.at(rhs, dofs_s.ravel(), vals_s.ravel())
+            rhs += _midpoint_load(blk, fs[comp], SOLID, 1 + comp)
 
         sig_num = [sym.lambdify((x1, x3), e, "numpy")
                    for e in (sig11, sig12, sig22)]
@@ -639,35 +678,25 @@ def manufactured_residual(blk: FemBlocks, media: MediaParams, s: complex,
         # interface corrections: the weak form imposed
         #   dn p = -rho0 s^2 n.u   and   sigma(u) n = -p n
         # exactly; add the manufactured imbalances as extra data.
-        from .mesh import MARKER_GAMMA
-        for (na, nb), n in zip(mesh.boundary_edges[MARKER_GAMMA],
-                               mesh.gamma_normals):
-            va, vb = mesh.vertices[na], mesh.vertices[nb]
-            ell = float(np.hypot(*(vb - va)))
-            # 2-point Gauss on the edge
-            for t, wq in ((0.5 - 0.5 / np.sqrt(3.0), 0.5 * ell),
-                          (0.5 + 0.5 / np.sqrt(3.0), 0.5 * ell)):
-                xq = (1 - t) * va + t * vb
-                shp = np.array([1 - t, t])
-                dn_p = n[0] * grad_p[0](*xq) + n[1] * grad_p[1](*xq)
-                nu = n[0] * u_num[0](*xq) + n[1] * u_num[1](*xq)
-                r1 = dn_p + rho0 * s ** 2 * nu
-                pd = [dof.p_index[int(mesh.node_master[na])],
-                      dof.p_index[int(mesh.node_master[nb])]]
-                for i in (0, 1):
-                    rhs[pd[i]] -= (1.0 / s) * r1 * shp[i] * wq
-                s11, s12, s22 = (f(*xq) for f in sig_num)
-                trac = np.array([s11 * n[0] + s12 * n[1],
-                                 s12 * n[0] + s22 * n[1]])
-                r2 = trac + p_num(*xq) * np.array(n)
-                for comp in (0, 1):
-                    ud = [dof.n_p + 2 * dof.u_index[int(mesh.node_master[na])]
-                          + comp,
-                          dof.n_p + 2 * dof.u_index[int(mesh.node_master[nb])]
-                          + comp]
-                    for i in (0, 1):
-                        rhs[ud[i]] += rho0 * np.conj(s) * r2[comp] \
-                            * shp[i] * wq
+        edges, n = mesh.boundary_edges[MARKER_GAMMA], mesh.gamma_normals
+        va, vb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+        half = 0.5 * np.hypot(*(vb - va).T)
+        for t in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
+            # one point of the 2-point Gauss rule on every edge
+            xq = (1 - t) * va + t * vb
+            f = [np.broadcast_to(g(xq[:, 0], xq[:, 1]), half.shape)
+                 for g in grad_p + u_num + sig_num + [p_num]]
+            dpdx1, dpdx3, u1, u2, s11, s12, s22, pq = f
+            r1 = n[:, 0] * dpdx1 + n[:, 1] * dpdx3 \
+                + rho0 * s ** 2 * (n[:, 0] * u1 + n[:, 1] * u2)
+            shp = np.outer(half, [1 - t, t])        # shape x weight
+            np.add.at(rhs, dof.node_dof[edges, 0],
+                      -(1.0 / s) * r1[:, None] * shp)
+            r2 = (s11 * n[:, 0] + s12 * n[:, 1] + pq * n[:, 0],
+                  s12 * n[:, 0] + s22 * n[:, 1] + pq * n[:, 1])
+            for comp in (0, 1):
+                np.add.at(rhs, dof.node_dof[edges, 1 + comp],
+                          rho0 * np.conj(s) * r2[comp][:, None] * shp)
 
     # exact nodal fields for error measurement
     p_exact = np.asarray(p_num(mesh.vertices[:, 0], mesh.vertices[:, 1]),
@@ -681,8 +710,7 @@ def manufactured_residual(blk: FemBlocks, media: MediaParams, s: complex,
     u_exact = np.zeros((mesh.n_vertices, 2), dtype=complex)
     if u_num is not None:
         for comp in (0, 1):
-            u_exact[:, comp] = u_num[comp](mesh.vertices[:, 0],
-                                           mesh.vertices[:, 1])
+            u_exact[:, comp] = u_num[comp](*mesh.vertices.T)
     return rhs, p_exact, u_exact
 
 
@@ -690,12 +718,6 @@ def fluid_error_norms(blk: FemBlocks, p_num: np.ndarray,
                       p_ref: np.ndarray) -> tuple[float, float]:
     """(L2, H1) norms of a nodal pressure difference over the fluid
     region below x3 = h."""
-    dof = blk.dof
-    e = np.zeros(dof.size, dtype=complex)
-    diff = p_num - p_ref
-    for node in dof.p_nodes:
-        e[dof.p_index[int(node)]] = diff[node]
-    l2 = np.sqrt(max(np.real(quadratic_form(blk.M_fluid, e)), 0.0))
-    h1 = np.sqrt(max(np.real(
-        quadratic_form(blk.M_fluid + blk.K_fluid, e)), 0.0))
-    return float(l2), float(h1)
+    e = nodal_to_dofs(blk, p_num - p_ref)
+    return _sqrt_form(blk.M_fluid, e), \
+        _sqrt_form(blk.M_fluid + blk.K_fluid, e)

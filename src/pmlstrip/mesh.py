@@ -139,65 +139,46 @@ def build_mesh(geom: Geometry, pml: PmlProfile | None,
         return r * (n1 + 1) + c
 
     node_master = np.arange(verts.shape[0])
-    for r in range(n_rows):
-        node_master[vid(r, n1)] = vid(r, 0)
+    node_master[vid(np.arange(n_rows), n1)] = vid(np.arange(n_rows), 0)
 
-    tris = []
-    regions = []
-    for r in range(n_rows - 1):
-        for c in range(n1):
-            if rows_b is not None and rows_b[0] <= r < rows_b[1] \
-                    and cols_ob[0] <= c < cols_ob[1]:
-                reg = SOLID
-            elif r >= row_h:
-                reg = PML
-            else:
-                reg = FLUID
-            a, b = vid(r, c), vid(r, c + 1)
-            d, e = vid(r + 1, c), vid(r + 1, c + 1)
-            tris.append((a, b, e))
-            tris.append((a, e, d))
-            regions.append(reg)
-            regions.append(reg)
-    triangles = np.array(tris, dtype=np.int64)
-    tri_region = np.array(regions, dtype=np.int64)
+    # cells (r, c) row by row, two triangles each
+    r, c = np.divmod(np.arange((n_rows - 1) * n1, dtype=np.int64), n1)
+    a, b, d, e = vid(r, c), vid(r, c + 1), vid(r + 1, c), vid(r + 1, c + 1)
+    triangles = np.stack([a, b, e, a, e, d], axis=1).reshape(-1, 3)
+    reg = np.where(r >= row_h, PML, FLUID)
+    if rows_b is not None:
+        reg[(rows_b[0] <= r) & (r < rows_b[1])
+            & (cols_ob[0] <= c) & (c < cols_ob[1])] = SOLID
+    tri_region = np.repeat(reg, 2).astype(np.int64)
 
-    boundary = {
-        MARKER_GAMMA_F: np.array([(vid(0, c), vid(0, c + 1))
-                                  for c in range(n1)], dtype=np.int64),
-        MARKER_GAMMA_H: np.array([(vid(row_h, c), vid(row_h, c + 1))
-                                  for c in range(n1)], dtype=np.int64),
-    }
+    cols = np.arange(n1, dtype=np.int64)
+    marker_rows = {MARKER_GAMMA_F: 0, MARKER_GAMMA_H: row_h}
     if pml is not None:
-        top = n_rows - 1
-        boundary[MARKER_GAMMA_HL] = np.array(
-            [(vid(top, c), vid(top, c + 1)) for c in range(n1)],
-            dtype=np.int64)
-    gamma_edges = []
-    gamma_normals = []
+        marker_rows[MARKER_GAMMA_HL] = n_rows - 1
+    boundary = {marker: np.stack([vid(row, cols), vid(row, cols + 1)], 1)
+                for marker, row in marker_rows.items()}
+    # inclusion sides: bottom/top edge pairs by column, then left/right
+    # pairs by row, with outward (from the solid) normals
+    gamma_edges, gamma_normals = np.zeros((0, 2), np.int64), np.zeros((0, 2))
     if geom.obstacle is not None:
-        ia, ib = cols_ob
-        rb1, rb2 = rows_b
-        for c in range(ia, ib):
-            gamma_edges.append((vid(rb1, c), vid(rb1, c + 1)))
-            gamma_normals.append((0.0, -1.0))
-            gamma_edges.append((vid(rb2, c), vid(rb2, c + 1)))
-            gamma_normals.append((0.0, 1.0))
-        for r in range(rb1, rb2):
-            gamma_edges.append((vid(r, ia), vid(r + 1, ia)))
-            gamma_normals.append((-1.0, 0.0))
-            gamma_edges.append((vid(r, ib), vid(r + 1, ib)))
-            gamma_normals.append((1.0, 0.0))
-    boundary[MARKER_GAMMA] = np.array(gamma_edges, dtype=np.int64).reshape(
-        -1, 2)
+        (ia, ib), (rb1, rb2) = cols_ob, rows_b
+        c, r = np.arange(ia, ib), np.arange(rb1, rb2)
+        gamma_edges = np.concatenate([
+            np.stack([vid(rb1, c), vid(rb1, c + 1), vid(rb2, c),
+                      vid(rb2, c + 1)], 1).reshape(-1, 2),
+            np.stack([vid(r, ia), vid(r + 1, ia), vid(r, ib),
+                      vid(r + 1, ib)], 1).reshape(-1, 2)])
+        gamma_normals = np.concatenate([
+            np.tile([[0.0, -1.0], [0.0, 1.0]], (c.size, 1)),
+            np.tile([[-1.0, 0.0], [1.0, 0.0]], (r.size, 1))])
+    boundary[MARKER_GAMMA] = gamma_edges
 
-    gamma_h_nodes = np.array([vid(row_h, c) for c in range(n1)],
-                             dtype=np.int64)
+    gamma_h_nodes = vid(row_h, cols)
 
     return StripMesh(
         vertices=verts, triangles=triangles, tri_region=tri_region,
         node_master=node_master, boundary_edges=boundary,
-        gamma_normals=np.array(gamma_normals, dtype=float).reshape(-1, 2),
+        gamma_normals=gamma_normals,
         gamma_h_nodes=gamma_h_nodes, geometry=geom, pml=pml,
         meta={"n1": n1, "row_h": row_h, "rows_b": rows_b,
               "cols_ob": cols_ob, "n_rows": n_rows, "target_h": target_h},

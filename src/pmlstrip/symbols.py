@@ -72,15 +72,27 @@ def pml_dtn_symbol(xi, s: complex, c: float, L_tilde: float) -> complex:
     """Symbol of the layer-truncated boundary map:
     -beta * coth(beta * L_tilde), evaluated through exp(-2*beta*L_tilde)
     only so it never overflows."""
+    return _layer_symbol(beta(xi, s, c), L_tilde)
+
+
+def _layer_symbol(b, L_tilde: float):
+    """-b coth(b L_tilde) for Re b > 0, scalar or array."""
     if L_tilde <= 0:
         raise ValueError("L_tilde must be positive")
-    b = beta(xi, s, c)
     q = np.exp(-2.0 * b * L_tilde)
     den = 1.0 - q
     # |1 - q| >= 1 - exp(-2*Re(beta)*L_tilde) > 0 for Re(beta) > 0
-    if abs(den) < 1e-14:
+    if np.any(np.abs(den) < 1e-14):
         raise ArithmeticError("degenerate layer symbol denominator")
     return -b * (1.0 + q) / den
+
+
+def dtn_symbol_grid(xi_abs, s: complex, c: float,
+                    L_tilde: float | None = None) -> np.ndarray:
+    """Boundary symbol on an array of |xi| values: the exact -beta, or
+    with L_tilde the layer-truncated symbol of pml_dtn_symbol."""
+    b = beta_grid(xi_abs, s, c)
+    return -b if L_tilde is None else _layer_symbol(b, L_tilde)
 
 
 def symbol_gap(xi, s: complex, c: float, L_tilde: float) -> float:
@@ -211,15 +223,12 @@ def apply_dtn(trace: BoundaryTrace, s: complex, c: float,
               L_tilde: float | None = None) -> BoundaryTrace:
     """Apply the modal boundary map (exact or layer-truncated) to a
     trace: coefficientwise multiplication by the symbol."""
-    xi = trace.xi_values()
-    if variant == "exact":
-        sym = np.array([dtn_symbol(x, s, c) for x in xi])
-    elif variant == "pml":
-        if L_tilde is None:
-            raise ValueError("pml variant needs L_tilde")
-        sym = np.array([pml_dtn_symbol(x, s, c, L_tilde) for x in xi])
-    else:
+    if variant not in ("exact", "pml"):
         raise ValueError(f"unknown variant {variant!r}")
+    if variant == "pml" and L_tilde is None:
+        raise ValueError("pml variant needs L_tilde")
+    sym = dtn_symbol_grid(trace.xi_values(), s, c,
+                          L_tilde if variant == "pml" else None)
     return BoundaryTrace(trace.period, sym * trace.coeffs)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import FemBlocks, assemble, free_dofs, load_vector, \
-    quadratic_form, solve_frequency
+from .fem import FemBlocks, _sqrt_form, assemble, dofs_to_nodal, \
+    free_dofs, load_vector, solve_frequency
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
 
@@ -184,7 +184,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
         v_full[free] = v
         if probes is not None or probes_u is not None or snap_steps \
                 or record_norms or store_nodes is not None:
-            p_nodal, u_nodal = _expand_fields(blk, x_full)
+            p_nodal, u_nodal = dofs_to_nodal(blk, x_full)
         if store_nodes is not None:
             traj.field_p[:, step] = p_nodal[store_nodes]
             traj.field_u[:, :, step] = u_nodal[store_nodes]
@@ -216,21 +216,6 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
         v = v_star + gamma_n * dt * a
         record(step)
     return traj
-
-
-def _sqrt_form(A, x):
-    return float(np.sqrt(max(quadratic_form(A, x).real, 0.0)))
-
-
-def _expand_fields(blk: FemBlocks, x: np.ndarray):
-    mesh = blk.mesh
-    p = np.zeros(mesh.n_vertices, dtype=x.dtype)
-    u = np.zeros((mesh.n_vertices, 2), dtype=x.dtype)
-    p[blk.dof.p_nodes] = x[:blk.dof.n_p]
-    if blk.dof.n_u:
-        u[blk.dof.u_nodes, 0] = x[blk.dof.n_p::2]
-        u[blk.dof.u_nodes, 1] = x[blk.dof.n_p + 1::2]
-    return p[mesh.node_master], u[mesh.node_master]
 
 
 def energy_trace(traj: TimeTrajectory, blk: FemBlocks,

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.integrate import cumulative_simpson
 
 
 class TruncationWarning(UserWarning):
@@ -156,6 +155,10 @@ def transform_property_check(u: Callable, du: Callable, d2u: Callable,
     (t_max bounds the e^{s1 t} amplification of contour noise in the
     synthesized antiderivative.)
     """
+    # imported here: scipy.integrate pulls in scipy.optimize, which
+    # nothing else in the package needs, at every package import
+    from scipy.integrate import cumulative_simpson
+
     sig = SampledSignal.sample(u, T, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -195,7 +198,7 @@ def parseval_residual(u: SampledSignal, v: SampledSignal, s1: float,
         raise ValueError("s1 must be positive")
     s2 = np.linspace(-s2_max, s2_max, n_freq)
     Lu = laplace_grid(u, s1, s2)
-    Lv = laplace_grid(v, s1, s2)
+    Lv = Lu if v is u else laplace_grid(v, s1, s2)
     lhs = np.trapezoid(Lu * np.conj(Lv), s2) / (2.0 * np.pi)
     u0 = complex(np.asarray(u.values[0]))
     v0 = complex(np.asarray(v.values[0]))

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy as sym
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import norm as sparse_norm
 
 from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       SourceSpec, SurfaceProfile, assemble, build_blocks,
-                      build_mesh, coercivity_probe, dtn_block,
-                      fluid_error_norms, free_dofs, frequency_matrix,
+                      build_mesh, coercivity_probe, dofs_to_nodal,
+                      dtn_block, fluid_error_norms, free_dofs,
+                      frequency_matrix,
                       h_norm_sq, load_vector, manufactured_residual,
                       nodal_to_dofs, solve_frequency, stability_ratios)
 from pmlstrip.fem import AssemblyError, quadratic_form
+from pmlstrip.mesh import SOLID
 
 
 MEDIA = MediaParams()
@@ -25,6 +30,29 @@ def make_blocks(obstacle=False, pml=None, target=0.08, n_modes=16,
         obstacle=Rectangle.square((0.5, 0.25), 0.2) if obstacle else None)
     mesh = build_mesh(geom, pml, target)
     return build_blocks(mesh, n_modes=n_modes)
+
+
+def reference_matrix(blk, s, variant, pml=None):
+    """Per-frequency assembly as sparse sums of the weighted blocks, the
+    Gamma_h block inserted through LIL: the construction the term table
+    replaces."""
+    rho0, rho_e, c = MEDIA.rho0, MEDIA.rho_e, MEDIA.c
+    if variant == "pml_layer":
+        Kf, Mf = blk.K_all, blk.M_all
+    else:
+        Kf, Mf = blk.K_fluid, blk.M_fluid
+    A = (1.0 / s) * Kf + (s / c ** 2) * Mf
+    A = A + rho0 * np.conj(s) * (MEDIA.lam * blk.K_div + MEDIA.mu * blk.K_eps)
+    A = A + rho0 * rho_e * (abs(s) ** 2 * s) * blk.M_solid
+    A = A - rho0 * s * blk.C_pu + rho0 * np.conj(s) * blk.C_up
+    A = sp.csr_matrix(A, dtype=complex)
+    if variant != "pml_layer":
+        B = dtn_block(blk, MEDIA, s, variant, pml)
+        gh = blk.gamma_h_dofs
+        A = A.tolil()
+        A[np.ix_(gh, gh)] = A[np.ix_(gh, gh)].toarray() - B / s
+        A = A.tocsr()
+    return A
 
 
 class TestAssembly:
@@ -71,6 +99,46 @@ class TestAssembly:
         v = load_vector(blk, lambda x, z: np.ones_like(x))
         assert v.sum() == pytest.approx(0.5, rel=1e-12)
 
+    def test_solid_and_coupling_blocks_match_loops(self):
+        blk = make_blocks(obstacle=True, target=0.05)
+        mesh, dof = blk.mesh, blk.dof
+        # 2 eps:eps element matrices entry by entry
+        tris = mesh.triangles[mesh.tri_region == SOLID]
+        c = mesh.vertices[tris]
+        d1, d2 = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        g = np.empty((tris.shape[0], 3, 2))
+        g[:, 1] = np.stack([d2[:, 1], -d2[:, 0]], 1) / det[:, None]
+        g[:, 2] = np.stack([-d1[:, 1], d1[:, 0]], 1) / det[:, None]
+        g[:, 0] = -g[:, 1] - g[:, 2]
+        rows, cols, vals = [], [], []
+        for t, tri in enumerate(tris):
+            for i in range(3):
+                for a in range(2):
+                    for j in range(3):
+                        for b in range(2):
+                            rows.append(dof.udof(tri[i], a)[0])
+                            cols.append(dof.udof(tri[j], b)[0])
+                            vals.append(0.5 * abs(det[t]) * (
+                                (g[t, i] @ g[t, j] if a == b else 0.0)
+                                + g[t, i, b] * g[t, j, a]))
+        K_eps = sp.coo_matrix((vals, (rows, cols)), shape=blk.K_eps.shape)
+        assert sparse_norm(blk.K_eps - K_eps) \
+            <= 1e-14 * sparse_norm(K_eps)
+        # interface coupling edge by edge
+        rows, cols, vals = [], [], []
+        for (a, b), n in zip(mesh.boundary_edges["Gamma"],
+                             mesh.gamma_normals):
+            ell = np.hypot(*(mesh.vertices[b] - mesh.vertices[a]))
+            for k in range(2):
+                for i, p in enumerate((a, b)):
+                    for j, u in enumerate((a, b)):
+                        rows.append(dof.pdof(p)[0])
+                        cols.append(dof.udof(u, k)[0])
+                        vals.append(n[k] * ell / 6.0 * (1.0 + (i == j)))
+        C_pu = sp.coo_matrix((vals, (rows, cols)), shape=blk.C_pu.shape)
+        assert sparse_norm(blk.C_pu - C_pu) <= 1e-14 * sparse_norm(C_pu)
+
     def test_coupling_blocks_transpose(self):
         blk = make_blocks(obstacle=True)
         assert (blk.C_pu - blk.C_up.T).nnz == 0
@@ -111,6 +179,61 @@ class TestDtnBlock:
                     + 1j * rng.normal(size=B.shape[0])
                 val = np.vdot(y, B @ y) / s
                 assert val.real <= 1e-12 * np.linalg.norm(y) ** 2
+
+
+class TestAffineForm:
+    PML = PmlProfile(sigma0=2.0, m=1, L=0.4, s1=1.0)
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_dtn",
+                                         "pml_layer"])
+    def test_matches_per_frequency_assembly(self, variant, obstacle):
+        blk = make_blocks(obstacle=obstacle, target=0.05,
+                          pml=self.PML if variant == "pml_layer" else None,
+                          surface=SurfaceProfile.cosine(0.1, 1.0))
+        for s in (0.5, 0.5 + 7.0j, 2.0 - 3.0j):
+            ref = reference_matrix(blk, s, variant, self.PML)
+            A = frequency_matrix(blk, MEDIA, s, variant, pml=self.PML)
+            assert A.nnz == ref.nnz
+            assert sparse_norm(A - ref) <= 1e-13 * sparse_norm(ref)
+            system = assemble(blk, MEDIA, s, None, 0.0, variant, self.PML)
+            free = free_dofs(blk, variant)
+            red = ref[np.ix_(free, free)].tocsc()
+            assert np.array_equal(system.free, free)
+            assert system.matrix.nnz == red.nnz
+            assert sparse_norm(system.matrix - red) \
+                <= 1e-13 * sparse_norm(red)
+
+    def test_table_built_on_first_use_per_family(self):
+        blk = make_blocks(pml=self.PML)
+        assert not blk.cache
+        frequency_matrix(blk, MEDIA, 1.0 + 1.0j, "exact_dtn")
+        form = blk.cache[("affine", False)]
+        assemble(blk, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_dtn", self.PML)
+        assert blk.cache[("affine", False)] is form
+        assemble(blk, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_layer")
+        assert len([k for k in blk.cache if k[0] == "affine"]) == 2
+
+    def test_unknown_variant(self):
+        with pytest.raises(AssemblyError):
+            frequency_matrix(make_blocks(), MEDIA, 1.0 + 0.0j, "nope")
+
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_dtn",
+                                         "pml_layer"])
+    def test_conjugate_symmetry(self, variant):
+        # p(conj s) = conj p(s) for real data: synthesize() solves only
+        # the upper half of the contour
+        blk = make_blocks(obstacle=True, target=0.05,
+                          pml=self.PML if variant == "pml_layer" else None)
+        src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=2.0)
+        s = 0.7 + 6.0j
+        up, down = (solve_frequency(assemble(blk, MEDIA, z, src.spatial,
+                                             1.0, variant, self.PML))
+                    for z in (s, np.conj(s)))
+        for a, b in ((up.p_hat, down.p_hat), (up.u_hat, down.u_hat)):
+            assert np.max(np.abs(a)) > 0.0
+            assert np.max(np.abs(b - np.conj(a))) \
+                <= 1e-12 * np.max(np.abs(a))
 
 
 class TestFrequencySolve:
@@ -192,6 +315,41 @@ class TestNormsAndProbes:
             == pytest.approx(p[blk.dof.p_nodes])
         assert x[blk.dof.udof(blk.dof.u_nodes, 1)] \
             == pytest.approx(u[blk.dof.u_nodes, 1])
+
+    @settings(max_examples=20, deadline=None)
+    @given(target=st.floats(0.04, 0.1), obstacle=st.booleans(),
+           layer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_dof_map_round_trip(self, target, obstacle, layer, seed):
+        pml = PmlProfile(sigma0=2.0, m=1, L=0.3, s1=1.0) if layer else None
+        blk = make_blocks(obstacle=obstacle, pml=pml, target=target)
+        dof, master = blk.dof, blk.mesh.node_master
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=dof.size) + 1j * rng.normal(size=dof.size)
+        p, u = dofs_to_nodal(blk, x)
+        assert np.array_equal(nodal_to_dofs(blk, p, u), x)
+        # periodic slaves repeat their master; no dof reads zero
+        assert np.array_equal(p, p[master])
+        assert np.array_equal(u, u[master])
+        has_p = np.isin(master, dof.p_nodes)
+        has_u = np.isin(master, dof.u_nodes)
+        assert not np.any(p[~has_p]) and not np.any(u[~has_u])
+        assert np.array_equal(dof.pdof(dof.p_nodes), np.arange(dof.n_p))
+        assert np.array_equal(dof.udof(dof.u_nodes, 1),
+                              dof.n_p + 1 + 2 * np.arange(dof.n_u))
+        # nodal fields that respect the map come back unchanged
+        nv = blk.mesh.n_vertices
+        p_in = np.where(has_p, rng.normal(size=nv), 0.0)[master]
+        u_in = np.where(has_u[:, None], rng.normal(size=(nv, 2)),
+                        0.0)[master]
+        p_out, u_out = dofs_to_nodal(blk, nodal_to_dofs(blk, p_in, u_in))
+        assert np.array_equal(p_out, p_in)
+        assert np.array_equal(u_out, u_in)
+
+    def test_dof_lookup_rejects_vertex_without_dof(self):
+        blk = make_blocks(obstacle=True)
+        fluid_only = np.setdiff1d(blk.dof.p_nodes, blk.dof.u_nodes)
+        with pytest.raises(KeyError):
+            blk.dof.udof(fluid_only[:1], 0)
 
     def test_fluid_error_norms_zero_on_equal(self):
         blk = make_blocks()

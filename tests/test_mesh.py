@@ -95,6 +95,61 @@ class TestObstacle:
         assert np.any(np.isclose(xs, 0.61))
 
 
+def looped_connectivity(mesh):
+    """Triangles, regions and inclusion edges/normals cell by cell, as
+    the mesh was first built."""
+    meta = mesh.meta
+    n1, row_h, rows_b, cols_ob = (meta["n1"], meta["row_h"],
+                                  meta["rows_b"], meta["cols_ob"])
+
+    def vid(r, c):
+        return r * (n1 + 1) + c
+
+    tris, regions = [], []
+    for r in range(meta["n_rows"] - 1):
+        for c in range(n1):
+            if rows_b is not None and rows_b[0] <= r < rows_b[1] \
+                    and cols_ob[0] <= c < cols_ob[1]:
+                reg = SOLID
+            elif r >= row_h:
+                reg = PML
+            else:
+                reg = FLUID
+            a, b = vid(r, c), vid(r, c + 1)
+            d, e = vid(r + 1, c), vid(r + 1, c + 1)
+            tris += [(a, b, e), (a, e, d)]
+            regions += [reg, reg]
+    edges, normals = [], []
+    if rows_b is not None:
+        (ia, ib), (rb1, rb2) = cols_ob, rows_b
+        for c in range(ia, ib):
+            edges += [(vid(rb1, c), vid(rb1, c + 1)),
+                      (vid(rb2, c), vid(rb2, c + 1))]
+            normals += [(0.0, -1.0), (0.0, 1.0)]
+        for r in range(rb1, rb2):
+            edges += [(vid(r, ia), vid(r + 1, ia)),
+                      (vid(r, ib), vid(r + 1, ib))]
+            normals += [(-1.0, 0.0), (1.0, 0.0)]
+    return (np.array(tris).reshape(-1, 3), np.array(regions),
+            np.array(edges).reshape(-1, 2), np.array(normals).reshape(-1, 2))
+
+
+class TestConnectivity:
+    @pytest.mark.parametrize("obstacle", [None, Rectangle(0.4, 0.6, 0.2,
+                                                          0.4)])
+    @pytest.mark.parametrize("layer", [False, True])
+    def test_matches_cell_loop(self, obstacle, layer):
+        pml = PmlProfile(sigma0=2.0, m=1, L=0.4, s1=1.0) if layer else None
+        mesh = build_mesh(flat_geometry(obstacle), pml, 0.05)
+        tris, regions, edges, normals = looped_connectivity(mesh)
+        assert np.array_equal(mesh.triangles, tris)
+        assert np.array_equal(mesh.tri_region, regions)
+        assert np.array_equal(mesh.boundary_edges["Gamma"], edges)
+        assert np.array_equal(mesh.gamma_normals, normals)
+        assert list(mesh.boundary_edges) == \
+            ["GammaF", "GammaH"] + ["GammaHL"] * layer + ["Gamma"]
+
+
 class TestValidation:
     def test_target_size_limits(self):
         with pytest.raises(GeometryError):

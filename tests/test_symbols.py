@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from pmlstrip import (BoundaryTrace, BranchError, PmlProfile, apply_dtn,
                       beta, beta_grid, cu_bound, default_xi_grid,
-                      dtn_symbol, modal_passivity_check, pml_dtn_symbol,
+                      dtn_symbol, dtn_symbol_grid, modal_passivity_check,
+                      pml_dtn_symbol,
                       principal_sqrt, symbol_gap, symbol_gap_sup,
                       trace_sobolev_norm, weighted_gap)
 
@@ -88,6 +89,23 @@ class TestSymbols:
         # beta*L_tilde huge: coth -> 1 without overflow
         val = pml_dtn_symbol(1e4, 1.0 + 0.0j, 1.0, 10.0)
         assert val == pytest.approx(dtn_symbol(1e4, 1.0 + 0.0j, 1.0))
+
+    def test_grid_matches_scalar_symbols(self):
+        xi = 2.0 * np.pi * np.arange(-6, 7)
+        for s in (1.0 + 0.0j, 0.3 + 9.0j, 2.0 - 4.0j):
+            assert dtn_symbol_grid(xi, s, 1.5) == pytest.approx(
+                [dtn_symbol(x, s, 1.5) for x in xi], rel=1e-14)
+            assert dtn_symbol_grid(xi, s, 1.5, 0.7) == pytest.approx(
+                [pml_dtn_symbol(x, s, 1.5, 0.7) for x in xi], rel=1e-14)
+
+    def test_degenerate_layer_denominator(self):
+        # beta * L_tilde ~ 1e-15: 1 - exp(-2 beta L_tilde) is below 1e-14
+        with pytest.raises(ArithmeticError):
+            pml_dtn_symbol(0.0, 1e-15 + 0.0j, 1.0, 1.0)
+        with pytest.raises(ArithmeticError):
+            dtn_symbol_grid(np.array([1.0, 0.0]), 1e-15 + 0.0j, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            dtn_symbol_grid(np.array([0.0]), 1.0 + 0.0j, 1.0, 0.0)
 
     def test_gap_equals_bound_at_origin(self):
         # xi = 0, s = 1, c = 1, L_bar = L_tilde = 1: both equal

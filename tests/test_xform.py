@@ -145,6 +145,16 @@ class TestChirpZ:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # only transform_property_check needs it, and imports it itself
+        src = os.path.dirname(os.path.dirname(pmlstrip.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import pmlstrip; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestInversion:
     def test_pulse_round_trip(self):
@@ -200,3 +210,18 @@ class TestParseval:
         sig = SampledSignal.sample(lambda t: np.exp(-t), 5.0, 100)
         with pytest.raises(ValueError):
             parseval_residual(sig, sig, 0.0)
+
+    def test_same_signal_transformed_once(self, monkeypatch):
+        sig = SampledSignal.sample(Pulse(), 8.0, 2000)
+        twin = SampledSignal(sig.t, sig.values.copy())
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return laplace_grid(*args)
+
+        monkeypatch.setattr(pmlstrip.xform, "laplace_grid", counting)
+        once = parseval_residual(sig, sig, 1.0, n_freq=2001)
+        assert len(calls) == 1 and calls[0] is sig
+        assert parseval_residual(sig, twin, 1.0, n_freq=2001) == once
+        assert len(calls) == 3
