@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .fem import build_blocks, assemble, load_vector, nodal_to_dofs, \
-    h_norm_sq, solve_frequency, stability_ratios
+from .fem import build_blocks, assemble, nodal_to_dofs, h_norm_sq, \
+    solve_frequency, source_l2_norm, stability_ratios
 from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
 from .mesh import build_mesh, export_mesh
@@ -274,11 +274,6 @@ def run_layer_check(cfg: RunConfig, out: str) -> int:
     return 0 if ok else 1
 
 
-def _chi_l2(blk, source) -> float:
-    v = load_vector(blk, lambda x, z: source.spatial(x, z) ** 2)
-    return float(np.sqrt(max(v.sum(), 0.0)))
-
-
 def run_freq_solve(cfg: RunConfig, out: str) -> int:
     variant = cfg.numerics["variant"]
     with_layer = variant == "pml_layer"
@@ -286,7 +281,7 @@ def run_freq_solve(cfg: RunConfig, out: str) -> int:
                       cfg.numerics["mesh_size"])
     blk = build_blocks(mesh, cfg.numerics["n_modes"])
     export_mesh(mesh, os.path.join(out, "mesh.txt"))
-    chi = _chi_l2(blk, cfg.source)
+    chi = source_l2_norm(blk, cfg.source.spatial)
     s1 = cfg.numerics["s1"]
     rows = []
     for s2 in cfg.numerics["freq_s2_values"]:
@@ -366,7 +361,8 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> list[float]:
 
 def _time_route_errors(cfg: RunConfig, L_values) -> list[float]:
     """Time-integrated squared H1 gaps against a thick-layer reference
-    run sharing the sub-layer mesh."""
+    run sharing the sub-layer mesh (the layer meshes extend it: their
+    first vertices are its vertices, in order)."""
     s1 = cfg.numerics["s1"]
     n_steps = cfg.numerics["n_steps"]
     T = cfg.source.T
@@ -376,24 +372,20 @@ def _time_route_errors(cfg: RunConfig, L_values) -> list[float]:
     blk_sub = build_blocks(mesh_sub, cfg.numerics["n_modes"])
     sub = np.arange(mesh_sub.n_vertices)
 
-    def run(L, sigma0):
+    def history(L, sigma0):
+        """Sub-layer dof vectors of one run, one column per step."""
         pml = PmlProfile(sigma0=sigma0, m=cfg.pml.m, L=L, s1=s1)
         mesh = build_mesh(cfg.geometry, pml, cfg.numerics["mesh_size"])
         blk = build_blocks(mesh, cfg.numerics["n_modes"])
-        return newmark_run(blk, cfg.media, cfg.source, T, n_steps,
+        traj = newmark_run(blk, cfg.media, cfg.source, T, n_steps,
                            store_nodes=sub)
+        return nodal_to_dofs(blk_sub, traj.field_p, traj.field_u)
 
-    traj_ref = run(cfg.sweep["L_ref"], sigma_ref)
+    x_ref = history(cfg.sweep["L_ref"], sigma_ref)
     dt = T / n_steps
     errors = []
     for L in L_values:
-        traj_L = run(L, cfg.pml.sigma0)
-        gaps = np.empty(n_steps + 1)
-        for k in range(n_steps + 1):
-            diff = nodal_to_dofs(
-                blk_sub, traj_L.field_p[:, k] - traj_ref.field_p[:, k],
-                traj_L.field_u[:, :, k] - traj_ref.field_u[:, :, k])
-            gaps[k] = h_norm_sq(blk_sub, diff)
+        gaps = h_norm_sq(blk_sub, history(L, cfg.pml.sigma0) - x_ref)
         errors.append(float(np.trapezoid(gaps, dx=dt)))
     return errors
 

@@ -2,16 +2,16 @@
 
 One continuous P1 space for the pressure on the fluid (and layer)
 region, two P1 components for the displacement on the inclusion.  The
-assembly produces s-independent real blocks; the time integrator
-combines them with real weights.  The transparent-boundary term on
-x3 = h couples the top-row pressure nodes through a truncated
-Fourier-mode multiplier B(s).  The frequency-domain form is affine in
-the weights theta(s) = (1/s, s/c^2, rho0 conj(s) lam, rho0 conj(s) mu,
-rho0 rho_e |s|^2 s, -rho0 s, rho0 conj(s)) of the blocks (K, M, K_div,
-K_eps, M_solid, C_pu, C_up), plus -B(s)/s on Gamma_h x Gamma_h.  On
-first use per variant family the blocks are laid out as one term table
-(AffineForm), so a frequency costs one weight combination, a scatter of
--B(s)/s and a gather onto the free dofs.  The time route never builds it.
+assembly produces s-independent real blocks (K, M, K_div, K_eps,
+M_solid, C_pu, C_up).  One weight table (term_weights) gives each block
+a mass and a stiffness weight in the real transient system
+M d'' + K d = f; the frequency-domain form is its Laplace transform,
+with weights theta(s) = r(s) (w_K + s^2 w_M), r = 1/s on pressure test
+rows and rho0 conj(s) on displacement test rows, plus -B(s)/s on
+Gamma_h x Gamma_h for the truncated Fourier-mode multiplier B(s) on
+x3 = h.  On first use per variant family the blocks are laid out as one
+term table (AffineForm), which the contour solves and Newmark both
+combine with their weights.
 """
 
 from __future__ import annotations
@@ -423,14 +423,26 @@ def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
     return form
 
 
+# test rows of each term: pressure (True) or displacement
+_PRESSURE_ROWS = np.array([True, True, False, False, False, True, False])
+
+
+def term_weights(media: MediaParams) -> tuple[np.ndarray, np.ndarray]:
+    """(w_M, w_K): mass and stiffness weight of each term in the real
+    layer system.  Fluid rows: (sigma/c^2) p'' + stretched stiffness with
+    the kinematic coupling -rho0 n.u''; solid rows: rho_e u'' + elastic
+    stiffness with the traction coupling +p n."""
+    return (np.array([0.0, 1.0 / media.c ** 2, 0.0, 0.0, media.rho_e,
+                      -media.rho0, 0.0]),
+            np.array([1.0, 0.0, media.lam, media.mu, 0.0, 0.0, 1.0]))
+
+
 def _form_data(blk, media, s, variant, pml):
     """(AffineForm, complex values on its pattern) of the form at s."""
     form = _affine_form(blk, variant)
-    rho0, sc = media.rho0, np.conj(s)
-    theta = np.array([1.0 / s, s / media.c ** 2, rho0 * sc * media.lam,
-                      rho0 * sc * media.mu,
-                      rho0 * media.rho_e * (abs(s) ** 2 * s), -rho0 * s,
-                      rho0 * sc], dtype=complex)
+    w_M, w_K = term_weights(media)
+    theta = np.where(_PRESSURE_ROWS, 1.0 / s, media.rho0 * np.conj(s)) \
+        * (w_K + s * s * w_M)
     data = theta.real @ form.terms + 1j * (theta.imag @ form.terms)
     if form.gamma_slots.size:
         data[form.gamma_slots] -= \
@@ -454,10 +466,17 @@ def frequency_matrix(blk: FemBlocks, media: MediaParams,
     return _with_data(form.pattern, data)
 
 
-def load_vector(blk: FemBlocks, spatial, variant: str = "exact_dtn"):
+def load_vector(blk: FemBlocks, spatial):
     """Nodal load int_{Omega_h} chi(x) phi_i dx (fluid region only; the
     source is supported below x3 = h)."""
     return _midpoint_load(blk, spatial)
+
+
+def source_l2_norm(blk: FemBlocks, spatial) -> float:
+    """||chi||_{L2(Omega_h)}: the load of chi^2 summed over the nodal
+    basis, which is a partition of unity."""
+    chi_sq = load_vector(blk, lambda x, z: spatial(x, z) ** 2)
+    return float(np.sqrt(max(chi_sq.sum(), 0.0)))
 
 
 def _midpoint_load(blk: FemBlocks, func, region=FLUID, col=0) -> np.ndarray:
@@ -521,15 +540,11 @@ def solve_frequency(system: FrequencySystem,
         res = float(np.linalg.norm(b - system.matrix @ x) / norm_b)
     else:
         res = 0.0
-    return _expand_solution(system, x, res)
-
-
-def _expand_solution(system: FrequencySystem, x_free, res):
-    x = np.zeros(system.blocks.dof.size, dtype=complex)
-    x[system.free] = x_free
-    p_hat, u_hat = dofs_to_nodal(system.blocks, x)
-    return FrequencySolution(p_hat=p_hat, u_hat=u_hat, x=x, system=system,
-                             residual=res)
+    x_all = np.zeros(system.blocks.dof.size, dtype=complex)
+    x_all[system.free] = x
+    p_hat, u_hat = dofs_to_nodal(system.blocks, x_all)
+    return FrequencySolution(p_hat=p_hat, u_hat=u_hat, x=x_all,
+                             system=system, residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +553,15 @@ def _expand_solution(system: FrequencySystem, x_free, res):
 
 def nodal_to_dofs(blk: FemBlocks, p_nodal: np.ndarray,
                   u_nodal: np.ndarray | None = None) -> np.ndarray:
-    """Pack per-vertex fields into a global dof vector."""
-    x = np.zeros(blk.dof.size, dtype=complex)
-    x[:blk.dof.n_p] = np.asarray(p_nodal)[blk.dof.p_nodes]
+    """Pack per-vertex fields, p (n_vertices, ...) and u (n_vertices, 2,
+    ...), into global dof vectors (n_dofs, ...) of their common dtype;
+    trailing axes such as time steps are carried along."""
+    p = np.asarray(p_nodal)
+    u = np.zeros(0) if u_nodal is None else np.asarray(u_nodal)
+    x = np.zeros((blk.dof.size,) + p.shape[1:],
+                 dtype=np.result_type(p, u, 0.0))
+    x[:blk.dof.n_p] = p[blk.dof.p_nodes]
     if u_nodal is not None and blk.dof.n_u:
-        u = np.asarray(u_nodal)
         x[blk.dof.n_p::2] = u[blk.dof.u_nodes, 0]
         x[blk.dof.n_p + 1::2] = u[blk.dof.u_nodes, 1]
     return x
@@ -556,13 +575,15 @@ def dofs_to_nodal(blk: FemBlocks, x: np.ndarray):
     return padded[blk.dof.node_dof[:, 0]], padded[blk.dof.node_dof[:, 1:]]
 
 
-def h_norm_sq(blk: FemBlocks, x: np.ndarray, layer: bool = False) -> float:
+def h_norm_sq(blk: FemBlocks, x: np.ndarray, layer: bool = False):
     """Squared norm of the product space: fluid H1 plus solid
-    (L2 + componentwise H1), evaluated on a global dof vector."""
+    (L2 + componentwise H1) of global dof vectors x (n_dofs, ...); a
+    float for one vector, else an array over the trailing axes."""
     Kf = blk.K_all_iso if layer else blk.K_fluid
     Mf = blk.M_all_iso if layer else blk.M_fluid
     G = Kf + Mf + blk.M_solid + blk.K_solid_h1
-    return float(np.real(np.vdot(x, G @ x)))
+    q = np.einsum("i...,i...->...", x.conj(), G @ x).real
+    return float(q) if q.ndim == 0 else q
 
 
 def quadratic_form(A: sp.spmatrix, x: np.ndarray) -> complex:

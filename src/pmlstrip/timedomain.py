@@ -4,7 +4,8 @@ Two independent paths: direct implicit Newmark integration of the real
 variable-coefficient layer system (the stretching is frequency
 independent, so no auxiliary memory variables appear), and synthesis of
 probe trajectories from a family of frequency solves along a vertical
-contour in the right half-plane.
+contour in the right half-plane.  Both combine one term table
+(fem.AffineForm) with the weights of fem.term_weights.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import FemBlocks, _sqrt_form, assemble, dofs_to_nodal, \
-    free_dofs, load_vector, solve_frequency
+from .fem import FemBlocks, _affine_form, _sqrt_form, _with_data, \
+    assemble, dofs_to_nodal, load_vector, solve_frequency, \
+    source_l2_norm, term_weights
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
 
@@ -84,7 +85,6 @@ class TimeTrajectory:
 
     t: np.ndarray
     probe_p: np.ndarray | None = None      # (n_probes, n_steps+1)
-    probe_u: np.ndarray | None = None      # (n_probes_u, 2, n_steps+1)
     field_p: np.ndarray | None = None      # stored nodes x steps
     field_u: np.ndarray | None = None      # stored nodes x 2 x steps
     energy: np.ndarray | None = None
@@ -94,33 +94,26 @@ class TimeTrajectory:
 
 
 def time_matrices(blk: FemBlocks, media: MediaParams):
-    """Real mass and stiffness of the second-order-in-time layer system.
-
-    Fluid rows: (sigma/c^2) p'' + div-free stretched stiffness with the
-    kinematic coupling -rho0 * n.u''; solid rows: rho_e u'' + elastic
-    stiffness with the traction coupling +p n.
-    """
-    M = blk.M_all / media.c ** 2 + media.rho_e * blk.M_solid \
-        - media.rho0 * blk.C_pu
-    K = blk.K_all + media.lam * blk.K_div + media.mu * blk.K_eps \
-        + blk.C_up
-    return sp.csr_matrix(M), sp.csr_matrix(K)
+    """Real global mass and stiffness (CSR) of the second-order-in-time
+    layer system: the layer family's term table combined with the
+    weights of fem.term_weights."""
+    form = _affine_form(blk, "pml_layer")
+    return tuple(_with_data(form.pattern, w @ form.terms)
+                 for w in term_weights(media))
 
 
 def newmark_run(blk: FemBlocks, media: MediaParams,
                 source: SourceSpec | None, T: float, n_steps: int,
                 probes: ProbeSet | None = None,
-                probes_u: ProbeSet | None = None,
                 snapshot_times=(), record_norms: bool = False,
                 record_energy: bool = False,
                 initial_d: np.ndarray | None = None,
-                source_cutoff: float | None = None,
                 store_nodes: np.ndarray | None = None) -> TimeTrajectory:
     """Average-acceleration (1/4, 1/2) integration from rest.
 
     initial_d optionally seeds a nonzero displacement state (used by the
-    conservation checks); source_cutoff zeroes the forcing past a given
-    time; store_nodes keeps the full history of the listed vertex ids.
+    conservation checks); store_nodes keeps the full history of the
+    listed vertex ids.
     """
     mesh = blk.mesh
     if mesh.pml is None:
@@ -131,23 +124,19 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     dt = T / n_steps
     beta_n, gamma_n = 0.25, 0.5
 
-    M, K = time_matrices(blk, media)
-    free = free_dofs(blk, "pml_layer")
-    Mr = M[np.ix_(free, free)].tocsc()
-    Kr = K[np.ix_(free, free)].tocsc()
-    A_eff = (Mr + beta_n * dt * dt * Kr).tocsc()
+    form = _affine_form(blk, "pml_layer")
+    free = form.free
+    w_M, w_K = term_weights(media)
+    Mr, Kr, A_eff = (_with_data(form.reduced, (w @ form.terms)[form.gather])
+                     for w in (w_M, w_K, w_M + beta_n * dt * dt * w_K))
     lu = spla.splu(A_eff)
 
-    if source is not None:
-        f_shape = load_vector(blk, source.spatial)[free] / media.c ** 2
+    f_shape = np.zeros(free.size) if source is None \
+        else load_vector(blk, source.spatial)[free] / media.c ** 2
 
-        def forcing(t):
-            if source_cutoff is not None and t > source_cutoff:
-                return 0.0 * f_shape
-            return source.pulse.derivative(t) * f_shape
-    else:
-        def forcing(t):
-            return np.zeros(free.size)
+    def forcing(t):
+        return f_shape if source is None \
+            else source.pulse.derivative(t) * f_shape
 
     d = np.zeros(free.size)
     v = np.zeros(free.size)
@@ -155,7 +144,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
         d = np.asarray(initial_d, dtype=float)[free].copy()
     r0 = forcing(0.0) - Kr @ d
     if np.linalg.norm(r0) > 0:
-        a = spla.splu(Mr.tocsc()).solve(r0)
+        a = spla.splu(Mr).solve(r0)
     else:
         a = np.zeros(free.size)
 
@@ -163,8 +152,6 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     traj = TimeTrajectory(t=t_grid, meta={"dt": dt, "n_steps": n_steps})
     if probes is not None:
         traj.probe_p = np.zeros((probes.n, n_steps + 1))
-    if probes_u is not None:
-        traj.probe_u = np.zeros((probes_u.n, 2, n_steps + 1))
     if store_nodes is not None:
         store_nodes = np.asarray(store_nodes, dtype=np.int64)
         traj.field_p = np.zeros((store_nodes.size, n_steps + 1))
@@ -182,18 +169,14 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     def record(step):
         x_full[free] = d
         v_full[free] = v
-        if probes is not None or probes_u is not None or snap_steps \
-                or record_norms or store_nodes is not None:
+        if probes is not None or snap_steps or record_norms \
+                or store_nodes is not None:
             p_nodal, u_nodal = dofs_to_nodal(blk, x_full)
         if store_nodes is not None:
             traj.field_p[:, step] = p_nodal[store_nodes]
             traj.field_u[:, :, step] = u_nodal[store_nodes]
         if probes is not None:
             traj.probe_p[:, step] = probe_values(mesh, probes, p_nodal)
-        if probes_u is not None:
-            for comp in (0, 1):
-                traj.probe_u[:, comp, step] = probe_values(
-                    mesh, probes_u, u_nodal[:, comp])
         if step in snap_steps:
             traj.snapshots.append((t_grid[step], p_nodal.copy(),
                                    u_nodal.copy()))
@@ -224,9 +207,8 @@ def energy_trace(traj: TimeTrajectory, blk: FemBlocks,
     ||dg/dt||_{L1(0,t; L2)}, with the layer-strength normalizations."""
     if not traj.norms:
         raise ValueError("trajectory was run without norm recording")
-    chi = load_vector(blk, lambda x, z: source.spatial(x, z) ** 2)
-    chi_l2 = float(np.sqrt(max(chi.sum(), 0.0)))
-    dg = np.abs(source.pulse.derivative(traj.t)) * chi_l2
+    dg = np.abs(source.pulse.derivative(traj.t)) \
+        * source_l2_norm(blk, source.spatial)
     dt = traj.t[1] - traj.t[0]
     cum = np.concatenate([[0.0],
                           np.cumsum(0.5 * (dg[1:] + dg[:-1])) * dt])
@@ -301,9 +283,8 @@ def reconstruct_signal(transform, cfg: ContourConfig,
 
 def contour_synthesize(blk: FemBlocks, media: MediaParams,
                        source: SourceSpec, cfg: ContourConfig,
-                       probes: ProbeSet, variant: str = "exact_dtn",
-                       pml=None,
-                       check_tolerance: float = 1e-3) -> TimeTrajectory:
+                       probes: ProbeSet,
+                       variant: str = "exact_dtn") -> TimeTrajectory:
     """Probe pressure trajectories from per-frequency solves on the
     contour s = s1 + i s2, exploiting conjugate symmetry."""
     t = cfg.t_grid
@@ -313,7 +294,7 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
     recon = reconstruct_signal(source.pulse.laplace, cfg, t)
     err = float(np.max(np.abs(recon - source.pulse(t))))
     scale = float(np.max(np.abs(source.pulse(t))))
-    if err > check_tolerance * max(scale, 1e-300):
+    if err > 1e-3 * max(scale, 1e-300):
         warnings.warn("contour too short/coarse: pulse self-"
                       f"reconstruction error {err:.2e}",
                       TruncationWarning, stacklevel=2)
@@ -322,7 +303,7 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
     for w in cfg.half_grid():
         s = cfg.s1 + 1j * w
         system = assemble(blk, media, s, source.spatial,
-                          complex(source.pulse.laplace(s)), variant, pml)
+                          complex(source.pulse.laplace(s)), variant)
         rows.append(probe_values(blk.mesh, probes,
                                  solve_frequency(system).p_hat))
     return TimeTrajectory(t=np.asarray(t, dtype=float),

@@ -14,7 +14,8 @@ from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       dtn_block, fluid_error_norms, free_dofs,
                       frequency_matrix,
                       h_norm_sq, load_vector, manufactured_residual,
-                      nodal_to_dofs, solve_frequency, stability_ratios)
+                      nodal_to_dofs, solve_frequency, source_l2_norm,
+                      stability_ratios)
 from pmlstrip.fem import AssemblyError, quadratic_form
 from pmlstrip.mesh import SOLID
 
@@ -98,6 +99,9 @@ class TestAssembly:
         blk = make_blocks()
         v = load_vector(blk, lambda x, z: np.ones_like(x))
         assert v.sum() == pytest.approx(0.5, rel=1e-12)
+        # the edge-midpoint rule integrates the quadratic chi^2 exactly
+        assert source_l2_norm(blk, lambda x, z: x) \
+            == pytest.approx(np.sqrt(1.0 / 6.0), rel=1e-12)
 
     def test_solid_and_coupling_blocks_match_loops(self):
         blk = make_blocks(obstacle=True, target=0.05)
@@ -350,6 +354,25 @@ class TestNormsAndProbes:
         fluid_only = np.setdiff1d(blk.dof.p_nodes, blk.dof.u_nodes)
         with pytest.raises(KeyError):
             blk.dof.udof(fluid_only[:1], 0)
+
+    def test_stacked_fields_match_per_column(self):
+        # trailing axes (time steps) ride along; real input stays real
+        blk = make_blocks(obstacle=True)
+        rng = np.random.default_rng(3)
+        nv = blk.mesh.n_vertices
+        p, u = rng.normal(size=(nv, 4)), rng.normal(size=(nv, 2, 4))
+        x = nodal_to_dofs(blk, p, u)
+        assert x.shape == (blk.dof.size, 4) and x.dtype == np.float64
+        assert nodal_to_dofs(blk, p[:, 0]).dtype == np.float64
+        assert nodal_to_dofs(blk, p, 1j * u).dtype == np.complex128
+        norms = h_norm_sq(blk, x)
+        assert norms.shape == (4,)
+        G = blk.K_fluid + blk.M_fluid + blk.M_solid + blk.K_solid_h1
+        for k in range(4):
+            xk = nodal_to_dofs(blk, p[:, k], u[:, :, k])
+            assert np.array_equal(x[:, k], xk)
+            assert norms[k] == pytest.approx(xk @ (G @ xk), rel=1e-13)
+            assert h_norm_sq(blk, xk) == pytest.approx(norms[k], rel=1e-13)
 
     def test_fluid_error_norms_zero_on_equal(self):
         blk = make_blocks()

@@ -150,6 +150,29 @@ class TestConnectivity:
             ["GammaF", "GammaH"] + ["GammaHL"] * layer + ["Gamma"]
 
 
+class TestLayerPrefix:
+    """A layer mesh extends the mesh without a layer: both convergence
+    routes compare fields on the shared leading vertices."""
+
+    @pytest.mark.parametrize("surface", [SurfaceProfile.flat(0.0),
+                                         SurfaceProfile.cosine(0.1, 1.0)])
+    @pytest.mark.parametrize("obstacle", [None, Rectangle(0.4, 0.6, 0.2,
+                                                          0.4)])
+    def test_no_layer_mesh_is_prefix(self, surface, obstacle):
+        geom = Geometry(period=1.0, surface=surface, h=0.5,
+                        obstacle=obstacle)
+        base = build_mesh(geom, None, 0.05)
+        nv, nt = base.n_vertices, base.n_triangles
+        for L in (0.1, 0.25, 0.4, 3.0):
+            mesh = build_mesh(geom, PmlProfile(sigma0=2.0, m=1, L=L,
+                                               s1=1.0), 0.05)
+            assert mesh.n_vertices > nv and mesh.n_triangles > nt
+            assert np.array_equal(mesh.vertices[:nv], base.vertices)
+            assert np.array_equal(mesh.node_master[:nv], base.node_master)
+            assert np.array_equal(mesh.triangles[:nt], base.triangles)
+            assert np.array_equal(mesh.tri_region[:nt], base.tri_region)
+
+
 class TestValidation:
     def test_target_size_limits(self):
         with pytest.raises(GeometryError):

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 
 from pmlstrip import (ContourConfig, Geometry, MediaParams, PmlProfile,
                       Pulse, Rectangle, SourceSpec, SurfaceProfile,
                       build_blocks, build_mesh, causality_margin,
-                      energy_trace, inverse_laplace_grid, locate_probes,
-                      newmark_run, probe_values, reconstruct_signal,
-                      synthesize, time_matrices)
+                      energy_trace, free_dofs, frequency_matrix,
+                      inverse_laplace_grid, locate_probes, newmark_run,
+                      probe_values, reconstruct_signal, synthesize,
+                      time_matrices)
 from pmlstrip.timedomain import ProbeError
 
 MEDIA = MediaParams()
+# distinct material constants, so that a misplaced weight shows
+ODD_MEDIA = MediaParams(c=1.3, rho0=0.8, rho_e=2.1, lam=1.7, mu=0.9)
 PML = PmlProfile(sigma0=2.0, m=1, L=0.4, s1=0.5)
 
 
@@ -99,6 +104,51 @@ class TestNewmark:
         traj = newmark_run(blk, MEDIA, src, 1.0, 100, probes=probes)
         pre, tot = causality_margin(traj, 0.54, MEDIA.c)
         assert 0.0 <= pre <= tot
+
+
+def sparse_sum_time_matrices(blk, media):
+    """M and K as sparse sums of the weighted blocks: the construction
+    the term table replaces."""
+    M = blk.M_all / media.c ** 2 + media.rho_e * blk.M_solid \
+        - media.rho0 * blk.C_pu
+    K = blk.K_all + media.lam * blk.K_div + media.mu * blk.K_eps \
+        + blk.C_up
+    return M, K
+
+
+class TestOneOperator:
+    """The Newmark and Laplace-line routes read one term table."""
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    def test_time_matrices_match_sparse_sums(self, obstacle):
+        blk = layer_blocks(obstacle=obstacle)
+        for A, ref in zip(time_matrices(blk, ODD_MEDIA),
+                          sparse_sum_time_matrices(blk, ODD_MEDIA)):
+            assert sparse_norm(A - ref) <= 1e-14 * sparse_norm(ref)
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    def test_layer_form_is_transformed_time_system(self, obstacle):
+        # Laplace transform of M d'' + K d, test rows scaled by 1/s
+        # (pressure) and rho0 conj(s) (displacement)
+        blk = layer_blocks(obstacle=obstacle)
+        M, K = time_matrices(blk, ODD_MEDIA)
+        pressure = np.arange(blk.dof.size) < blk.dof.n_p
+        for s in (0.7, 0.5 + 7.0j, 2.0 - 3.0j):
+            r = np.where(pressure, 1.0 / s, ODD_MEDIA.rho0 * np.conj(s))
+            ref = sp.diags(r) @ (s * s * M + K)
+            A = frequency_matrix(blk, ODD_MEDIA, s, "pml_layer")
+            assert sparse_norm(A - ref) <= 1e-13 * sparse_norm(ref)
+
+    def test_newmark_energy_uses_reduced_stiffness(self):
+        # at rest the discrete energy is d.K d / 2 on the free dofs
+        blk = layer_blocks(obstacle=True)
+        d0 = np.random.default_rng(5).normal(size=blk.dof.size)
+        traj = newmark_run(blk, ODD_MEDIA, None, 0.1, 1, initial_d=d0,
+                           record_energy=True)
+        free = free_dofs(blk, "pml_layer")
+        K = sparse_sum_time_matrices(blk, ODD_MEDIA)[1]
+        ref = 0.5 * d0[free] @ (K[np.ix_(free, free)] @ d0[free])
+        assert traj.energy[0] == pytest.approx(ref, rel=1e-13)
 
 
 class TestContour:
