@@ -9,7 +9,6 @@ convergence, parseval.  Exit codes: 0 pass, 1 assertion failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass
@@ -24,10 +23,9 @@ from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
 from .mesh import build_mesh, export_mesh
 from .model import PmlProfile
-from .symbols import cu_bound, default_xi_grid, modal_passivity_check, \
+from .symbols import default_xi_grid, modal_passivity_check, \
     pml_dtn_symbol, symbol_gap_sup
-from .timedomain import ContourConfig, locate_probes, newmark_run, \
-    energy_trace
+from .timedomain import energy_trace, locate_probes, newmark_run
 from .xform import SampledSignal, parseval_residual, \
     transform_property_check
 
@@ -44,22 +42,17 @@ class FitError(RuntimeError):
 # small shared helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12g}"
-    return str(v)
-
-
 def write_csv(path: str, header: list[str], rows) -> None:
+    """CSV with CRLF line ends: strings as they are, numbers (bools as
+    1/0) in %.12g, each column's conversion read off the first row;
+    formatted 1024 rows at a time to bound the cells' memory."""
+    line = ",".join("%s" if isinstance(v, str) else "%.12g"
+                    for v in (rows[0] if len(rows) else ())) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(rows), 1024):
+            part = np.asarray(rows[i:i + 1024], dtype=object)
+            fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
 def write_manifest(out: str, cfg: RunConfig, command: str,
@@ -85,13 +78,13 @@ def write_field(path: str, values: np.ndarray) -> None:
     """Nodal complex field as 'node re im' (two value pairs for
     2-component fields)."""
     values = np.atleast_2d(values.T).T
+    n, n_comp = values.shape
+    table = np.empty((n, 1 + 2 * n_comp))
+    table[:, 0] = np.arange(n)
+    table[:, 1::2], table[:, 2::2] = values.real, values.imag
+    line = "%d" + " %.12g" * (2 * n_comp) + "\n"
     with open(path, "w") as fh:
-        for i in range(values.shape[0]):
-            parts = [str(i)]
-            for comp in range(values.shape[1]):
-                v = complex(values[i, comp])
-                parts += [f"{v.real:.12g}", f"{v.imag:.12g}"]
-            fh.write(" ".join(parts) + "\n")
+        fh.write(line * n % tuple(table.ravel().tolist()))
 
 
 @dataclass
@@ -145,7 +138,7 @@ def emit_plots(csv_path: str, out_path: str, kind: str,
     if not os.path.exists(csv_path):
         raise PlotError(f"missing CSV {csv_path!r}")
     with open(csv_path) as fh:
-        header = next(csv.reader(fh))
+        header = fh.readline().rstrip("\n").split(",")
     for col in _PLOT_KINDS[kind]:
         if col not in header:
             raise PlotError(f"CSV {csv_path!r} lacks column {col!r}")
@@ -213,7 +206,7 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> int:
     first_csv = None
     for sigma0 in a["sigma0_values"]:
         for L in a["L_values"]:
-            rows = []
+            blocks = []
             for s1 in a["s1_values"]:
                 pml = PmlProfile(sigma0=sigma0, m=a["m"], L=L, s1=s1)
                 for s2 in a["s2_grid"]:
@@ -223,15 +216,13 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> int:
                     passive, _ = modal_passivity_check(s, cfg.media.c, xi)
                     ok_row = audit.gap <= audit.bound * (1.0 + 1e-10)
                     all_pass &= audit.passed and bool(np.all(passive))
-                    for k in range(xi.size):
-                        rows.append((s1, s2, xi[k],
-                                     audit.beta_vals[k].real,
-                                     audit.beta_vals[k].imag,
-                                     audit.gap[k], audit.bound,
-                                     bool(ok_row[k] and passive[k])))
+                    blocks.append(np.column_stack(np.broadcast_arrays(
+                        s1, s2, xi, audit.beta_vals.real,
+                        audit.beta_vals.imag, audit.gap, audit.bound,
+                        ok_row & passive)))
             path = os.path.join(out, f"audit_sigma{sigma0:g}_L{L:g}.csv")
             write_csv(path, ["s1", "s2", "xi", "beta_re", "beta_im",
-                             "gap", "bound", "pass"], rows)
+                             "gap", "bound", "pass"], np.concatenate(blocks))
             if first_csv is None:
                 first_csv = path
     emit_plots(first_csv, os.path.join(out, "plot_audit.py"), "audit")
@@ -301,7 +292,8 @@ def run_freq_solve(cfg: RunConfig, out: str) -> int:
     write_csv(os.path.join(out, "freq_summary.csv"),
               ["s1", "s2", "fluid_lhs", "solid_lhs", "fluid_ratio",
                "solid_ratio", "residual"], rows)
-    write_manifest(out, cfg, "freq-solve")
+    write_manifest(out, cfg, "freq-solve",
+                   {"n_modes_effective": blk.n_modes_effective})
     return 0
 
 
@@ -313,10 +305,9 @@ def run_td(cfg: RunConfig, out: str) -> int:
                        cfg.numerics["n_steps"], probes=probes,
                        snapshot_times=cfg.numerics["snapshot_times"],
                        record_norms=True)
-    rows = []
-    for k, t in enumerate(traj.t):
-        for pid in range(probes.n):
-            rows.append((t, pid, traj.probe_p[pid, k]))
+    rows = np.column_stack((np.repeat(traj.t, probes.n),
+                            np.tile(np.arange(probes.n), traj.t.size),
+                            traj.probe_p.T.ravel()))
     write_csv(os.path.join(out, "probes.csv"), ["t", "probe_id", "p"],
               rows)
     for t_snap, p_nodal, u_nodal in traj.snapshots:
@@ -324,13 +315,15 @@ def run_td(cfg: RunConfig, out: str) -> int:
     ratios = energy_trace(traj, blk, cfg.media, cfg.source)
     write_csv(os.path.join(out, "energy_ratios.csv"),
               sorted(ratios), [[ratios[k] for k in sorted(ratios)]])
-    write_manifest(out, cfg, "td-run")
+    write_manifest(out, cfg, "td-run",
+                   {"n_modes_effective": blk.n_modes_effective})
     return 0
 
 
-def _freq_route_errors(cfg: RunConfig, L_values) -> list[float]:
+def _freq_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     """Squared H-norm gaps between the transparent-boundary reference
-    and the layer solutions, summed over the configured frequencies."""
+    and the layer solutions, summed over the configured frequencies,
+    and the reference's effective boundary-map mode count."""
     mesh_ref = build_mesh(cfg.geometry, None, cfg.numerics["mesh_size"])
     blk_ref = build_blocks(mesh_ref, cfg.numerics["n_modes"])
     chi = cfg.source.spatial
@@ -356,13 +349,14 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> list[float]:
                                  sol.u_hat[:nv_ref] - ref.u_hat)
             err_sq += h_norm_sq(blk_ref, diff)
         errors.append(err_sq)
-    return errors
+    return errors, blk_ref.n_modes_effective
 
 
-def _time_route_errors(cfg: RunConfig, L_values) -> list[float]:
+def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     """Time-integrated squared H1 gaps against a thick-layer reference
     run sharing the sub-layer mesh (the layer meshes extend it: their
-    first vertices are its vertices, in order)."""
+    first vertices are its vertices, in order), and the sub-layer
+    blocks' effective boundary-map mode count."""
     s1 = cfg.numerics["s1"]
     n_steps = cfg.numerics["n_steps"]
     T = cfg.source.T
@@ -387,17 +381,16 @@ def _time_route_errors(cfg: RunConfig, L_values) -> list[float]:
     for L in L_values:
         gaps = h_norm_sq(blk_sub, history(L, cfg.pml.sigma0) - x_ref)
         errors.append(float(np.trapezoid(gaps, dx=dt)))
-    return errors
+    return errors, blk_sub.n_modes_effective
 
 
 def run_convergence(cfg: RunConfig, out: str) -> int:
     L_values = cfg.sweep["L_values"]
     if len(L_values) < 3:
         raise ConfigError("convergence sweep needs at least 3 L values")
-    if cfg.numerics["route"] == "freq":
-        errors = _freq_route_errors(cfg, L_values)
-    else:
-        errors = _time_route_errors(cfg, L_values)
+    route = _freq_route_errors if cfg.numerics["route"] == "freq" \
+        else _time_route_errors
+    errors, n_modes_effective = route(cfg, L_values)
     csv_path = os.path.join(out, "convergence.csv")
     write_csv(csv_path, ["L", "error", "sqrt_error"],
               [(L, e, np.sqrt(e)) for L, e in zip(L_values, errors)])
@@ -405,7 +398,8 @@ def run_convergence(cfg: RunConfig, out: str) -> int:
     rate_lbar = 2.0 * cfg.pml.sigma0 / ((cfg.pml.m + 1) * c)
     rate_printed = 4.0 * cfg.pml.sigma0 / c
     extra = {"rate_theory_lbar": f"{rate_lbar:.12g}",
-             "rate_theory_printed": f"{rate_printed:.12g}"}
+             "rate_theory_printed": f"{rate_printed:.12g}",
+             "n_modes_effective": n_modes_effective}
     code = 0
     try:
         fit = fit_rate(L_values, np.sqrt(np.asarray(errors)))

@@ -91,26 +91,29 @@ def _points(text: str) -> np.ndarray:
     return np.array(pts, dtype=float).reshape(-1, 2)
 
 
-def _surface(spec: str, period: float) -> SurfaceProfile:
+def _surface(spec: str, period: float) -> tuple[SurfaceProfile, bytes]:
+    """The profile and the bytes of its samples file (b"" if none)."""
     spec = spec.strip()
     if spec == "flat":
-        return SurfaceProfile.flat(0.0)
+        return SurfaceProfile.flat(0.0), b""
     if spec.startswith("flat:"):
-        return SurfaceProfile.flat(float(spec.split(":", 1)[1]))
+        return SurfaceProfile.flat(float(spec.split(":", 1)[1])), b""
     if spec.startswith("cosine:"):
         vals = _floats(spec.split(":", 1)[1])
         if len(vals) != 2:
             raise ConfigError("cosine surface needs amplitude,frequency")
-        return SurfaceProfile.cosine(vals[0], vals[1], period)
+        return SurfaceProfile.cosine(vals[0], vals[1], period), b""
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1].strip()
         try:
-            data = np.loadtxt(path)
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read surface file {path!r}") from exc
+        data = np.loadtxt(raw.decode().splitlines())
         if data.ndim != 2 or data.shape[1] != 2:
             raise ConfigError("surface file must have two columns x1, f")
-        return SurfaceProfile.from_samples(data[:, 0], data[:, 1], period)
+        return SurfaceProfile.from_samples(*data.T, period), raw
     raise ConfigError(f"unknown surface spec {spec!r}")
 
 
@@ -157,9 +160,10 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("inadmissible media: " + ", ".join(bad))
 
         period = cp.getfloat("geom", "period")
+        surface, surface_bytes = _surface(cp.get("geom", "surface"), period)
         geometry = Geometry(
             period=period,
-            surface=_surface(cp.get("geom", "surface"), period),
+            surface=surface,
             h=cp.getfloat("geom", "h"),
             obstacle=_obstacle(cp.get("geom", "obstacle")))
 
@@ -252,8 +256,10 @@ def load_config(path: str) -> RunConfig:
     raw = {sec: dict(cp.items(sec)) for sec in cp.sections()}
     digest = hashlib.sha256(repr(sorted(
         (sec, tuple(sorted(items.items()))) for sec, items in raw.items()
-    )).encode()).hexdigest()
+    )).encode())
+    if surface_bytes:   # the samples file is an input too
+        digest.update(hashlib.sha256(surface_bytes).digest())
     return RunConfig(media=media, geometry=geometry, pml=pml,
                      source=source, numerics=numerics, sweep=sweep,
                      audit=audit, layer=layer, probes=probes,
-                     parseval=parseval, digest=digest, raw=raw)
+                     parseval=parseval, digest=digest.hexdigest(), raw=raw)

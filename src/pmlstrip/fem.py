@@ -160,10 +160,10 @@ class FemBlocks:
     gamma_h_dofs: np.ndarray = None
     modal_E: np.ndarray = None           # (2N+1, n_h) analysis matrix
     modal_xi: np.ndarray = None
+    n_modes_effective: int = 0           # n_modes clamped to (n_h - 1) // 2
     dirichlet_f: np.ndarray = None       # pressure dofs on the bottom surface
     dirichlet_hl: np.ndarray = None      # pressure dofs on the layer top
     above_h_pdofs: np.ndarray = None     # pressure dofs strictly above x3=h
-    meta: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -270,7 +270,7 @@ def _modal_operator(mesh, dof, n_modes):
     n = np.arange(-N, N + 1)
     xi = 2.0 * np.pi * n / period
     E = (w / period) * np.exp(-1j * np.outer(xi, x))
-    return dof.pdof(nodes), E, xi
+    return dof.pdof(nodes), E, xi, N
 
 
 def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
@@ -290,7 +290,7 @@ def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
     blk.K_div, blk.K_eps, blk.M_solid, blk.K_solid_h1 = \
         _assemble_solid(mesh, dof)
     blk.C_pu, blk.C_up = _assemble_coupling(mesh, dof)
-    blk.gamma_h_dofs, blk.modal_E, blk.modal_xi = \
+    blk.gamma_h_dofs, blk.modal_E, blk.modal_xi, blk.n_modes_effective = \
         _modal_operator(mesh, dof, n_modes)
 
     gf = mesh.masters(np.unique(mesh.boundary_edges[MARKER_GAMMA_F]))

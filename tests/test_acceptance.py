@@ -216,7 +216,7 @@ def test_criterion_07_field_level_convergence(tmp_path):
     path.write_text(cfg_text)
     cfg = load_config(str(path))
     L_values = cfg.sweep["L_values"]
-    errors = _time_route_errors(cfg, L_values)
+    errors, _ = _time_route_errors(cfg, L_values)
     monotone = bool(np.all(np.diff(errors) < 0))
     fit = fit_rate(L_values, np.sqrt(np.asarray(errors)))
     log_range = float(fit.log_errors.max() - fit.log_errors.min())

@@ -6,9 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from pmlstrip import ConfigError, load_config
+import pmlstrip.symbols
+from pmlstrip import ConfigError, PmlProfile, load_config
 from pmlstrip.cli import (FitError, PlotError, emit_plots, fit_rate, main,
-                          write_csv)
+                          write_csv, write_field)
+from pmlstrip.symbols import default_xi_grid, modal_passivity_check, \
+    symbol_gap_sup
 
 
 BASE_CONFIG = """\
@@ -34,6 +37,60 @@ n_modes = 16
 n_steps = 40
 s1 = 1.0
 """
+
+
+def reference_fmt(v) -> str:
+    """One CSV cell as the value-by-value writer formatted it."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.12g}"
+    return str(v)
+
+
+def reference_write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([reference_fmt(v) for v in row])
+
+
+def reference_write_field(path, values):
+    values = np.atleast_2d(values.T).T
+    with open(path, "w") as fh:
+        for i in range(values.shape[0]):
+            parts = [str(i)]
+            for comp in range(values.shape[1]):
+                v = complex(values[i, comp])
+                parts += [f"{v.real:.12g}", f"{v.imag:.12g}"]
+            fh.write(" ".join(parts) + "\n")
+
+
+def reference_audit_rows(cfg, sigma0, L):
+    """One audit file's rows, built mode by mode."""
+    a, c = cfg.audit, cfg.media.c
+    rows = []
+    for s1 in a["s1_values"]:
+        pml = PmlProfile(sigma0=sigma0, m=a["m"], L=L, s1=s1)
+        for s2 in a["s2_grid"]:
+            s = complex(s1, s2)
+            xi = default_xi_grid(s, c, a["xi_points"])
+            audit = symbol_gap_sup(s, c, pml, xi)
+            passive, _ = modal_passivity_check(s, c, xi)
+            ok_row = audit.gap <= audit.bound * (1.0 + 1e-10)
+            for k in range(xi.size):
+                rows.append((s1, s2, xi[k], audit.beta_vals[k].real,
+                             audit.beta_vals[k].imag, audit.gap[k],
+                             audit.bound, bool(ok_row[k] and passive[k])))
+    return rows
+
+
+def same_bytes(a, b):
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        return fa.read() == fb.read()
 
 
 @pytest.fixture
@@ -87,6 +144,27 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.geometry.surface.f_plus == pytest.approx(0.05)
 
+    def test_digest_without_surface_file_unchanged(self, config_path):
+        # the INI-only digest, as before surface files were hashed too
+        assert load_config(config_path).digest == \
+            "e747b216842fdbc3f7bd40101a535815058014982ee9a2c74f8907c090be489b"
+
+    def test_digest_covers_surface_file(self, tmp_path):
+        surf = tmp_path / "surface.txt"
+        path = tmp_path / "f.ini"
+        path.write_text(BASE_CONFIG.replace("surface = flat",
+                                            f"surface = file:{surf}"))
+        x1 = np.linspace(0.0, 1.0, 16, endpoint=False)
+        digests = []
+        for amp in (0.02, 0.03, 0.02):
+            np.savetxt(surf, np.column_stack((x1, amp * np.cos(
+                2 * np.pi * x1))))
+            cfg = load_config(str(path))
+            assert cfg.geometry.surface.f_plus == pytest.approx(amp)
+            digests.append(cfg.digest)
+        assert digests[0] != digests[1]
+        assert digests[0] == digests[2]
+
 
 class TestFitRate:
     def test_recovers_exponent(self):
@@ -127,6 +205,62 @@ class TestPlots:
         compile(text, str(out), "exec")
 
 
+class TestWriters:
+    # str, Python and NumPy bools and ints, non-finite values, -0.0,
+    # 1e-300 and 12-digit values; a column's kind may change by row
+    # between bool, int and float, never to or from str
+    MIXED = [
+        ("case_a", True, 0, float("nan"), 123456789012, 0.1),
+        ("case_b", np.bool_(False), np.int64(-7), float("inf"),
+         np.int32(12), 0.123456789012345),
+        ("c", np.True_, 999999999999, -float("inf"), 3.0, -0.0),
+        ("d", False, np.int64(0), 1e-300, np.float64(123456789012.0),
+         np.float32(0.1)),
+        ("e", np.bool_(True), 1, -1e-300, np.uint8(200), 1e300),
+    ]
+
+    @pytest.mark.parametrize("rows", [
+        MIXED,
+        MIXED[:1],
+        [],
+        np.array([[0.5, -0.0, np.nan, 1.0], [1e-300, np.inf, 2.0 / 3.0,
+                                              0.0]]),
+        np.array([[True, False], [False, True]]),
+        [[float(v) for v in np.random.default_rng(0).normal(size=4)]
+         for _ in range(50)],
+        # more rows than several formatting blocks
+        np.random.default_rng(1).normal(size=(10001, 3)),
+    ])
+    def test_csv_matches_reference(self, tmp_path, rows):
+        header = ["h0", "h1", "h2", "h3", "h4", "h5"][:np.shape(rows)[1]] \
+            if len(rows) else ["only"]
+        write_csv(str(tmp_path / "new.csv"), header, rows)
+        reference_write_csv(str(tmp_path / "ref.csv"), header, rows)
+        assert same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+    def test_csv_row_count_from_len(self, tmp_path):
+        rows = np.arange(12.0).reshape(4, 3)
+        write_csv(str(tmp_path / "a.csv"), ["a", "b", "c"], rows)
+        lines = (tmp_path / "a.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"a,b,c" and lines[-1] == b""
+        assert len(lines) == 2 + len(rows)
+
+    @pytest.mark.parametrize("n_comp, dtype", [(1, complex), (2, complex),
+                                                (1, float), (2, float)])
+    def test_field_matches_reference(self, tmp_path, n_comp, dtype):
+        rng = np.random.default_rng(n_comp)
+        values = rng.normal(size=(40, n_comp)) * 10.0 ** rng.integers(
+            -8, 8, size=(40, n_comp))
+        if dtype is complex:
+            values = values + 1j * rng.normal(size=(40, n_comp))
+        values[:4] = [[-0.0], [1e-300], [123456789012.0], [np.nan]]
+        if n_comp == 1:
+            values = values[:, 0]
+        write_field(str(tmp_path / "new.txt"), values)
+        reference_write_field(str(tmp_path / "ref.txt"), values)
+        assert same_bytes(tmp_path / "new.txt", tmp_path / "ref.txt")
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -147,6 +281,47 @@ class TestSubcommands:
         manifest = open(os.path.join(out, "manifest.txt")).read()
         assert "config_sha256=" in manifest
         assert "command=symbol-audit" in manifest
+
+    def test_symbol_audit_matches_reference(self, tmp_path, monkeypatch):
+        # a bound shrunk 1000-fold fails near the gap's peak and holds in
+        # the decaying tail, so both pass values are written
+        bound = pmlstrip.symbols.cu_bound
+        monkeypatch.setattr(pmlstrip.symbols, "cu_bound",
+                            lambda s, c, L_bar: 1e-3 * bound(s, c, L_bar))
+        out = str(tmp_path / "audit")
+        path = tmp_path / "a.ini"
+        path.write_text(BASE_CONFIG + "\n[audit]\ns2_range = -5,5,3\n"
+                        "xi_points = 31\nsigma0_values = 1,2\n"
+                        "L_values = 0.5,1\n")
+        assert main(["symbol-audit", "--config", str(path),
+                     "--out", out]) == 1
+        cfg = load_config(str(path))
+        passes = set()
+        for sigma0 in (1, 2):
+            for L in (0.5, 1):
+                name = f"audit_sigma{sigma0:g}_L{L:g}.csv"
+                rows = reference_audit_rows(cfg, sigma0, L)
+                reference_write_csv(str(tmp_path / name), ["s1", "s2", "xi",
+                                    "beta_re", "beta_im", "gap", "bound",
+                                    "pass"], rows)
+                assert same_bytes(os.path.join(out, name), tmp_path / name)
+                passes |= {r[-1] for r in rows}
+        assert passes == {True, False}
+
+    @pytest.mark.parametrize("n_modes, expected", [(64, 5), (3, 3)])
+    def test_manifest_reports_mode_clamp(self, tmp_path, n_modes, expected):
+        # mesh_size 0.08: 12 nodes on x3 = h keep at most (12 - 1) // 2
+        path = tmp_path / "m.ini"
+        path.write_text(BASE_CONFIG.replace("n_modes = 16",
+                                            f"n_modes = {n_modes}")
+                        + "\n[sweep]\nL_values = 0.3,0.6,0.9\n"
+                        "[freq]\ns2_values = 0,5\n")
+        for command in ("freq-solve", "td-run", "convergence"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path),
+                         "--out", str(out)]) == 0
+            assert f"n_modes_effective={expected}\n" in \
+                (out / "manifest.txt").read_text()
 
     def test_layer_check(self, config_path, tmp_path):
         out = str(tmp_path / "layer")

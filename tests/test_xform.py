@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pmlstrip
 from pmlstrip import (Pulse, SampledSignal, TruncationWarning,
@@ -154,6 +156,45 @@ class TestChirpZ:
         out = subprocess.run([sys.executable, "-c", code, src],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+# random uniform s2 grids: odd, even and single-point, with any start
+s2_grids = st.builds(lambda start, step, n: start + step * np.arange(n),
+                     st.floats(-30.0, 30.0), st.floats(0.05, 2.0),
+                     st.integers(1, 41))
+abscissas = st.floats(0.1, 3.0)
+
+
+class TestLaplaceGridProperties:
+    SIG = TestChirpZ.SIG
+    OTHER = SampledSignal(SIG.t, np.exp(-0.5 * SIG.t) * np.sin(5 * SIG.t))
+
+    @settings(max_examples=50, deadline=None)
+    @given(s1=abscissas, s2=s2_grids, a=st.floats(-3.0, 3.0),
+           b=st.floats(-3.0, 3.0))
+    @example(s1=0.7, s2=np.array([2.5]), a=1.0, b=-1.0)
+    def test_linear(self, s1, s2, a, b):
+        mix = SampledSignal(self.SIG.t, a * self.SIG.values
+                            + b * self.OTHER.values)
+        lhs = laplace_grid(mix, s1, s2)
+        rhs = a * laplace_grid(self.SIG, s1, s2) \
+            + b * laplace_grid(self.OTHER, s1, s2)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(s1=abscissas, s2=s2_grids)
+    @example(s1=0.7, s2=np.linspace(-10.0, 10.0, 40))
+    def test_conjugate_symmetric(self, s1, s2):
+        # F(s1 - i s2) = conj F(s1 + i s2) for a real signal
+        vals = laplace_grid(self.SIG, s1, s2)
+        mirrored = laplace_grid(self.SIG, s1, -s2[::-1])[::-1]
+        assert np.max(np.abs(mirrored - np.conj(vals))) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(s1=abscissas, s2=s2_grids)
+    def test_matches_direct_kernel(self, s1, s2):
+        ref = direct_laplace_grid(self.SIG, s1, s2)
+        assert np.max(np.abs(laplace_grid(self.SIG, s1, s2) - ref)) < 1e-12
 
 
 class TestInversion:
