@@ -132,15 +132,28 @@ def stretched_coordinate(x3, pml: PmlProfile, h: float):
 
 @dataclass(frozen=True)
 class SurfaceProfile:
-    """Periodic bottom profile x3 = f(x1) with known bounds."""
+    """Periodic bottom profile x3 = f(x1) with known bounds.
+
+    peaks(a, b), when given, returns every x1 in [a, b] where f can have
+    an interior maximum, so that max_over is exact; without it max_over
+    is the bound f_plus, exact for a flat profile.
+    """
 
     func: Callable[[np.ndarray], np.ndarray]
     f_minus: float
     f_plus: float
     label: str = "custom"
+    peaks: Callable[[float, float], np.ndarray] | None = None
 
     def __call__(self, x1):
         return self.func(np.asarray(x1, dtype=float))
+
+    def max_over(self, a: float, b: float) -> float:
+        """max f over [a, b]: f at both ends and at the interior peaks;
+        the global bound f_plus for a profile without a peak locator."""
+        if self.peaks is None:
+            return self.f_plus
+        return float(np.max(self(np.concatenate(([a, b], self.peaks(a, b))))))
 
     @staticmethod
     def flat(level: float = 0.0) -> "SurfaceProfile":
@@ -152,9 +165,20 @@ class SurfaceProfile:
                level: float = 0.0) -> "SurfaceProfile":
         """f(x1) = level + amplitude*cos(2*pi*frequency*x1/period)."""
         k = 2.0 * math.pi * frequency / period
+
+        def crests(a, b):
+            # cos(k x) = sign(amplitude) at x = (n + shift) * wavelength
+            if k == 0.0:
+                return np.zeros(0)
+            wavelength = 2.0 * math.pi / abs(k)
+            shift = 0.0 if amplitude > 0 else 0.5
+            return (np.arange(math.ceil(a / wavelength - shift),
+                              math.floor(b / wavelength - shift) + 1)
+                    + shift) * wavelength
+
         return SurfaceProfile(lambda x: level + amplitude * np.cos(k * x),
                               level - abs(amplitude), level + abs(amplitude),
-                              "cosine")
+                              "cosine", crests)
 
     @staticmethod
     def from_samples(x1: np.ndarray, values: np.ndarray,
@@ -167,8 +191,15 @@ class SurfaceProfile:
             return np.interp(np.mod(x, period), x1, values,
                              period=period)
 
+        def knots(a, b):
+            # a piecewise-linear profile peaks only at its knots
+            shifts = period * np.arange(math.floor(a / period) - 1,
+                                        math.floor(b / period) + 2)
+            x = (np.mod(x1, period)[None, :] + shifts[:, None]).ravel()
+            return x[(x >= a) & (x <= b)]
+
         return SurfaceProfile(f, float(values.min()), float(values.max()),
-                              "file")
+                              "file", knots)
 
 
 @dataclass(frozen=True)
@@ -292,8 +323,7 @@ def check_source(spec: SourceSpec, geom: Geometry) -> None:
     inclusion and the boundaries."""
     cx, cz = spec.center
     r = spec.radius
-    x1 = np.linspace(cx - r, cx + r, 41)
-    if np.any(cz - r <= geom.surface(x1) + 0.0):
+    if cz - r <= geom.surface.max_over(cx - r, cx + r):
         raise GeometryError("source support touches the rough surface")
     if cz + r >= geom.h:
         raise GeometryError("source support touches the truncation plane")

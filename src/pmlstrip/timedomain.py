@@ -14,11 +14,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
-from .fem import FemBlocks, _affine_form, _sqrt_form, _with_data, \
-    assemble, dofs_to_nodal, load_vector, solve_frequency, \
-    source_l2_norm, term_weights
+from .fem import LU_ORDERING, FemBlocks, _affine_form, _sqrt_form, \
+    _with_data, assemble, dofs_to_nodal, factorize, load_vector, \
+    solve_frequency, source_l2_norm, term_weights
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
 
@@ -113,7 +113,8 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
 
     initial_d optionally seeds a nonzero displacement state (used by the
     conservation checks); store_nodes keeps the full history of the
-    listed vertex ids.
+    listed vertex ids.  meta records the step matrix's LU ordering and
+    fill (lu_nnz).
     """
     mesh = blk.mesh
     if mesh.pml is None:
@@ -129,33 +130,46 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     w_M, w_K = term_weights(media)
     Mr, Kr, A_eff = (_with_data(form.reduced, (w @ form.terms)[form.gather])
                      for w in (w_M, w_K, w_M + beta_n * dt * dt * w_K))
-    lu = spla.splu(A_eff)
+    lu = factorize(A_eff)
 
-    f_shape = np.zeros(free.size) if source is None \
-        else load_vector(blk, source.spatial)[free] / media.c ** 2
-
-    def forcing(t):
-        return f_shape if source is None \
-            else source.pulse.derivative(t) * f_shape
+    t_grid = np.linspace(0.0, T, n_steps + 1)
+    if source is None:
+        f_shape, g_t = np.zeros(free.size), np.zeros(t_grid.size)
+    else:
+        f_shape = load_vector(blk, source.spatial)[free] / media.c ** 2
+        g_t = source.pulse.derivative(t_grid)
 
     d = np.zeros(free.size)
     v = np.zeros(free.size)
     if initial_d is not None:
         d = np.asarray(initial_d, dtype=float)[free].copy()
-    r0 = forcing(0.0) - Kr @ d
+    r0 = g_t[0] * f_shape - Kr @ d
     if np.linalg.norm(r0) > 0:
-        a = spla.splu(Mr).solve(r0)
+        a = factorize(Mr).solve(r0)
     else:
         a = np.zeros(free.size)
 
-    t_grid = np.linspace(0.0, T, n_steps + 1)
-    traj = TimeTrajectory(t=t_grid, meta={"dt": dt, "n_steps": n_steps})
+    traj = TimeTrajectory(t=t_grid, meta={"dt": dt, "n_steps": n_steps,
+                                          "ordering": LU_ORDERING,
+                                          "lu_nnz": lu.nnz})
+    # readout straight from the free-dof state: pos maps a global dof to
+    # its slot in (d, 0), so a vertex without that dof reads the sentinel
+    pos = np.full(blk.dof.size + 1, free.size)
+    pos[free] = np.arange(free.size)
+    state = np.zeros(free.size + 1)
     if probes is not None:
+        cols = pos[blk.dof.node_dof[mesh.triangles[probes.tri], 0]]
+        probe_op = sp.csr_matrix(
+            (probes.bary.ravel(), (np.repeat(np.arange(probes.n), 3),
+                                   cols.ravel())),
+            shape=(probes.n, state.size))
         traj.probe_p = np.zeros((probes.n, n_steps + 1))
     if store_nodes is not None:
-        store_nodes = np.asarray(store_nodes, dtype=np.int64)
-        traj.field_p = np.zeros((store_nodes.size, n_steps + 1))
-        traj.field_u = np.zeros((store_nodes.size, 2, n_steps + 1))
+        store_slots = pos[blk.dof.node_dof[store_nodes]]
+        # one contiguous (p, u1, u2) row block per step
+        history = np.zeros((n_steps + 1,) + store_slots.shape)
+        traj.field_p = history[:, :, 0].T
+        traj.field_u = history[:, :, 1:].transpose(1, 2, 0)
     if record_energy:
         traj.energy = np.zeros(n_steps + 1)
     if record_norms:
@@ -167,19 +181,17 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     v_full = np.zeros(blk.dof.size)
 
     def record(step):
-        x_full[free] = d
-        v_full[free] = v
-        if probes is not None or snap_steps or record_norms \
-                or store_nodes is not None:
-            p_nodal, u_nodal = dofs_to_nodal(blk, x_full)
+        state[:-1] = d
         if store_nodes is not None:
-            traj.field_p[:, step] = p_nodal[store_nodes]
-            traj.field_u[:, :, step] = u_nodal[store_nodes]
+            history[step] = state[store_slots]
         if probes is not None:
-            traj.probe_p[:, step] = probe_values(mesh, probes, p_nodal)
+            traj.probe_p[:, step] = probe_op @ state
+        if step in snap_steps or record_norms:
+            x_full[free] = d
+            v_full[free] = v
         if step in snap_steps:
-            traj.snapshots.append((t_grid[step], p_nodal.copy(),
-                                   u_nodal.copy()))
+            p_nodal, u_nodal = dofs_to_nodal(blk, x_full)
+            traj.snapshots.append((t_grid[step], p_nodal, u_nodal))
         if record_energy:
             traj.energy[step] = 0.5 * float(v @ (Mr @ v)) \
                 + 0.5 * float(d @ (Kr @ d))
@@ -194,7 +206,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     for step in range(1, n_steps + 1):
         d_star = d + dt * v + dt * dt * (0.5 - beta_n) * a
         v_star = v + dt * (1.0 - gamma_n) * a
-        a = lu.solve(forcing(t_grid[step]) - Kr @ d_star)
+        a = lu.solve(g_t[step] * f_shape - Kr @ d_star)
         d = d_star + beta_n * dt * dt * a
         v = v_star + gamma_n * dt * a
         record(step)
@@ -299,13 +311,15 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
                       f"reconstruction error {err:.2e}",
                       TruncationWarning, stacklevel=2)
 
+    # the source load does not depend on s: assemble it once at scale 1
+    rhs0 = load_vector(blk, source.spatial)[_affine_form(blk, variant).free] \
+        / media.c ** 2
     rows = []
     for w in cfg.half_grid():
         s = cfg.s1 + 1j * w
-        system = assemble(blk, media, s, source.spatial,
-                          complex(source.pulse.laplace(s)), variant)
-        rows.append(probe_values(blk.mesh, probes,
-                                 solve_frequency(system).p_hat))
+        sol = solve_frequency(assemble(blk, media, s, None, 0.0, variant),
+                              rhs=complex(source.pulse.laplace(s)) * rhs0)
+        rows.append(probe_values(blk.mesh, probes, sol.p_hat))
     return TimeTrajectory(t=np.asarray(t, dtype=float),
                           probe_p=synthesize(np.stack(rows, axis=-1), cfg, t),
                           meta={"variant": variant, "s1": cfg.s1,

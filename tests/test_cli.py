@@ -374,6 +374,21 @@ class TestSubcommands:
                                             "mesh_size = 0.45"))
         assert main(["td-run", "--config", str(path), "--out", out]) == 1
 
+    def test_source_below_surface_crest_exits_2(self, tmp_path):
+        # the support bottom 0.0995 dips below the crest 0.1 at x1 = 0.5,
+        # between the points a 41-point sample of the surface would see
+        path = tmp_path / "crest.ini"
+        path.write_text(
+            BASE_CONFIG.replace("surface = flat", "surface = cosine:0.1,10")
+            .replace("obstacle = 0.4,0.15; 0.6,0.15; 0.6,0.35; 0.4,0.35",
+                     "obstacle =")
+            .replace("center = 0.2,0.25", "center = 0.502,0.1795")
+            .replace("radius = 0.06", "radius = 0.08"))
+        out = str(tmp_path / "x")
+        assert main(["freq-solve", "--config", str(path), "--out", out]) \
+            == 2
+        assert not os.path.exists(os.path.join(out, "manifest.txt"))
+
     def test_manifest_reproducible(self, config_path, tmp_path):
         extra = ("\n[layer]\nn_values = 32,64,128\n")
         path = tmp_path / "r.ini"

@@ -87,6 +87,46 @@ class TestSurfaceAndGeometry:
         f = SurfaceProfile.from_samples(x, vals, 1.0)
         assert f(0.25) == pytest.approx(f(1.25))
 
+    @pytest.mark.parametrize("surface", [
+        SurfaceProfile.flat(0.07),
+        SurfaceProfile.cosine(0.1, 10.0),
+        SurfaceProfile.cosine(-0.1, 3.0, period=2.0, level=0.02),
+        SurfaceProfile.from_samples(
+            np.linspace(0.0, 1.0, 13, endpoint=False),
+            0.05 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 13,
+                                                  endpoint=False)) ** 3,
+            1.0)])
+    def test_max_over_is_exact(self, surface):
+        # a crest or knot inside the interval counts; a dense sample,
+        # plus the located peaks, never exceeds the returned maximum
+        for a, b in [(0.422, 0.582), (-0.31, 0.04), (0.93, 1.37),
+                     (0.2101, 0.2102)]:
+            peak = surface.max_over(a, b)
+            x = np.linspace(a, b, 20001)
+            assert np.max(surface(x)) <= peak + 1e-15
+            found = np.zeros(0) if surface.peaks is None \
+                else surface.peaks(a, b)
+            assert np.all((found >= a) & (found <= b))
+            assert peak == pytest.approx(
+                np.max(surface(np.concatenate((x, found)))), abs=1e-15)
+
+    def test_max_over_crest_between_samples(self):
+        # the crest of cosine:0.1,10 at x1 = 0.5 falls between the 41
+        # samples of [0.422, 0.582]; the sampled maximum is 0.0992
+        g = SurfaceProfile.cosine(0.1, 10.0)
+        assert np.max(g(np.linspace(0.422, 0.582, 41))) < 0.0995
+        assert g.max_over(0.422, 0.582) == pytest.approx(0.1, abs=1e-15)
+        # file surface: a knot between the interval ends
+        x1 = np.array([0.0, 0.25, 0.5, 0.75])
+        f = SurfaceProfile.from_samples(x1, [0.0, 0.0, 0.08, 0.0], 1.0)
+        assert f.max_over(0.3, 0.7) == 0.08
+        assert f.max_over(1.3, 1.7) == 0.08
+        assert f.max_over(0.55, 0.7) == pytest.approx(f(0.55))
+
+    def test_max_over_without_peaks_is_global_bound(self):
+        ramp = SurfaceProfile(lambda x: 0.1 * x, 0.0, 0.1, "ramp")
+        assert ramp.max_over(0.2, 0.3) == 0.1
+
     def test_rectangle(self):
         with pytest.raises(GeometryError):
             Rectangle(0.4, 0.4, 0.1, 0.2)
@@ -156,3 +196,20 @@ class TestSource:
         with pytest.raises(GeometryError):
             check_source(SourceSpec(center=(0.42, 0.25), radius=0.05,
                                     T=2.0), geom)
+
+    def test_check_source_sees_crest_between_samples(self):
+        # support bottom 0.0995 against the crest 0.1 at x1 = 0.5
+        geom = Geometry(period=1.0, surface=SurfaceProfile.cosine(0.1, 10.0),
+                        h=0.5)
+        with pytest.raises(GeometryError, match="rough surface"):
+            check_source(SourceSpec(center=(0.502, 0.1795), radius=0.08,
+                                    T=2.0), geom)
+        check_source(SourceSpec(center=(0.502, 0.1805), radius=0.08,
+                                T=2.0), geom)
+        knot = Geometry(period=1.0, surface=SurfaceProfile.from_samples(
+            [0.0, 0.25, 0.5, 0.75], [0.0, 0.0, 0.08, 0.0], 1.0), h=0.5)
+        with pytest.raises(GeometryError, match="rough surface"):
+            check_source(SourceSpec(center=(0.45, 0.125), radius=0.05,
+                                    T=2.0), knot)
+        check_source(SourceSpec(center=(0.45, 0.135), radius=0.05,
+                                T=2.0), knot)

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import norm as sparse_norm
 
 from pmlstrip import (ContourConfig, Geometry, MediaParams, PmlProfile,
                       Pulse, Rectangle, SourceSpec, SurfaceProfile,
-                      build_blocks, build_mesh, causality_margin,
-                      energy_trace, free_dofs, frequency_matrix,
-                      inverse_laplace_grid, locate_probes, newmark_run,
-                      probe_values, reconstruct_signal, synthesize,
-                      time_matrices)
+                      assemble, build_blocks, build_mesh, causality_margin,
+                      contour_synthesize, dofs_to_nodal, energy_trace,
+                      free_dofs, frequency_matrix, inverse_laplace_grid,
+                      load_vector, locate_probes, newmark_run, probe_values,
+                      reconstruct_signal, solve_frequency, synthesize,
+                      term_weights, time_matrices)
+from pmlstrip.fem import DIAG_PIVOT_THRESH, LU_ORDERING, _affine_form, \
+    _sqrt_form, _with_data, factorize
 from pmlstrip.timedomain import ProbeError
 
 MEDIA = MediaParams()
@@ -106,6 +110,147 @@ class TestNewmark:
         assert 0.0 <= pre <= tot
 
 
+def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
+                          snapshot_times=(), record_norms=False,
+                          store_nodes=None):
+    """newmark_run with its former readout: the scalar pulse derivative at
+    every step, and every step expands the whole dof vector through
+    dofs_to_nodal and reads probes, stored nodes and snapshots off the
+    nodal fields."""
+    dt = T / n_steps
+    form = _affine_form(blk, "pml_layer")
+    free = form.free
+    w_M, w_K = term_weights(media)
+    Kr, A_eff = (_with_data(form.reduced, (w @ form.terms)[form.gather])
+                 for w in (w_K, w_M + 0.25 * dt * dt * w_K))
+    lu = factorize(A_eff)
+    f_shape = load_vector(blk, source.spatial)[free] / media.c ** 2
+    d, v = np.zeros(free.size), np.zeros(free.size)
+    a = np.zeros(free.size)
+    t_grid = np.linspace(0.0, T, n_steps + 1)
+    out = {"probe_p": [], "field_p": [], "field_u": [], "snapshots": [],
+           "norms": {k: [] for k in ("dt_p", "grad_p", "dt_u", "div_u",
+                                     "grad_u")}}
+    snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
+    x_full, v_full = np.zeros(blk.dof.size), np.zeros(blk.dof.size)
+    for step in range(n_steps + 1):
+        if step:
+            d_star = d + dt * v + dt * dt * 0.25 * a
+            v_star = v + dt * 0.5 * a
+            a = lu.solve(source.pulse.derivative(t_grid[step]) * f_shape
+                         - Kr @ d_star)
+            d = d_star + 0.25 * dt * dt * a
+            v = v_star + 0.5 * dt * a
+        x_full[free] = d
+        v_full[free] = v
+        p_nodal, u_nodal = dofs_to_nodal(blk, x_full)
+        if store_nodes is not None:
+            out["field_p"].append(p_nodal[store_nodes])
+            out["field_u"].append(u_nodal[store_nodes])
+        if probes is not None:
+            out["probe_p"].append(probe_values(blk.mesh, probes, p_nodal))
+        if step in snap_steps:
+            out["snapshots"].append((t_grid[step], p_nodal.copy(),
+                                     u_nodal.copy()))
+        if record_norms:
+            for key, A, x in (("dt_p", blk.M_fluid, v_full),
+                              ("grad_p", blk.K_fluid, x_full),
+                              ("dt_u", blk.M_solid, v_full),
+                              ("div_u", blk.K_div, x_full),
+                              ("grad_u", blk.K_solid_h1, x_full)):
+                out["norms"][key].append(_sqrt_form(A, x))
+    out["probe_p"] = np.array(out["probe_p"]).T
+    out["field_p"] = np.array(out["field_p"]).T
+    out["field_u"] = np.moveaxis(np.array(out["field_u"]), 0, -1)
+    return out
+
+
+class TestNewmarkReadout:
+    """Probes, stored nodes, snapshots and norms read straight off the
+    free-dof state equal the former per-step nodal expansion."""
+
+    SRC = SourceSpec(center=(0.2, 0.25), radius=0.08, T=1.0)
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    def test_store_nodes_bitwise(self, obstacle):
+        blk = layer_blocks(obstacle=obstacle)
+        # every vertex: Dirichlet, layer, periodic-slave and solid-only
+        keep = np.arange(blk.mesh.n_vertices)[::-1]
+        traj = newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30,
+                           store_nodes=keep)
+        ref = reference_newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30,
+                                    store_nodes=keep)
+        assert np.abs(ref["field_p"]).max() > 0
+        if obstacle:
+            assert np.abs(ref["field_u"]).max() > 0
+        assert traj.field_p.shape == ref["field_p"].shape
+        assert traj.field_u.shape == ref["field_u"].shape
+        assert np.array_equal(traj.field_p, ref["field_p"])
+        assert np.array_equal(traj.field_u, ref["field_u"])
+        # both are views of one history buffer, not copies
+        assert traj.field_p.base is not None
+        assert traj.field_p.base is traj.field_u.base
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    def test_probes_match(self, obstacle):
+        blk = layer_blocks(obstacle=obstacle)
+        pts = [[0.31, 0.22], [0.77, 0.41], [0.0, 0.3], [0.5, 0.7],
+               [0.5, 0.25], [0.6, 0.35]]
+        probes = locate_probes(blk.mesh, pts)
+        traj = newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30,
+                           probes=probes)
+        ref = reference_newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30,
+                                    probes=probes)["probe_p"]
+        assert traj.probe_p.shape == ref.shape
+        assert np.max(np.abs(traj.probe_p - ref)) \
+            <= 1e-14 * np.max(np.abs(ref))
+
+    def test_snapshots_and_norms_unchanged(self):
+        blk = layer_blocks(obstacle=True)
+        kw = dict(snapshot_times=[0.0, 0.5, 1.0], record_norms=True)
+        traj = newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30, **kw)
+        ref = reference_newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30, **kw)
+        assert len(traj.snapshots) == len(ref["snapshots"]) == 3
+        for (t, p, u), (t_ref, p_ref, u_ref) in zip(traj.snapshots,
+                                                     ref["snapshots"]):
+            assert t == t_ref
+            assert np.array_equal(p, p_ref) and np.array_equal(u, u_ref)
+        assert np.abs(ref["snapshots"][-1][2]).max() > 0
+        for key, series in ref["norms"].items():
+            assert np.array_equal(traj.norms[key], series)
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("s", [None, 0.5, 0.5 + 100.0j])
+    def test_fill_below_colamd(self, s):
+        # the structurally symmetric inclusion layer systems, the Newmark
+        # step matrix (s None) and frequency systems, fill less under
+        # minimum degree on A + A^T than under COLAMD (2,411 dofs; below
+        # about 1,000 COLAMD fills less); at large |s| only with the
+        # lowered diagonal pivot threshold (0.74M LU nonzeros with
+        # SuperLU's default 1.0, against 0.18M)
+        blk = layer_blocks(obstacle=True, target=0.02)
+        if s is None:
+            form = _affine_form(blk, "pml_layer")
+            w_M, w_K = term_weights(ODD_MEDIA)
+            A = _with_data(form.reduced,
+                           ((w_M + 1e-4 * w_K) @ form.terms)[form.gather])
+        else:
+            A = assemble(blk, ODD_MEDIA, s, None, 0.0, "pml_layer").matrix
+        assert factorize(A).nnz \
+            < spla.splu(A, diag_pivot_thresh=DIAG_PIVOT_THRESH).nnz
+
+    def test_ordering_and_fill_reported(self):
+        blk = layer_blocks(obstacle=True)
+        traj = newmark_run(blk, MEDIA, None, 0.5, 2)
+        assert traj.meta["ordering"] == LU_ORDERING == "MMD_AT_PLUS_A"
+        assert traj.meta["lu_nnz"] > free_dofs(blk, "pml_layer").size
+        sol = solve_frequency(assemble(blk, MEDIA, 1.0 + 2.0j, None, 0.0,
+                                       "pml_layer"))
+        assert sol.ordering == LU_ORDERING
+        assert sol.lu_nnz > sol.system.matrix.shape[0]
+
+
 def sparse_sum_time_matrices(blk, media):
     """M and K as sparse sums of the weighted blocks: the construction
     the term table replaces."""
@@ -190,3 +335,28 @@ class TestContour:
         recon = reconstruct_signal(p.laplace, cfg, t)
         scale = np.max(np.abs(p(t)))
         assert np.max(np.abs(recon - p(t))) < 1e-3 * scale
+
+    @pytest.mark.filterwarnings("ignore::pmlstrip.xform.TruncationWarning")
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
+    def test_synthesis_matches_per_frequency_load(self, variant):
+        # the source load assembled once and scaled per frequency equals
+        # assembling it with the pulse transform at every frequency
+        geom = Geometry(period=1.0, surface=SurfaceProfile.flat(0.0), h=0.5,
+                        obstacle=Rectangle.square((0.6, 0.25), 0.16))
+        blk = build_blocks(build_mesh(geom, PML, 0.08), n_modes=16)
+        src = SourceSpec(center=(0.25, 0.25), radius=0.08, T=2.0)
+        probes = locate_probes(blk.mesh, [[0.3, 0.4], [0.8, 0.2]])
+        cfg = ContourConfig(s1=0.5, s2_max=20.0, n_freq=41,
+                            t_grid=np.linspace(0.0, 2.0, 21))
+        traj = contour_synthesize(blk, ODD_MEDIA, src, cfg, probes, variant)
+        rows = []
+        for w in cfg.half_grid():
+            s = cfg.s1 + 1j * w
+            sol = solve_frequency(assemble(blk, ODD_MEDIA, s, src.spatial,
+                                           complex(src.pulse.laplace(s)),
+                                           variant))
+            rows.append(probe_values(blk.mesh, probes, sol.p_hat))
+        ref = synthesize(np.stack(rows, axis=-1), cfg, cfg.t_grid)
+        assert np.abs(ref).max() > 0
+        assert np.max(np.abs(traj.probe_p - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
