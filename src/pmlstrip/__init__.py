@@ -16,9 +16,9 @@ from .model import (Geometry, GeometryError, MediaParams, OutOfLayerError,
                     sigma_profile, stretched_coordinate, validate_media)
 from .symbols import (BoundaryTrace, BranchError, SymbolAudit, apply_dtn,
                       beta, beta_grid, cu_bound, default_xi_grid,
-                      dtn_symbol, dtn_symbol_grid, modal_passivity_check,
-                      pml_dtn_symbol, principal_sqrt, symbol_gap,
-                      symbol_gap_sup, trace_sobolev_norm, weighted_gap)
+                      dtn_symbol, dtn_symbol_grid, pml_dtn_symbol,
+                      principal_sqrt, symbol_gap, symbol_gap_sup,
+                      trace_sobolev_norm, weighted_gap)
 from .layer_bvp import (LayerMode, LayerSolution, analytic_layer_solution,
                         fd_layer_solve, numeric_dtn_at_h)
 from .mesh import StripMesh, build_mesh, export_mesh

@@ -23,8 +23,7 @@ from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
 from .mesh import build_mesh, export_mesh
 from .model import PmlProfile
-from .symbols import default_xi_grid, modal_passivity_check, \
-    pml_dtn_symbol, symbol_gap_sup
+from .symbols import default_xi_grid, pml_dtn_symbol, symbol_gap_sup
 from .timedomain import energy_trace, locate_probes, newmark_run
 from .xform import SampledSignal, parseval_residual, \
     transform_property_check
@@ -201,63 +200,55 @@ plt.savefig("symbol_audit.png", dpi=150)
 # ---------------------------------------------------------------------------
 
 def run_symbol_audit(cfg: RunConfig, out: str) -> int:
-    a = cfg.audit
-    all_pass = True
-    first_csv = None
+    a, c = cfg.audit, cfg.media.c
+    s1 = np.repeat(a["s1_values"], a["s2_grid"].size)
+    s2 = np.tile(a["s2_grid"], len(a["s1_values"]))
+    s = s1 + 1j * s2
+    # one |xi| row per s: a single grid rescaled per s is not bitwise
+    # default_xi_grid's geomspace
+    xi = np.array([default_xi_grid(v, c, a["xi_points"]) for v in s])
+    all_pass, paths = True, []
     for sigma0 in a["sigma0_values"]:
         for L in a["L_values"]:
-            blocks = []
-            for s1 in a["s1_values"]:
-                pml = PmlProfile(sigma0=sigma0, m=a["m"], L=L, s1=s1)
-                for s2 in a["s2_grid"]:
-                    s = complex(s1, s2)
-                    xi = default_xi_grid(s, cfg.media.c, a["xi_points"])
-                    audit = symbol_gap_sup(s, cfg.media.c, pml, xi)
-                    passive, _ = modal_passivity_check(s, cfg.media.c, xi)
-                    ok_row = audit.gap <= audit.bound * (1.0 + 1e-10)
-                    all_pass &= audit.passed and bool(np.all(passive))
-                    blocks.append(np.column_stack(np.broadcast_arrays(
-                        s1, s2, xi, audit.beta_vals.real,
-                        audit.beta_vals.imag, audit.gap, audit.bound,
-                        ok_row & passive)))
-            path = os.path.join(out, f"audit_sigma{sigma0:g}_L{L:g}.csv")
-            write_csv(path, ["s1", "s2", "xi", "beta_re", "beta_im",
-                             "gap", "bound", "pass"], np.concatenate(blocks))
-            if first_csv is None:
-                first_csv = path
-    emit_plots(first_csv, os.path.join(out, "plot_audit.py"), "audit")
+            audit = symbol_gap_sup(s, c, [PmlProfile(
+                sigma0=sigma0, m=a["m"], L=L, s1=v) for v in s1], xi)
+            all_pass &= audit.passed
+            b = audit.beta_vals
+            cols = np.broadcast_arrays(s1[:, None], s2[:, None], xi, b.real,
+                                       b.imag, audit.gap, audit.bound,
+                                       audit.ok)
+            paths.append(os.path.join(out,
+                                      f"audit_sigma{sigma0:g}_L{L:g}.csv"))
+            write_csv(paths[-1], ["s1", "s2", "xi", "beta_re", "beta_im",
+                                  "gap", "bound", "pass"],
+                      np.stack(cols, axis=-1).reshape(-1, len(cols)))
+    emit_plots(paths[0], os.path.join(out, "plot_audit.py"), "audit")
     write_manifest(out, cfg, "symbol-audit",
                    {"pass": "1" if all_pass else "0"})
     return 0 if all_pass else 1
 
 
 def run_layer_check(cfg: RunConfig, out: str) -> int:
-    lay = cfg.layer
-    pml = cfg.pml
-    ok = True
-    summary = []
+    lay, c, pml = cfg.layer, cfg.media.c, cfg.pml
+    ok, summary = True, []
     for xi in lay["xi_values"]:
-        mode = LayerMode(xi=xi, s=lay["s"], c=cfg.media.c, pml=pml)
+        mode = LayerMode(xi=xi, s=lay["s"], c=c, pml=pml)
+        sym = pml_dtn_symbol(xi, lay["s"], c, pml.L_tilde)
         errs = []
         for n in lay["n_values"]:
             sol = fd_layer_solve(mode, n)
             exact = analytic_layer_solution(mode, sol.x3)
-            err = float(np.max(np.abs(sol.values - exact)))
+            errs.append(float(np.max(np.abs(sol.values - exact))))
             dtn = numeric_dtn_at_h(sol)
-            sym = pml_dtn_symbol(xi, lay["s"], cfg.media.c, pml.L_tilde)
-            summary.append((xi, n, err, dtn.real, dtn.imag,
+            summary.append((xi, n, errs[-1], dtn.real, dtn.imag,
                             sym.real, sym.imag))
-            errs.append(err)
-        n_arr = np.asarray(lay["n_values"], dtype=float)
-        order = float(np.polyfit(np.log(n_arr), np.log(errs), 1)[0])
-        if not (-2.3 <= order <= -1.7):
-            ok = False
+        order = np.polyfit(np.log(lay["n_values"]), np.log(errs), 1)[0]
+        ok &= bool(-2.3 <= order <= -1.7)
         # dump the finest grid profile per mode
-        rows = [(x, v.real, v.imag, e.real, e.imag)
-                for x, v, e in zip(sol.x3, sol.values, exact)]
         write_csv(os.path.join(out, f"layer_mode_xi{xi:g}.csv"),
                   ["x3", "v_re", "v_im", "analytic_re", "analytic_im"],
-                  rows)
+                  np.column_stack((sol.x3, sol.values.real,
+                                   sol.values.imag, exact.real, exact.imag)))
     write_csv(os.path.join(out, "layer_summary.csv"),
               ["xi", "n", "max_err", "dtn_re", "dtn_im",
                "symbol_re", "symbol_im"], summary)

@@ -147,6 +147,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    for sec in cp.sections():   # a misspelt name would be silently ignored
+        if sec not in DEFAULTS:
+            raise ConfigError(f"unknown section [{sec}]")
+        unknown = set(cp[sec]) - {key.lower() for key in DEFAULTS[sec]}
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{sec}]: "
+                              + ", ".join(sorted(unknown)))
 
     try:
         media = MediaParams(
@@ -218,8 +225,9 @@ def load_config(path: str) -> RunConfig:
                                   "increasing")
 
         rng = _floats(cp.get("audit", "s2_range"))
-        if len(rng) != 3:
-            raise ConfigError("audit.s2_range must be min,max,count")
+        if len(rng) != 3 or not rng[2].is_integer() or rng[2] < 1:
+            raise ConfigError("audit.s2_range must be min,max,count with "
+                              "a positive integer count")
         audit = {
             "s1_values": _floats(cp.get("audit", "s1_values")),
             "s2_grid": np.linspace(rng[0], rng[1], int(rng[2])),
@@ -228,19 +236,29 @@ def load_config(path: str) -> RunConfig:
             "L_values": _floats(cp.get("audit", "L_values")),
             "m": cp.getint("audit", "m"),
         }
-        if not audit["s1_values"] or audit["s2_grid"].size == 0 \
-                or not audit["sigma0_values"] or not audit["L_values"]:
-            raise ConfigError("audit grids must be nonempty")
+        for key in ("s1_values", "sigma0_values", "L_values"):
+            if not audit[key] or not all(v > 0 for v in audit[key]):
+                raise ConfigError(f"audit.{key} must be nonempty and "
+                                  "positive")
+        if audit["m"] < 1 or audit["xi_points"] < 1:
+            raise ConfigError("audit.m and audit.xi_points must be >= 1")
 
         s_pair = _floats(cp.get("layer", "s"))
-        if len(s_pair) != 2:
-            raise ConfigError("layer.s must be s1,s2")
+        if len(s_pair) != 2 or not s_pair[0] > 0:
+            raise ConfigError("layer.s must be s1,s2 with s1 > 0")
+        n_values = _floats(cp.get("layer", "n_values"))
+        if len(n_values) < 2 or not all(v.is_integer() and v >= 8
+                                        for v in n_values) \
+                or not np.all(np.diff(n_values) > 0):
+            raise ConfigError("layer.n_values must be two or more "
+                              "increasing integers >= 8")
         layer = {
             "xi_values": _floats(cp.get("layer", "xi_values")),
             "s": complex(s_pair[0], s_pair[1]),
-            "n_values": [int(v) for v in _floats(cp.get("layer",
-                                                        "n_values"))],
+            "n_values": [int(v) for v in n_values],
         }
+        if not layer["xi_values"]:
+            raise ConfigError("layer.xi_values must be nonempty")
 
         parseval = {k: float(cp.get("parseval", k))
                     for k in ("s1", "s2_max", "horizon")}

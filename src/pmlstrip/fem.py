@@ -300,15 +300,16 @@ def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
     blk = FemBlocks(mesh=mesh, dof=dof, n_modes=n_modes)
 
     fluid = np.flatnonzero(mesh.tri_region == FLUID)
-    both = np.flatnonzero(np.isin(mesh.tri_region, (FLUID, PML)))
     blk.K_fluid, blk.M_fluid = _assemble_scalar(mesh, dof, fluid)
-    blk.K_all_iso, blk.M_all_iso = _assemble_scalar(mesh, dof, both)
-    if mesh.pml is not None:
+    if mesh.pml is None:    # no layer triangles: every pair is the fluid's
+        blk.K_all_iso, blk.M_all_iso = blk.K_all, blk.M_all = \
+            blk.K_fluid, blk.M_fluid
+    else:
+        both = np.flatnonzero(np.isin(mesh.tri_region, (FLUID, PML)))
+        blk.K_all_iso, blk.M_all_iso = _assemble_scalar(mesh, dof, both)
         blk.K_all, blk.M_all = _assemble_scalar(
             mesh, dof, both, anisotropic=True, pml=mesh.pml,
             h=mesh.geometry.h)
-    else:
-        blk.K_all, blk.M_all = blk.K_all_iso, blk.M_all_iso
     blk.K_div, blk.K_eps, blk.M_solid, blk.K_solid_h1 = \
         _assemble_solid(mesh, dof)
     blk.C_pu, blk.C_up = _assemble_coupling(mesh, dof)

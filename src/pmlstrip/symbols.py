@@ -4,12 +4,13 @@ Everything here works per Fourier mode xi on the plane x3 = h.  The
 vertical wavenumber ``beta = sqrt(s^2/c^2 + |xi|^2)`` (positive real
 part) determines both the exact boundary symbol ``-beta`` and the
 layer-truncated symbol ``-beta * coth(beta * L_tilde)``; their gap is
-controlled by the closed-form envelope :func:`cu_bound`.
+controlled by the closed-form envelope :func:`cu_bound`.  Every symbol,
+gap and audit is one broadcast evaluation over s and |xi|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,78 +38,92 @@ def principal_sqrt(z):
     return out if out.ndim else complex(out)
 
 
-def _xi_norm2(xi):
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0:
-        return float(xi) ** 2
-    return float(np.dot(xi, xi))
+def beta_grid(xi_abs, s, c: float):
+    """Vertical wavenumber sqrt(s^2/c^2 + |xi|^2), Re > 0, broadcast over
+    |xi| and s (a Python complex for 0-d input)."""
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real <= 0):
+        raise ValueError("s must lie in the right half-plane")
+    # s^2/c^2 by parts, as Python rounds it (NumPy's complex multiply may
+    # fuse a multiply-add, its division multiplies by a reciprocal)
+    sr, si = s.real, s.imag
+    k2 = (sr * sr - si * si) / (c * c) + 1j * ((sr * si + si * sr) / (c * c))
+    return principal_sqrt(k2 + np.asarray(xi_abs, dtype=float) ** 2)
 
 
 def beta(xi, s: complex, c: float) -> complex:
-    """Vertical wavenumber sqrt(s^2/c^2 + |xi|^2), Re > 0.
-
-    xi may be a scalar (2D section) or a length-2 vector (full 3D);
-    only |xi| matters.
-    """
-    if s.real <= 0:
-        raise ValueError("s must lie in the right half-plane")
-    return principal_sqrt(s * s / (c * c) + _xi_norm2(xi))
+    """beta at one mode; xi is |xi| (2D section) or a length-2 vector
+    (full 3D), of which only the norm matters."""
+    return beta_grid(np.linalg.norm(xi), s, c)
 
 
-def beta_grid(xi_abs: np.ndarray, s: complex, c: float) -> np.ndarray:
-    """Vectorized beta over an array of |xi| values."""
-    if s.real <= 0:
-        raise ValueError("s must lie in the right half-plane")
-    xi_abs = np.atleast_1d(np.asarray(xi_abs, dtype=float))
-    return np.atleast_1d(principal_sqrt(s * s / (c * c) + xi_abs ** 2))
-
-
-def dtn_symbol(xi, s: complex, c: float) -> complex:
-    """Symbol of the exact transparent-boundary map: -beta(xi)."""
-    return -beta(xi, s, c)
-
-
-def pml_dtn_symbol(xi, s: complex, c: float, L_tilde: float) -> complex:
-    """Symbol of the layer-truncated boundary map:
-    -beta * coth(beta * L_tilde), evaluated through exp(-2*beta*L_tilde)
-    only so it never overflows."""
-    return _layer_symbol(beta(xi, s, c), L_tilde)
-
-
-def _layer_symbol(b, L_tilde: float):
-    """-b coth(b L_tilde) for Re b > 0, scalar or array."""
-    if L_tilde <= 0:
+def _layer_modes(xi_abs, s, c: float, L_tilde):
+    """beta, -beta * coth(beta L~), |1 - coth(beta L~)| = |2q / (1 - q)|
+    and the weighted gap per mode, broadcast over |xi|, s and L~ = L_tilde;
+    all through q = exp(-2 beta L~), so nothing overflows."""
+    if np.any(np.asarray(L_tilde) <= 0):
         raise ValueError("L_tilde must be positive")
+    b = beta_grid(xi_abs, s, c)
     q = np.exp(-2.0 * b * L_tilde)
     den = 1.0 - q
     # |1 - q| >= 1 - exp(-2*Re(beta)*L_tilde) > 0 for Re(beta) > 0
     if np.any(np.abs(den) < 1e-14):
         raise ArithmeticError("degenerate layer symbol denominator")
-    return -b * (1.0 + q) / den
+    coth_gap = np.abs(2.0 * q / den)
+    s2 = np.hypot(np.real(s), np.imag(s)) ** 2 / c ** 2
+    xi2 = np.asarray(xi_abs, dtype=float) ** 2
+    return b, -b * (1.0 + q) / den, coth_gap, \
+        np.sqrt((s2 + xi2) / (1.0 + xi2)) * coth_gap
 
 
-def dtn_symbol_grid(xi_abs, s: complex, c: float,
-                    L_tilde: float | None = None) -> np.ndarray:
-    """Boundary symbol on an array of |xi| values: the exact -beta, or
-    with L_tilde the layer-truncated symbol of pml_dtn_symbol."""
-    b = beta_grid(xi_abs, s, c)
-    return -b if L_tilde is None else _layer_symbol(b, L_tilde)
+def dtn_symbol_grid(xi_abs, s, c: float, L_tilde=None):
+    """Boundary symbol over |xi| (and s): the exact -beta, or with
+    L_tilde the layer-truncated -beta * coth(beta * L_tilde)."""
+    if L_tilde is None:
+        return -beta_grid(xi_abs, s, c)
+    return _layer_modes(xi_abs, s, c, L_tilde)[1]
+
+
+def dtn_symbol(xi, s: complex, c: float) -> complex:
+    """Symbol of the exact transparent-boundary map: -beta(xi)."""
+    return dtn_symbol_grid(np.linalg.norm(xi), s, c)
+
+
+def pml_dtn_symbol(xi, s: complex, c: float, L_tilde: float) -> complex:
+    """Symbol of the layer-truncated boundary map at one mode."""
+    return dtn_symbol_grid(np.linalg.norm(xi), s, c, L_tilde)
 
 
 def symbol_gap(xi, s: complex, c: float, L_tilde: float) -> float:
     """|exact symbol - layer symbol| = |beta| * |1 - coth(beta*L_tilde)|."""
-    b = beta(xi, s, c)
-    q = np.exp(-2.0 * b * L_tilde)
-    return abs(b) * abs(2.0 * q / (1.0 - q))
+    b, _, coth_gap, _ = _layer_modes(np.linalg.norm(xi), s, c, L_tilde)
+    return float(abs(b) * coth_gap)
 
 
-def cu_bound(s: complex, c: float, L_bar: float) -> float:
-    """Operator-norm envelope for the boundary-map gap:
-    max{1, |s|/c} * 2 e^{-2 L_bar / c} / (1 - e^{-2 L_bar / c})."""
-    if L_bar <= 0:
+def weighted_gap(xi_abs, s, c: float, L_tilde):
+    """Per-mode quantity whose supremum over xi bounds the operator norm
+    of the boundary-map gap between the +1/2 and -1/2 trace spaces:
+
+        (|s|^2/c^2 + xi^2)^(1/2) * (1 + xi^2)^(-1/2) * |1 - coth(beta L~)|
+    """
+    return _layer_modes(xi_abs, s, c, L_tilde)[3]
+
+
+def cu_bound(s, c: float, L_bar):
+    """Operator-norm envelope for the boundary-map gap, broadcast over s
+    and L_bar: max{1, |s|/c} * 2 e^{-2 L_bar / c} / (1 - e^{-2 L_bar / c})."""
+    if np.any(np.asarray(L_bar) <= 0):
         raise ValueError("L_bar must be positive")
     q = np.exp(-2.0 * L_bar / c)
-    return max(1.0, abs(s) / c) * 2.0 * q / (1.0 - q)
+    return np.maximum(1.0, np.hypot(np.real(s), np.imag(s)) / c) \
+        * 2.0 * q / (1.0 - q)
+
+
+def default_xi_grid(s: complex, c: float, n: int = 401) -> np.ndarray:
+    """|xi| grid for audits: 0 plus log-spaced values up to
+    100*max(1, |s|/c)."""
+    top = 100.0 * max(1.0, np.hypot(s.real, s.imag) / c)
+    return np.concatenate([[0.0], np.geomspace(1e-3 * top, top, n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -117,76 +132,38 @@ def cu_bound(s: complex, c: float, L_bar: float) -> float:
 
 @dataclass
 class SymbolAudit:
-    """Per-mode records of the weighted symbol gap against its bound."""
+    """Per-mode beta, weighted gap and passivity, with the envelope per s
+    (a trailing length-1 axis, so it broadcasts against the modes)."""
 
-    s: complex
-    c: float
-    L_tilde: float
-    L_bar: float
-    bound: float
-    xi: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    beta_vals: np.ndarray = field(default_factory=lambda: np.zeros(0, complex))
-    gap: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    beta_vals: np.ndarray
+    gap: np.ndarray
+    bound: np.ndarray
+    passive: np.ndarray         # Re(beta/s) >= 0 up to round-off
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Per mode: passive, with the gap within its envelope."""
+        return (self.gap <= self.bound * (1.0 + 1e-10)) & self.passive
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.gap <= self.bound * (1.0 + 1e-10)))
-
-    @property
-    def max_gap(self) -> float:
-        return float(self.gap.max()) if self.gap.size else 0.0
+        return bool(np.all(self.ok))
 
 
-def weighted_gap(xi_abs, s: complex, c: float, L_tilde: float):
-    """Per-mode quantity whose supremum over xi bounds the operator norm
-    of the boundary-map gap between the +1/2 and -1/2 trace spaces:
-
-        (|s|^2/c^2 + xi^2)^(1/2) * (1 + xi^2)^(-1/2) * |1 - coth(beta L~)|
-    """
-    xi_abs = np.asarray(xi_abs, dtype=float)
-    s2 = abs(s) ** 2 / c ** 2
-    b = beta_grid(xi_abs, s, c)
-    q = np.exp(-2.0 * b * L_tilde)
-    coth_gap = np.abs(2.0 * q / (1.0 - q))
-    w = np.sqrt((s2 + xi_abs ** 2) / (1.0 + xi_abs ** 2))
-    out = np.atleast_1d(w * coth_gap)
-    return out if xi_abs.ndim else float(out[0])
-
-
-def default_xi_grid(s: complex, c: float, n: int = 401) -> np.ndarray:
-    """|xi| grid for audits: 0 plus log-spaced values up to
-    100*max(1, |s|/c)."""
-    top = 100.0 * max(1.0, abs(s) / c)
-    grid = np.concatenate([[0.0], np.geomspace(1e-3 * top, top, n - 1)])
-    return grid
-
-
-def symbol_gap_sup(s: complex, c: float, pml: PmlProfile,
-                   xi_grid: np.ndarray) -> SymbolAudit:
-    """Evaluate the weighted gap over a grid of |xi| values and compare
-    with the closed-form envelope."""
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    if xi_grid.size == 0:
+def symbol_gap_sup(s, c: float, pml, xi_grid) -> SymbolAudit:
+    """Weighted gap against the envelope, and modal passivity, in one
+    broadcast: s is one value or a 1-D array, pml one profile or one per
+    s, xi_grid one |xi| grid or, for an array of s, one row per s."""
+    if np.size(xi_grid) == 0:
         raise ValueError("xi grid must be nonempty")
-    Lt, Lb = pml.L_tilde, pml.L_bar
-    gaps = weighted_gap(xi_grid, s, c, Lt)
-    betas = beta_grid(xi_grid, s, c)
-    return SymbolAudit(s=s, c=c, L_tilde=Lt, L_bar=Lb,
-                       bound=cu_bound(s, c, Lb),
-                       xi=xi_grid, beta_vals=betas, gap=np.atleast_1d(gaps))
-
-
-def modal_passivity_check(s: complex, c: float, xi_grid: np.ndarray):
-    """Check Re(beta/s) >= 0 per mode and report the empirical constant
-    of the modal norm bound |beta| <= C |s| (1+xi^2)^(1/2).
-
-    Returns (pass_array, empirical_C).
-    """
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    b = beta_grid(xi_grid, s, c)
-    passive = (b / s).real >= -1e-14
-    c_emp = float(np.max(np.abs(b) / (abs(s) * np.sqrt(1.0 + xi_grid ** 2))))
-    return passive, c_emp
+    s = np.asarray(s, dtype=complex)[..., None]
+    if isinstance(pml, PmlProfile):
+        Lt, Lb = pml.L_tilde, pml.L_bar
+    else:       # one profile per s
+        Lt, Lb = np.array([(p.L_tilde, p.L_bar) for p in pml]).T[:, :, None]
+    b, _, _, gap = _layer_modes(xi_grid, s, c, Lt)
+    return SymbolAudit(beta_vals=b, gap=gap, bound=cu_bound(s, c, Lb),
+                       passive=(b / s).real >= -1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pmlstrip.symbols
 from pmlstrip import ConfigError, PmlProfile, load_config
 from pmlstrip.cli import (FitError, PlotError, emit_plots, fit_rate, main,
                           write_csv, write_field)
-from pmlstrip.symbols import default_xi_grid, modal_passivity_check, \
+from pmlstrip.symbols import default_xi_grid, principal_sqrt, \
     symbol_gap_sup
 
 
@@ -69,7 +69,61 @@ def reference_write_field(path, values):
             fh.write(" ".join(parts) + "\n")
 
 
-def reference_audit_rows(cfg, sigma0, L):
+# The per-s symbol audit as the package evaluated it before the one
+# broadcast call: the reference the grid audit reproduces bit for bit.
+
+def reference_default_xi_grid(s, c, n=401):
+    top = 100.0 * max(1.0, abs(s) / c)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3 * top, top, n - 1)])
+    return grid
+
+
+def reference_beta_grid(xi_abs, s, c):
+    """Vectorized beta over an array of |xi| values."""
+    if s.real <= 0:
+        raise ValueError("s must lie in the right half-plane")
+    xi_abs = np.atleast_1d(np.asarray(xi_abs, dtype=float))
+    return np.atleast_1d(principal_sqrt(s * s / (c * c) + xi_abs ** 2))
+
+
+def reference_weighted_gap(xi_abs, s, c, L_tilde):
+    xi_abs = np.asarray(xi_abs, dtype=float)
+    s2 = abs(s) ** 2 / c ** 2
+    b = reference_beta_grid(xi_abs, s, c)
+    q = np.exp(-2.0 * b * L_tilde)
+    coth_gap = np.abs(2.0 * q / (1.0 - q))
+    w = np.sqrt((s2 + xi_abs ** 2) / (1.0 + xi_abs ** 2))
+    out = np.atleast_1d(w * coth_gap)
+    return out if xi_abs.ndim else float(out[0])
+
+
+def reference_cu_bound(s, c, L_bar):
+    if L_bar <= 0:
+        raise ValueError("L_bar must be positive")
+    q = np.exp(-2.0 * L_bar / c)
+    return max(1.0, abs(s) / c) * 2.0 * q / (1.0 - q)
+
+
+def reference_symbol_gap_sup(s, c, pml, xi_grid, cu_bound=reference_cu_bound):
+    """(beta, gap, bound) of one s."""
+    xi_grid = np.asarray(xi_grid, dtype=float)
+    if xi_grid.size == 0:
+        raise ValueError("xi grid must be nonempty")
+    Lt, Lb = pml.L_tilde, pml.L_bar
+    gaps = reference_weighted_gap(xi_grid, s, c, Lt)
+    betas = reference_beta_grid(xi_grid, s, c)
+    return betas, np.atleast_1d(gaps), cu_bound(s, c, Lb)
+
+
+def reference_modal_passivity_check(s, c, xi_grid):
+    xi_grid = np.asarray(xi_grid, dtype=float)
+    b = reference_beta_grid(xi_grid, s, c)
+    passive = (b / s).real >= -1e-14
+    c_emp = float(np.max(np.abs(b) / (abs(s) * np.sqrt(1.0 + xi_grid ** 2))))
+    return passive, c_emp
+
+
+def reference_audit_rows(cfg, sigma0, L, cu_bound=reference_cu_bound):
     """One audit file's rows, built mode by mode."""
     a, c = cfg.audit, cfg.media.c
     rows = []
@@ -77,14 +131,14 @@ def reference_audit_rows(cfg, sigma0, L):
         pml = PmlProfile(sigma0=sigma0, m=a["m"], L=L, s1=s1)
         for s2 in a["s2_grid"]:
             s = complex(s1, s2)
-            xi = default_xi_grid(s, c, a["xi_points"])
-            audit = symbol_gap_sup(s, c, pml, xi)
-            passive, _ = modal_passivity_check(s, c, xi)
-            ok_row = audit.gap <= audit.bound * (1.0 + 1e-10)
+            xi = reference_default_xi_grid(s, c, a["xi_points"])
+            betas, gaps, bound = reference_symbol_gap_sup(s, c, pml, xi,
+                                                          cu_bound)
+            passive, _ = reference_modal_passivity_check(s, c, xi)
+            ok_row = gaps <= bound * (1.0 + 1e-10)
             for k in range(xi.size):
-                rows.append((s1, s2, xi[k], audit.beta_vals[k].real,
-                             audit.beta_vals[k].imag, audit.gap[k],
-                             audit.bound, bool(ok_row[k] and passive[k])))
+                rows.append((s1, s2, xi[k], betas[k].real, betas[k].imag,
+                             gaps[k], bound, bool(ok_row[k] and passive[k])))
     return rows
 
 
@@ -134,6 +188,43 @@ class TestConfig:
         path.write_text(BASE_CONFIG.replace(*patch))
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("section, line", [
+        ("audit", "sigma0_values = 0"),
+        ("audit", "sigma0_values = -1"),
+        ("audit", "s1_values = -1"),
+        ("audit", "L_values = 0"),
+        ("audit", "m = 0"),
+        ("audit", "xi_points = 0"),
+        ("audit", "s2_range = -5,5,2.5"),
+        ("layer", "s = -1,0"),
+        ("layer", "n_values = 4,8,16"),
+        ("layer", "n_values = 32"),
+        ("layer", "n_values = 64,32"),
+        ("layer", "xi_values ="),
+        ("audit", "xi_point = 11"),         # misspelt key
+        ("audti", "xi_points = 11"),        # misspelt section
+    ])
+    def test_rejected_at_load(self, tmp_path, section, line):
+        # each of these used to load and then fail, or be ignored, at
+        # run time
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG + f"\n[{section}]\n{line}\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        command = "layer-check" if section == "layer" else "symbol-audit"
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) \
+            == 2
+        assert not (out / "manifest.txt").exists()
+
+    def test_keys_case_insensitive(self, tmp_path):
+        path = tmp_path / "k.ini"
+        path.write_text(BASE_CONFIG + "\n[sweep]\nl_ref = 2.0\n"
+                        "L_VALUES = 0.1,0.2,0.3\n")
+        cfg = load_config(str(path))
+        assert cfg.sweep["L_ref"] == 2.0
+        assert cfg.sweep["L_values"] == [0.1, 0.2, 0.3]
 
     def test_cosine_and_file_surface(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -261,6 +352,32 @@ class TestWriters:
         assert same_bytes(tmp_path / "new.txt", tmp_path / "ref.txt")
 
 
+class TestGridAudit:
+    @pytest.mark.parametrize("c", [1.0, 1.3])
+    def test_matches_per_s_reference_bitwise(self, c):
+        # 2 s1 x 41 s2 in one broadcast call against the per-s audit;
+        # complex products and |s| in NumPy would move the last bit of
+        # some beta, gap and bound values
+        s1 = np.repeat([1.0, 0.1], 41)
+        s2 = np.tile(np.linspace(-50.0, 50.0, 41), 2)
+        s = s1 + 1j * s2
+        xi = np.array([default_xi_grid(v, c) for v in s])
+        pmls = [PmlProfile(sigma0=2.0, m=1, L=0.5, s1=v) for v in s1]
+        audit = symbol_gap_sup(s, c, pmls, xi)
+        assert audit.gap.shape == (82, 401)
+        for k in range(s.size):
+            sk = complex(s1[k], s2[k])
+            assert np.array_equal(xi[k], reference_default_xi_grid(sk, c))
+            betas, gaps, bound = reference_symbol_gap_sup(sk, c, pmls[k],
+                                                          xi[k])
+            passive, _ = reference_modal_passivity_check(sk, c, xi[k])
+            ok = (gaps <= bound * (1.0 + 1e-10)) & passive
+            assert np.array_equal(audit.beta_vals[k], betas)
+            assert np.array_equal(audit.gap[k], gaps)
+            assert np.array_equal(audit.bound[k], [bound])
+            assert np.array_equal(audit.ok[k], ok)
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -300,7 +417,8 @@ class TestSubcommands:
         for sigma0 in (1, 2):
             for L in (0.5, 1):
                 name = f"audit_sigma{sigma0:g}_L{L:g}.csv"
-                rows = reference_audit_rows(cfg, sigma0, L)
+                rows = reference_audit_rows(cfg, sigma0, L,
+                                            pmlstrip.symbols.cu_bound)
                 reference_write_csv(str(tmp_path / name), ["s1", "s2", "xi",
                                     "beta_re", "beta_im", "gap", "bound",
                                     "pass"], rows)

@@ -16,8 +16,8 @@ from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       h_norm_sq, load_vector, manufactured_residual,
                       nodal_to_dofs, solve_frequency, source_l2_norm,
                       stability_ratios)
-from pmlstrip.fem import AssemblyError, quadratic_form
-from pmlstrip.mesh import SOLID
+from pmlstrip.fem import AssemblyError, _assemble_scalar, quadratic_form
+from pmlstrip.mesh import FLUID, PML, SOLID
 
 
 MEDIA = MediaParams()
@@ -65,6 +65,18 @@ class TestAssembly:
             == pytest.approx(0.5, rel=1e-12)
         # constants are in the stiffness kernel
         assert abs(quadratic_form(blk.K_fluid, ones)) < 1e-12
+
+    def test_no_layer_pairs_equal_fluid_pair(self):
+        # without a layer the fluid + layer triangles are the fluid ones,
+        # so the isotropic and stretched pairs equal the fluid pair
+        blk = make_blocks(obstacle=True)
+        region = blk.mesh.tri_region
+        both = np.flatnonzero(np.isin(region, (FLUID, PML)))
+        assert np.array_equal(both, np.flatnonzero(region == FLUID))
+        K, M = _assemble_scalar(blk.mesh, blk.dof, both)
+        for A, B in ((blk.K_fluid, K), (blk.K_all_iso, K), (blk.K_all, K),
+                     (blk.M_fluid, M), (blk.M_all_iso, M), (blk.M_all, M)):
+            assert A.shape == B.shape and (A != B).nnz == 0
 
     def test_layer_blocks(self):
         pml = PmlProfile(sigma0=2.0, m=1, L=0.4, s1=1.0)

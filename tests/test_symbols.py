@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from pmlstrip import (BoundaryTrace, BranchError, PmlProfile, apply_dtn,
                       beta, beta_grid, cu_bound, default_xi_grid,
-                      dtn_symbol, dtn_symbol_grid, modal_passivity_check,
-                      pml_dtn_symbol,
+                      dtn_symbol, dtn_symbol_grid, pml_dtn_symbol,
                       principal_sqrt, symbol_gap, symbol_gap_sup,
                       trace_sobolev_norm, weighted_gap)
 
@@ -149,7 +148,12 @@ class TestAudits:
         pml = PmlProfile(sigma0=2.0, m=1, L=1.0, s1=1.0)
         audit = symbol_gap_sup(s, 1.0, pml, default_xi_grid(s, 1.0))
         assert audit.passed
-        assert 0.0 < audit.max_gap <= audit.bound
+        assert 0.0 < audit.gap.max() <= audit.bound
+        # one profile for several s: one row of modes per s
+        grid = symbol_gap_sup(np.array([s, 0.5 - 2.0j]), 1.0, pml,
+                              default_xi_grid(s, 1.0))
+        assert grid.gap.shape == (2, 401) and grid.bound.shape == (2, 1)
+        assert grid.passed and np.array_equal(grid.gap[0], audit.gap)
 
     def test_empty_grid_rejected(self):
         pml = PmlProfile()
@@ -157,9 +161,13 @@ class TestAudits:
             symbol_gap_sup(1.0 + 0.0j, 1.0, pml, np.zeros(0))
 
     def test_modal_passivity(self):
-        xi = default_xi_grid(1.0 + 10.0j, 1.0)
-        passive, c_emp = modal_passivity_check(1.0 + 10.0j, 1.0, xi)
-        assert np.all(passive)
+        s = 1.0 + 10.0j
+        xi = default_xi_grid(s, 1.0)
+        audit = symbol_gap_sup(s, 1.0, PmlProfile(), xi)
+        assert np.all(audit.passive)
+        # empirical constant of |beta| <= C |s| (1 + xi^2)^(1/2)
+        c_emp = np.max(np.abs(audit.beta_vals)
+                       / (abs(s) * np.sqrt(1.0 + xi ** 2)))
         assert c_emp <= 1.0 + 1e-12
 
 
