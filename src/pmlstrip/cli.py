@@ -9,6 +9,7 @@ convergence, parseval.  Exit codes: 0 pass, 1 assertion failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -41,17 +42,27 @@ class FitError(RuntimeError):
 # small shared helpers
 # ---------------------------------------------------------------------------
 
+CELL = "%.12g"      # every number in a CSV; bools print as 1/0
+EOL = "\r\n"         # every CSV line end
+
+
+def _format_rows(pattern: str, cells, n_rows: int) -> str:
+    """n_rows CSV lines: `pattern`, the %-pattern of one line without its
+    end, filled row by row from the flat sequence `cells`."""
+    return (pattern + EOL) * n_rows % tuple(cells)
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
-    """CSV with CRLF line ends: strings as they are, numbers (bools as
-    1/0) in %.12g, each column's conversion read off the first row;
-    formatted 1024 rows at a time to bound the cells' memory."""
-    line = ",".join("%s" if isinstance(v, str) else "%.12g"
-                    for v in (rows[0] if len(rows) else ())) + "\r\n"
+    """CSV with CRLF line ends: strings as they are, numbers in CELL,
+    each column's conversion read off the first row; formatted 1024 rows
+    at a time to bound the cells' memory."""
+    line = ",".join("%s" if isinstance(v, str) else CELL
+                    for v in (rows[0] if len(rows) else ()))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(header) + EOL)
         for i in range(0, len(rows), 1024):
             part = np.asarray(rows[i:i + 1024], dtype=object)
-            fh.write(line * len(part) % tuple(part.ravel().tolist()))
+            fh.write(_format_rows(line, part.ravel().tolist(), len(part)))
 
 
 def write_manifest(out: str, cfg: RunConfig, command: str,
@@ -200,28 +211,46 @@ plt.savefig("symbol_audit.png", dpi=150)
 # ---------------------------------------------------------------------------
 
 def run_symbol_audit(cfg: RunConfig, out: str) -> int:
+    """One CSV per (sigma0, L), written block by block: per s, one
+    symbol evaluation over every profile, the cells shared by all files
+    (s1, s2, xi, beta) formatted once, then each file's gap cells and
+    its block's `,bound,pass` endings."""
     a, c = cfg.audit, cfg.media.c
+    files = [(sigma0, L) for sigma0 in a["sigma0_values"]
+             for L in a["L_values"]]
+    paths = [os.path.join(out, f"audit_sigma{sigma0:g}_L{L:g}.csv")
+             for sigma0, L in files]
+    profiles = {v: [PmlProfile(sigma0=sigma0, m=a["m"], L=L, s1=v)
+                    for sigma0, L in files] for v in a["s1_values"]}
     s1 = np.repeat(a["s1_values"], a["s2_grid"].size)
     s2 = np.tile(a["s2_grid"], len(a["s1_values"]))
-    s = s1 + 1j * s2
-    # one |xi| row per s: a single grid rescaled per s is not bitwise
-    # default_xi_grid's geomspace
-    xi = np.array([default_xi_grid(v, c, a["xi_points"]) for v in s])
-    all_pass, paths = True, []
-    for sigma0 in a["sigma0_values"]:
-        for L in a["L_values"]:
-            audit = symbol_gap_sup(s, c, [PmlProfile(
-                sigma0=sigma0, m=a["m"], L=L, s1=v) for v in s1], xi)
+    shared = ",".join([CELL] * 5) + ","
+    all_pass = True
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(p, "w", newline=""))
+                   for p in paths]
+        for fh in handles:
+            fh.write("s1,s2,xi,beta_re,beta_im,gap,bound,pass" + EOL)
+        for s1_i, s2_i, v in zip(s1, s2, s1 + 1j * s2):
+            # one |xi| row per s: a single grid rescaled per s is not
+            # bitwise default_xi_grid's geomspace
+            xi = default_xi_grid(v, c, a["xi_points"])
+            audit = symbol_gap_sup(v, c, profiles[s1_i], xi)
             all_pass &= audit.passed
-            b = audit.beta_vals
-            cols = np.broadcast_arrays(s1[:, None], s2[:, None], xi, b.real,
-                                       b.imag, audit.gap, audit.bound,
-                                       audit.ok)
-            paths.append(os.path.join(out,
-                                      f"audit_sigma{sigma0:g}_L{L:g}.csv"))
-            write_csv(paths[-1], ["s1", "s2", "xi", "beta_re", "beta_im",
-                                  "gap", "bound", "pass"],
-                      np.stack(cols, axis=-1).reshape(-1, len(cols)))
+            b, n = audit.beta_vals, xi.size
+            block = np.column_stack((np.full(n, s1_i), np.full(n, s2_i), xi,
+                                     b.real, b.imag))
+            # per row: the shared cells as one string, the file's gap,
+            # its ending
+            cells = [None] * (3 * n)
+            cells[0::3] = _format_rows(shared, block.ravel().tolist(),
+                                       n).splitlines()
+            for fh, gap, bound, ok in zip(handles, audit.gap,
+                                          audit.bound[:, 0], audit.ok):
+                ends = [("," + CELL) * 2 % (bound, k) for k in (0, 1)]
+                cells[1::3] = gap.tolist()
+                cells[2::3] = [ends[k] for k in ok.tolist()]
+                fh.write(_format_rows("%s" + CELL + "%s", cells, n))
     emit_plots(paths[0], os.path.join(out, "plot_audit.py"), "audit")
     write_manifest(out, cfg, "symbol-audit",
                    {"pass": "1" if all_pass else "0"})

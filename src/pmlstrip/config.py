@@ -78,6 +78,14 @@ def _floats(text: str) -> list[float]:
             from exc
 
 
+def _distinct_names(what: str, names: list[str]) -> None:
+    """Reject values that would share an output file: files are named
+    after their values in the `:g` format, so distinct values can
+    collide."""
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{what} give two output files the same name")
+
+
 def _points(text: str) -> np.ndarray:
     pts = []
     for chunk in text.split(";"):
@@ -206,6 +214,8 @@ def load_config(path: str) -> RunConfig:
             "freq_s2_values": _floats(cp.get("freq", "s2_values")),
             "snapshot_times": _floats(cp.get("td", "snapshot_times")),
         }
+        _distinct_names("freq.s2_values", [f"{v:g}" for v in
+                                           numerics["freq_s2_values"]])
         if numerics["route"] not in ("freq", "time"):
             raise ConfigError("numerics.route must be freq or time")
         if numerics["variant"] not in ("exact_dtn", "pml_dtn",
@@ -242,6 +252,10 @@ def load_config(path: str) -> RunConfig:
                                   "positive")
         if audit["m"] < 1 or audit["xi_points"] < 1:
             raise ConfigError("audit.m and audit.xi_points must be >= 1")
+        _distinct_names("audit (sigma0, L) pairs",
+                        [f"sigma{sigma0:g}_L{L:g}"
+                         for sigma0 in audit["sigma0_values"]
+                         for L in audit["L_values"]])
 
         s_pair = _floats(cp.get("layer", "s"))
         if len(s_pair) != 2 or not s_pair[0] > 0:
@@ -259,6 +273,8 @@ def load_config(path: str) -> RunConfig:
         }
         if not layer["xi_values"]:
             raise ConfigError("layer.xi_values must be nonempty")
+        _distinct_names("layer.xi_values",
+                        [f"{v:g}" for v in layer["xi_values"]])
 
         parseval = {k: float(cp.get("parseval", k))
                     for k in ("s1", "s2_max", "horizon")}

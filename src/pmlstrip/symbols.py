@@ -153,7 +153,11 @@ class SymbolAudit:
 def symbol_gap_sup(s, c: float, pml, xi_grid) -> SymbolAudit:
     """Weighted gap against the envelope, and modal passivity, in one
     broadcast: s is one value or a 1-D array, pml one profile or one per
-    s, xi_grid one |xi| grid or, for an array of s, one row per s."""
+    s, xi_grid one |xi| grid or, for an array of s, one row per s.
+
+    One s with a list of profiles audits every profile at once: beta and
+    passivity, which do not depend on the layer, are computed once, with
+    shape (n_xi,), while gap, bound and ok gain a leading profile axis."""
     if np.size(xi_grid) == 0:
         raise ValueError("xi grid must be nonempty")
     s = np.asarray(s, dtype=complex)[..., None]

@@ -2,6 +2,7 @@
 
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,11 @@ class TestConfig:
         ("layer", "n_values = 32"),
         ("layer", "n_values = 64,32"),
         ("layer", "xi_values ="),
+        # two values, one output file name (values in :g)
+        ("audit", "L_values = 1,1.0000001"),
+        ("audit", "sigma0_values = 2,2"),
+        ("layer", "xi_values = 6.2831853,6.28318531"),
+        ("freq", "s2_values = 5,5.0000001"),
         ("audit", "xi_point = 11"),         # misspelt key
         ("audti", "xi_points = 11"),        # misspelt section
     ])
@@ -395,11 +401,22 @@ class TestSubcommands:
         rows = read_csv(os.path.join(out, "audit_sigma2_L0.5.csv"))
         assert all(r["pass"] == "1" for r in rows)
         assert os.path.exists(os.path.join(out, "plot_audit.py"))
-        manifest = open(os.path.join(out, "manifest.txt")).read()
+        manifest = Path(out, "manifest.txt").read_text()
         assert "config_sha256=" in manifest
         assert "command=symbol-audit" in manifest
 
-    def test_symbol_audit_matches_reference(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("extra", [
+        "[audit]\ns2_range = -5,5,3\nxi_points = 31\nsigma0_values = 1,2\n"
+        "L_values = 0.5,1\n",
+        # s^2/c^2 is rounded by parts, as Python rounds it
+        "[media]\nc = 1.3\n[audit]\ns2_range = -5,5,3\nxi_points = 31\n"
+        "sigma0_values = 1,2\nL_values = 0.5,1\n",
+        # one block: one s and one mode; only the thick layers pass
+        "[audit]\ns1_values = 1.0\ns2_range = -5,5,1\nxi_points = 1\n"
+        "sigma0_values = 1,2\nL_values = 0.5,5\n",
+    ], ids=["c1", "c1.3", "one-block"])
+    def test_symbol_audit_matches_reference(self, tmp_path, monkeypatch,
+                                            extra):
         # a bound shrunk 1000-fold fails near the gap's peak and holds in
         # the decaying tail, so both pass values are written
         bound = pmlstrip.symbols.cu_bound
@@ -407,15 +424,13 @@ class TestSubcommands:
                             lambda s, c, L_bar: 1e-3 * bound(s, c, L_bar))
         out = str(tmp_path / "audit")
         path = tmp_path / "a.ini"
-        path.write_text(BASE_CONFIG + "\n[audit]\ns2_range = -5,5,3\n"
-                        "xi_points = 31\nsigma0_values = 1,2\n"
-                        "L_values = 0.5,1\n")
+        path.write_text(BASE_CONFIG + "\n" + extra)
         assert main(["symbol-audit", "--config", str(path),
                      "--out", out]) == 1
         cfg = load_config(str(path))
         passes = set()
-        for sigma0 in (1, 2):
-            for L in (0.5, 1):
+        for sigma0 in cfg.audit["sigma0_values"]:
+            for L in cfg.audit["L_values"]:
                 name = f"audit_sigma{sigma0:g}_L{L:g}.csv"
                 rows = reference_audit_rows(cfg, sigma0, L,
                                             pmlstrip.symbols.cu_bound)
@@ -425,6 +440,19 @@ class TestSubcommands:
                 assert same_bytes(os.path.join(out, name), tmp_path / name)
                 passes |= {r[-1] for r in rows}
         assert passes == {True, False}
+
+    def test_symbol_audit_closes_files_on_error(self, tmp_path):
+        # a directory in place of the last of the four files: the open
+        # fails after three files are open, and all three are closed
+        path = tmp_path / "a.ini"
+        path.write_text(BASE_CONFIG + "\n[audit]\ns2_range = -5,5,3\n"
+                        "xi_points = 11\nsigma0_values = 1,2\n"
+                        "L_values = 0.5,1\n")
+        out = tmp_path / "audit"
+        (out / "audit_sigma2_L1.csv").mkdir(parents=True)
+        assert main(["symbol-audit", "--config", str(path),
+                     "--out", str(out)]) == 1
+        assert not (out / "manifest.txt").exists()
 
     @pytest.mark.parametrize("n_modes, expected", [(64, 5), (3, 3)])
     def test_manifest_reports_mode_clamp(self, tmp_path, n_modes, expected):
@@ -477,7 +505,7 @@ class TestSubcommands:
         rows = read_csv(os.path.join(out, "convergence.csv"))
         errs = [float(r["error"]) for r in rows]
         assert errs == sorted(errs, reverse=True)
-        manifest = open(os.path.join(out, "manifest.txt")).read()
+        manifest = Path(out, "manifest.txt").read_text()
         assert "fitted_exponent=" in manifest
         assert "rate_theory_lbar=2" in manifest
 
@@ -514,9 +542,9 @@ class TestSubcommands:
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         main(["layer-check", "--config", str(path), "--out", out1])
         main(["layer-check", "--config", str(path), "--out", out2])
-        m1 = open(os.path.join(out1, "manifest.txt")).read()
-        m2 = open(os.path.join(out2, "manifest.txt")).read()
+        m1 = Path(out1, "manifest.txt").read_text()
+        m2 = Path(out2, "manifest.txt").read_text()
         assert m1 == m2
-        c1 = open(os.path.join(out1, "layer_summary.csv")).read()
-        c2 = open(os.path.join(out2, "layer_summary.csv")).read()
+        c1 = Path(out1, "layer_summary.csv").read_text()
+        c2 = Path(out2, "layer_summary.csv").read_text()
         assert c1 == c2
