@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .fem import build_blocks, assemble, nodal_to_dofs, h_norm_sq, \
-    solve_frequency, source_l2_norm, stability_ratios
+    map_solves, solve_frequency, source_l2_norm, stability_ratios
 from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
 from .mesh import build_mesh, export_mesh
@@ -294,14 +294,17 @@ def run_freq_solve(cfg: RunConfig, out: str) -> int:
     export_mesh(mesh, os.path.join(out, "mesh.txt"))
     chi = source_l2_norm(blk, cfg.source.spatial)
     s1 = cfg.numerics["s1"]
-    rows = []
-    for s2 in cfg.numerics["freq_s2_values"]:
+    s2_values = cfg.numerics["freq_s2_values"]
+
+    def solve(s2):
         s = complex(s1, s2)
         scale = complex(cfg.source.pulse.laplace(s))
-        system = assemble(blk, cfg.media, s, cfg.source.spatial, scale,
-                          variant, cfg.pml)
-        sol = solve_frequency(system)
-        ratios = stability_ratios(sol, abs(scale) * chi)
+        sol = solve_frequency(assemble(blk, cfg.media, s, cfg.source.spatial,
+                                       scale, variant, cfg.pml))
+        return sol, stability_ratios(sol, abs(scale) * chi)
+
+    rows = []
+    for s2, (sol, ratios) in zip(s2_values, map_solves(solve, s2_values)):
         write_field(os.path.join(out, f"p_hat_s2_{s2:g}.txt"), sol.p_hat)
         if blk.dof.n_u:
             write_field(os.path.join(out, f"u_hat_s2_{s2:g}.txt"),
@@ -346,12 +349,15 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     and the reference's effective boundary-map mode count."""
     mesh_ref = build_mesh(cfg.geometry, None, cfg.numerics["mesh_size"])
     blk_ref = build_blocks(mesh_ref, cfg.numerics["n_modes"])
-    chi = cfg.source.spatial
     s1 = cfg.numerics["s1"]
     s_list = [complex(s1, s2) for s2 in cfg.numerics["freq_s2_values"]]
-    refs = {s: solve_frequency(assemble(
-        blk_ref, cfg.media, s, chi, complex(cfg.source.pulse.laplace(s)),
-        "exact_dtn")) for s in s_list}
+
+    def solve_all(blk, variant):
+        return map_solves(lambda s: solve_frequency(assemble(
+            blk, cfg.media, s, cfg.source.spatial,
+            complex(cfg.source.pulse.laplace(s)), variant)), s_list)
+
+    refs = solve_all(blk_ref, "exact_dtn")
     nv_ref = mesh_ref.n_vertices
     errors = []
     for L in L_values:
@@ -359,11 +365,7 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
         mesh_L = build_mesh(cfg.geometry, pml, cfg.numerics["mesh_size"])
         blk_L = build_blocks(mesh_L, cfg.numerics["n_modes"])
         err_sq = 0.0
-        for s in s_list:
-            scale = complex(cfg.source.pulse.laplace(s))
-            sol = solve_frequency(assemble(blk_L, cfg.media, s, chi,
-                                           scale, "pml_layer"))
-            ref = refs[s]
+        for sol, ref in zip(solve_all(blk_L, "pml_layer"), refs):
             diff = nodal_to_dofs(blk_ref,
                                  sol.p_hat[:nv_ref] - ref.p_hat,
                                  sol.u_hat[:nv_ref] - ref.u_hat)

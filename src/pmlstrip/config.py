@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import Geometry, MediaParams, PmlProfile, Pulse, Rectangle, \
     SourceSpec, SurfaceProfile, check_source, validate_media
+from .symbols import DEGENERATE_DENOMINATOR, layer_denominator_floor
 
 
 class ConfigError(ValueError):
@@ -84,6 +86,17 @@ def _distinct_names(what: str, names: list[str]) -> None:
     collide."""
     if len(set(names)) < len(names):
         raise ConfigError(f"{what} give two output files the same name")
+
+
+def _resolvable_layer(what: str, pml: PmlProfile, s1: float,
+                      c: float) -> None:
+    """Reject a layer too thin for its symbol at Re s = s1: the floor of
+    the symbol's denominator must clear the degeneracy guard twice over,
+    so that rounding in the symbol cannot trip the guard."""
+    if not layer_denominator_floor(s1, c, pml.L_tilde) \
+            >= 2.0 * DEGENERATE_DENOMINATOR:
+        raise ConfigError(f"{what}: layer L = {pml.L:g} is too thin for "
+                          f"its boundary symbol at s1 = {s1:g}")
 
 
 def _points(text: str) -> np.ndarray:
@@ -252,6 +265,10 @@ def load_config(path: str) -> RunConfig:
                                   "positive")
         if audit["m"] < 1 or audit["xi_points"] < 1:
             raise ConfigError("audit.m and audit.xi_points must be >= 1")
+        for s1_a, sigma0, L in itertools.product(
+                audit["s1_values"], audit["sigma0_values"], audit["L_values"]):
+            _resolvable_layer("audit", PmlProfile(sigma0=sigma0, m=audit["m"],
+                                                  L=L, s1=s1_a), s1_a, media.c)
         _distinct_names("audit (sigma0, L) pairs",
                         [f"sigma{sigma0:g}_L{L:g}"
                          for sigma0 in audit["sigma0_values"]
@@ -275,6 +292,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("layer.xi_values must be nonempty")
         _distinct_names("layer.xi_values",
                         [f"{v:g}" for v in layer["xi_values"]])
+        # the boundary-map solves run at Re s = s1, layer-check at layer.s
+        _resolvable_layer("pml", pml, min(s1, s_pair[0]), media.c)
 
         parseval = {k: float(cp.get("parseval", k))
                     for k in ("s1", "s2_max", "horizon")}

@@ -16,7 +16,10 @@ combine with their weights.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,6 +66,35 @@ def factorize(A: sp.spmatrix) -> spla.SuperLU:
                          diag_pivot_thresh=DIAG_PIVOT_THRESH)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask (which `taskset`
+    narrows), or the machine's count where the platform has no mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_solves(solve, items) -> list:
+    """[solve(item) for item in items], side by side on one thread per
+    CPU (_cpu_count): SuperLU and the sparse kernels release the GIL.
+
+    The first item runs in the calling thread, so whatever the solves
+    build lazily (FemBlocks cache entries and blocks assembled on first
+    read) is built there, before the rest fan out and only read it.
+    Results come back in input order; the exception of the first
+    failing item is re-raised and the items not yet started are
+    dropped.  Each result equals the serial loop's bit for bit, as long
+    as solve(item) depends on its item alone.
+    """
+    items = list(items)
+    if not items:
+        return []
+    first = solve(items[0])
+    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
+        return [first] + list(pool.map(solve, items[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +191,21 @@ class FemBlocks:
 
     ``cache`` holds what is derived from the blocks on first use: the
     midpoint load operators and one AffineForm per variant family.  The
-    blocks are not to be modified once either exists.
+    blocks are not to be modified once either exists.  The fluid pair
+    (which the boundary-map family reads too), the isotropic pair and
+    K_solid_h1 are assembled on their first read: on a layer mesh only
+    the H-norms read them.
     """
 
     mesh: StripMesh
     dof: DofMap
     n_modes: int
 
-    K_fluid: sp.csr_matrix = None        # grad-grad, fluid region only
-    M_fluid: sp.csr_matrix = None        # mass, fluid region only
     K_all: sp.csr_matrix = None          # sigma-stretched grad-grad, fluid+pml
     M_all: sp.csr_matrix = None          # sigma-weighted mass, fluid+pml
-    K_all_iso: sp.csr_matrix = None      # unweighted grad-grad, fluid+pml
-    M_all_iso: sp.csr_matrix = None      # unweighted mass, fluid+pml
     K_div: sp.csr_matrix = None          # div-div, solid
     K_eps: sp.csr_matrix = None          # 2 eps:eps, solid
     M_solid: sp.csr_matrix = None        # vector mass, solid
-    K_solid_h1: sp.csr_matrix = None     # componentwise grad-grad, solid
     C_pu: sp.csr_matrix = None           # rows: pressure tests, cols: u dofs
     C_up: sp.csr_matrix = None           # rows: u tests, cols: pressure dofs
     # modal analysis operator on the x3=h node row
@@ -187,6 +217,32 @@ class FemBlocks:
     dirichlet_hl: np.ndarray = None      # pressure dofs on the layer top
     above_h_pdofs: np.ndarray = None     # pressure dofs strictly above x3=h
     cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def _fluid_pair(self):
+        fluid = np.flatnonzero(self.mesh.tri_region == FLUID)
+        return _assemble_scalar(self.mesh, self.dof, fluid)
+
+    @cached_property
+    def _iso_pair(self):
+        if self.mesh.pml is None:    # no layer triangles: the fluid pair
+            return self._fluid_pair
+        return _assemble_scalar(self.mesh, self.dof,
+                                _fluid_and_layer(self.mesh))
+
+    K_fluid = property(lambda self: self._fluid_pair[0],
+                       doc="grad-grad, fluid region only")
+    M_fluid = property(lambda self: self._fluid_pair[1],
+                       doc="mass, fluid region only")
+    K_all_iso = property(lambda self: self._iso_pair[0],
+                         doc="unweighted grad-grad, fluid+pml")
+    M_all_iso = property(lambda self: self._iso_pair[1],
+                         doc="unweighted mass, fluid+pml")
+
+    @cached_property
+    def K_solid_h1(self):
+        """Componentwise grad-grad, solid."""
+        return _assemble_solid(self.mesh, self.dof, h1=True)
 
 
 def _assemble_scalar(mesh, dof, which, anisotropic=False, pml=None,
@@ -225,37 +281,41 @@ def _assemble_scalar(mesh, dof, which, anisotropic=False, pml=None,
     return Km, Mm
 
 
-def _assemble_solid(mesh, dof):
+def _assemble_solid(mesh, dof, h1=False):
+    """Solid blocks (K_div, K_eps, M_solid), or with h1 the
+    componentwise H1 stiffness K_solid_h1 alone."""
     which = np.flatnonzero(mesh.tri_region == SOLID)
     ndof = dof.size
     if which.size == 0:
         z = sp.csr_matrix((ndof, ndof))
-        return z, z, z, z
+        return z if h1 else (z, z, z)
     tris, c, area, g, mid = _tri_geometry(mesh, which)
     nt = tris.shape[0]
     # interleaved (node, comp) dofs
     dcomp = dof.node_dof[tris][:, :, 1:].reshape(nt, 6)
+    rows = np.repeat(dcomp, 6, axis=1)
+    cols = np.tile(dcomp, (1, 6))
 
+    def scatter(X):
+        return _scatter(rows, cols, X.reshape(nt, 36), (ndof, ndof))
+
+    def per_component(X):
+        """Scalar element blocks, one copy per displacement component."""
+        return np.einsum("tij,ab->tiajb", X, np.eye(2))
+
+    gdot = np.einsum("tia,tja->tij", g, g)
+    if h1:
+        return scatter(per_component(area[:, None, None] * gdot))
     # div-div: A * g_i[a] * g_j[b]
     ga = g.reshape(nt, 6)                        # (i,a) flattened
     Kdiv = area[:, None, None] * np.einsum("ti,tj->tij", ga, ga)
     # 2 eps:eps: A * (delta_ab g_i.g_j + g_i[b] g_j[a])
-    gdot = np.einsum("tia,tja->tij", g, g)
-    Keps = (np.einsum("tij,ab->tiajb", gdot, np.eye(2))
+    Keps = (per_component(gdot)
             + np.einsum("tib,tja->tiajb", g, g)).reshape(nt, 6, 6)
     Keps *= area[:, None, None]
-    # vector mass and componentwise H1 stiffness: scalar blocks per comp
-    Mvec, Kh1 = (np.einsum("tij,ab->tiajb", X, np.eye(2)).reshape(nt, 6, 6)
-                 for X in (np.einsum("t,qi,qj->tij", area / 3.0, _PHI_MID,
-                                     _PHI_MID), area[:, None, None] * gdot))
-
-    rows = np.repeat(dcomp, 6, axis=1)
-    cols = np.tile(dcomp, (1, 6))
-    shape = (ndof, ndof)
-    return (_scatter(rows, cols, Kdiv.reshape(nt, 36), shape),
-            _scatter(rows, cols, Keps.reshape(nt, 36), shape),
-            _scatter(rows, cols, Mvec.reshape(nt, 36), shape),
-            _scatter(rows, cols, Kh1.reshape(nt, 36), shape))
+    Mvec = per_component(np.einsum("t,qi,qj->tij", area / 3.0, _PHI_MID,
+                                   _PHI_MID))
+    return scatter(Kdiv), scatter(Keps), scatter(Mvec)
 
 
 def _assemble_coupling(mesh, dof):
@@ -299,19 +359,13 @@ def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
     dof = build_dofmap(mesh)
     blk = FemBlocks(mesh=mesh, dof=dof, n_modes=n_modes)
 
-    fluid = np.flatnonzero(mesh.tri_region == FLUID)
-    blk.K_fluid, blk.M_fluid = _assemble_scalar(mesh, dof, fluid)
-    if mesh.pml is None:    # no layer triangles: every pair is the fluid's
-        blk.K_all_iso, blk.M_all_iso = blk.K_all, blk.M_all = \
-            blk.K_fluid, blk.M_fluid
+    if mesh.pml is None:    # no layer triangles: the fluid pair
+        blk.K_all, blk.M_all = blk.K_fluid, blk.M_fluid
     else:
-        both = np.flatnonzero(np.isin(mesh.tri_region, (FLUID, PML)))
-        blk.K_all_iso, blk.M_all_iso = _assemble_scalar(mesh, dof, both)
         blk.K_all, blk.M_all = _assemble_scalar(
-            mesh, dof, both, anisotropic=True, pml=mesh.pml,
-            h=mesh.geometry.h)
-    blk.K_div, blk.K_eps, blk.M_solid, blk.K_solid_h1 = \
-        _assemble_solid(mesh, dof)
+            mesh, dof, _fluid_and_layer(mesh), anisotropic=True,
+            pml=mesh.pml, h=mesh.geometry.h)
+    blk.K_div, blk.K_eps, blk.M_solid = _assemble_solid(mesh, dof)
     blk.C_pu, blk.C_up = _assemble_coupling(mesh, dof)
     blk.gamma_h_dofs, blk.modal_E, blk.modal_xi, blk.n_modes_effective = \
         _modal_operator(mesh, dof, n_modes)
@@ -325,6 +379,10 @@ def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
     blk.above_h_pdofs = dof.pdof(
         dof.p_nodes[mesh.vertices[dof.p_nodes, 1] > h + 1e-12])
     return blk
+
+
+def _fluid_and_layer(mesh):
+    return np.flatnonzero(np.isin(mesh.tri_region, (FLUID, PML)))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ def beta(xi, s: complex, c: float) -> complex:
     return beta_grid(np.linalg.norm(xi), s, c)
 
 
+# |1 - q| below this makes the layer symbol's denominator degenerate
+DEGENERATE_DENOMINATOR = 1e-14
+
+
+def layer_denominator_floor(s1, c: float, L_tilde):
+    """Lower bound 1 - exp(-2 s1 L~ / c) of the layer symbol's
+    denominator |1 - q| = |1 - exp(-2 beta L~)| over every mode of every
+    s with Re s = s1, since Re beta >= s1 / c."""
+    return -np.expm1(-2.0 * s1 * L_tilde / c)
+
+
 def _layer_modes(xi_abs, s, c: float, L_tilde):
     """beta, -beta * coth(beta L~), |1 - coth(beta L~)| = |2q / (1 - q)|
     and the weighted gap per mode, broadcast over |xi|, s and L~ = L_tilde;
@@ -66,8 +77,8 @@ def _layer_modes(xi_abs, s, c: float, L_tilde):
     b = beta_grid(xi_abs, s, c)
     q = np.exp(-2.0 * b * L_tilde)
     den = 1.0 - q
-    # |1 - q| >= 1 - exp(-2*Re(beta)*L_tilde) > 0 for Re(beta) > 0
-    if np.any(np.abs(den) < 1e-14):
+    # |1 - q| >= layer_denominator_floor(Re s, c, L_tilde) > 0
+    if np.any(np.abs(den) < DEGENERATE_DENOMINATOR):
         raise ArithmeticError("degenerate layer symbol denominator")
     coth_gap = np.abs(2.0 * q / den)
     s2 = np.hypot(np.real(s), np.imag(s)) ** 2 / c ** 2

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import LU_ORDERING, FemBlocks, _affine_form, _sqrt_form, \
-    _with_data, assemble, dofs_to_nodal, factorize, load_vector, \
-    solve_frequency, source_l2_norm, term_weights
+from .fem import LU_ORDERING, FemBlocks, _affine_form, _cpu_count, \
+    _sqrt_form, _with_data, assemble, dofs_to_nodal, factorize, \
+    load_vector, map_solves, solve_frequency, source_l2_norm, term_weights
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
 
@@ -298,7 +298,10 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
                        probes: ProbeSet,
                        variant: str = "exact_dtn") -> TimeTrajectory:
     """Probe pressure trajectories from per-frequency solves on the
-    contour s = s1 + i s2, exploiting conjugate symmetry."""
+    contour s = s1 + i s2, exploiting conjugate symmetry; the solves run
+    side by side (fem.map_solves).  meta reports the pulse
+    self-reconstruction error, the solve pool's size (workers) and the
+    largest relative solve residual (max_residual)."""
     t = cfg.t_grid
     if t is None:
         t = np.linspace(0.0, source.T, 201)
@@ -314,15 +317,19 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
     # the source load does not depend on s: assemble it once at scale 1
     rhs0 = load_vector(blk, source.spatial)[_affine_form(blk, variant).free] \
         / media.c ** 2
-    rows = []
-    for w in cfg.half_grid():
+
+    def solve(w):
         s = cfg.s1 + 1j * w
         sol = solve_frequency(assemble(blk, media, s, None, 0.0, variant),
                               rhs=complex(source.pulse.laplace(s)) * rhs0)
-        rows.append(probe_values(blk.mesh, probes, sol.p_hat))
+        return probe_values(blk.mesh, probes, sol.p_hat), sol.residual
+
+    rows, residuals = zip(*map_solves(solve, cfg.half_grid()))
     return TimeTrajectory(t=np.asarray(t, dtype=float),
                           probe_p=synthesize(np.stack(rows, axis=-1), cfg, t),
                           meta={"variant": variant, "s1": cfg.s1,
                                 "s2_max": cfg.s2_max,
                                 "n_freq": cfg.n_freq,
-                                "reconstruction_error": err})
+                                "reconstruction_error": err,
+                                "workers": _cpu_count(),
+                                "max_residual": max(residuals)})

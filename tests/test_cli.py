@@ -2,13 +2,19 @@
 
 import csv
 import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmlstrip.cli
+import pmlstrip.fem
 import pmlstrip.symbols
-from pmlstrip import ConfigError, PmlProfile, load_config
+from pmlstrip import ConfigError, PmlProfile, assemble, build_blocks, \
+    build_mesh, h_norm_sq, load_config, nodal_to_dofs, solve_frequency, \
+    source_l2_norm, stability_ratios
 from pmlstrip.cli import (FitError, PlotError, emit_plots, fit_rate, main,
                           write_csv, write_field)
 from pmlstrip.symbols import default_xi_grid, principal_sqrt, \
@@ -223,6 +229,27 @@ class TestConfig:
         assert main([command, "--config", str(path), "--out", str(out)]) \
             == 2
         assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("symbol-audit", BASE_CONFIG + "\n[audit]\ns2_range = -5,5,3\n"
+         "xi_points = 5\nsigma0_values = 1\nL_values = 1e-15\n"),
+        ("layer-check", BASE_CONFIG.replace("L = 0.4", "L = 1e-15")),
+    ], ids=["audit", "pml"])
+    def test_degenerate_layer_rejected_at_load(self, tmp_path, capsys,
+                                               command, text):
+        # 1 - exp(-2 s1 L~ / c) ~ 1e-15: the layer symbol's denominator
+        # is degenerate at every s; these used to end in a traceback
+        path = tmp_path / "thin.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="too thin"):
+            load_config(str(path))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) \
+            == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") \
+            and err.count("\n") == 1
+        assert not out.exists() or not os.listdir(out)
 
     def test_keys_case_insensitive(self, tmp_path):
         path = tmp_path / "k.ini"
@@ -548,3 +575,122 @@ class TestSubcommands:
         c1 = Path(out1, "layer_summary.csv").read_text()
         c2 = Path(out2, "layer_summary.csv").read_text()
         assert c1 == c2
+
+
+def serial_freq_solve(cfg, out):
+    """freq-solve's per-frequency fields and summary as one serial loop
+    over the frequencies wrote them."""
+    variant, num = cfg.numerics["variant"], cfg.numerics
+    blk = build_blocks(build_mesh(cfg.geometry, cfg.pml if variant ==
+                                  "pml_layer" else None, num["mesh_size"]),
+                       num["n_modes"])
+    chi = source_l2_norm(blk, cfg.source.spatial)
+    rows = []
+    for s2 in num["freq_s2_values"]:
+        s = complex(num["s1"], s2)
+        scale = complex(cfg.source.pulse.laplace(s))
+        sol = solve_frequency(assemble(blk, cfg.media, s, cfg.source.spatial,
+                                       scale, variant, cfg.pml))
+        ratios = stability_ratios(sol, abs(scale) * chi)
+        reference_write_field(os.path.join(out, f"p_hat_s2_{s2:g}.txt"),
+                              sol.p_hat)
+        reference_write_field(os.path.join(out, f"u_hat_s2_{s2:g}.txt"),
+                              sol.u_hat)
+        rows.append((num["s1"], s2, ratios["fluid_lhs"], ratios["solid_lhs"],
+                     ratios["fluid_ratio"], ratios["solid_ratio"],
+                     sol.residual))
+    reference_write_csv(os.path.join(out, "freq_summary.csv"),
+                        ["s1", "s2", "fluid_lhs", "solid_lhs", "fluid_ratio",
+                         "solid_ratio", "residual"], rows)
+
+
+def serial_freq_route_errors(cfg, L_values):
+    """The freq-route sweep's squared gaps from one serial loop over the
+    frequencies per layer, summed in s order."""
+    num, chi = cfg.numerics, cfg.source.spatial
+    blk_ref = build_blocks(build_mesh(cfg.geometry, None, num["mesh_size"]),
+                           num["n_modes"])
+    nv = blk_ref.mesh.n_vertices
+    s_list = [complex(num["s1"], s2) for s2 in num["freq_s2_values"]]
+
+    def solve(blk, s, variant):
+        return solve_frequency(assemble(blk, cfg.media, s, chi, complex(
+            cfg.source.pulse.laplace(s)), variant))
+    refs = [solve(blk_ref, s, "exact_dtn") for s in s_list]
+    errors = []
+    for L in L_values:
+        pml = PmlProfile(sigma0=cfg.pml.sigma0, m=cfg.pml.m, L=L, s1=num["s1"])
+        blk = build_blocks(build_mesh(cfg.geometry, pml, num["mesh_size"]),
+                           num["n_modes"])
+        err_sq = 0.0
+        for s, ref in zip(s_list, refs):
+            sol = solve(blk, s, "pml_layer")
+            err_sq += h_norm_sq(blk_ref, nodal_to_dofs(
+                blk_ref, sol.p_hat[:nv] - ref.p_hat,
+                sol.u_hat[:nv] - ref.u_hat))
+        errors.append(err_sq)
+    return errors
+
+
+class TestConcurrentSolves:
+    """The frequency solves of freq-solve and of the freq-route sweep run
+    side by side (fem.map_solves); their outputs equal a serial loop's
+    bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
+    def test_freq_solve_files_equal_serial_loop(self, tmp_path, cpus,
+                                                variant):
+        path = tmp_path / "f.ini"
+        path.write_text(BASE_CONFIG + f"variant = {variant}\n[freq]\n"
+                        "s2_values = 0,2.5,5,10\n")
+        out = tmp_path / "out"
+        assert main(["freq-solve", "--config", str(path),
+                     "--out", str(out)]) == 0
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        serial_freq_solve(load_config(str(path)), str(ref))
+        names = os.listdir(ref)
+        assert len(names) == 9
+        for name in names:
+            assert same_bytes(out / name, ref / name), name
+
+    def test_freq_route_errors_equal_serial_loop(self, tmp_path, cpus):
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG + "\n[sweep]\nL_values = 0.3,0.6,0.9\n"
+                        "[freq]\ns2_values = 0,5,10\n")
+        cfg = load_config(str(path))
+        errors, n_modes = pmlstrip.cli._freq_route_errors(
+            cfg, cfg.sweep["L_values"])
+        assert errors == serial_freq_route_errors(cfg, cfg.sweep["L_values"])
+        assert all(e > 0 for e in errors)
+
+    def test_term_table_built_once_under_stress(self, tmp_path,
+                                                monkeypatch):
+        # eight threads on any machine, switching every microsecond: the
+        # term table the solves share is still built once, by the
+        # calling thread, and the outputs still equal the serial loop's
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        form, builders = pmlstrip.fem.AffineForm, []
+
+        def counted(**fields):
+            builders.append(threading.current_thread())
+            return form(**fields)
+        monkeypatch.setattr(pmlstrip.fem, "AffineForm", counted)
+        path = tmp_path / "f.ini"
+        path.write_text(BASE_CONFIG + "variant = pml_layer\n[freq]\n"
+                        "s2_values = " + ",".join(map(str, range(16))) + "\n")
+        out = tmp_path / "out"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(["freq-solve", "--config", str(path),
+                         "--out", str(out)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert builders == [threading.current_thread()]
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        serial_freq_solve(load_config(str(path)), str(ref))
+        for name in os.listdir(ref):
+            assert same_bytes(out / name, ref / name), name

@@ -1,5 +1,8 @@
 """Finite element assembly and the frequency-domain solver."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,7 +19,9 @@ from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       h_norm_sq, load_vector, manufactured_residual,
                       nodal_to_dofs, solve_frequency, source_l2_norm,
                       stability_ratios)
-from pmlstrip.fem import AssemblyError, _assemble_scalar, quadratic_form
+from pmlstrip.fem import AssemblyError, SingularSystemError, \
+    _assemble_scalar, _cpu_count, _tri_geometry, map_solves, quadratic_form
+from pmlstrip.timedomain import newmark_run
 from pmlstrip.mesh import FLUID, PML, SOLID
 
 
@@ -445,3 +450,97 @@ class TestManufactured:
             sizes.append(target)
         order = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert 1.7 <= order <= 2.3
+
+
+def eager_norm_blocks(mesh, dof):
+    """The blocks build_blocks used to assemble up front: the fluid pair,
+    the isotropic fluid + layer pair and the componentwise H1 stiffness
+    of the solid, as that code assembled them."""
+    region = mesh.tri_region
+    K_fluid, M_fluid = _assemble_scalar(mesh, dof,
+                                        np.flatnonzero(region == FLUID))
+    K_iso, M_iso = _assemble_scalar(
+        mesh, dof, np.flatnonzero(np.isin(region, (FLUID, PML))))
+    tris, c, area, g, mid = _tri_geometry(mesh, np.flatnonzero(
+        region == SOLID))
+    nt = tris.shape[0]
+    dcomp = dof.node_dof[tris][:, :, 1:].reshape(nt, 6)
+    Kh1 = np.einsum("tij,ab->tiajb", area[:, None, None]
+                    * np.einsum("tia,tja->tij", g, g),
+                    np.eye(2)).reshape(nt, 6, 6)
+    K_h1 = sp.coo_matrix((Kh1.reshape(nt, 36).ravel(),
+                          (np.repeat(dcomp, 6, axis=1).ravel(),
+                           np.tile(dcomp, (1, 6)).ravel())),
+                         shape=(dof.size, dof.size)).tocsr()
+    return {"K_fluid": K_fluid, "M_fluid": M_fluid, "K_all_iso": K_iso,
+            "M_all_iso": M_iso, "K_solid_h1": K_h1}
+
+
+class TestBlocksOnRead:
+    PML = PmlProfile(sigma0=2.0, m=1, L=0.4, s1=1.0)
+
+    @pytest.mark.parametrize("layer", [False, True])
+    def test_equal_to_eager_assembly_bitwise(self, layer):
+        blk = make_blocks(obstacle=True, pml=self.PML if layer else None,
+                          surface=SurfaceProfile.cosine(0.1, 1.0))
+        for name, ref in eager_norm_blocks(blk.mesh, blk.dof).items():
+            A = getattr(blk, name)
+            assert A.shape == ref.shape and A.dtype == ref.dtype
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(A, part), getattr(ref, part))
+            # kept: a second read returns the same matrix
+            assert getattr(blk, name) is A
+        # without a layer the isotropic pair is the fluid pair, built once
+        assert (blk.K_all_iso is blk.K_fluid) == (not layer)
+
+    def test_newmark_without_norms_builds_none(self):
+        blk = make_blocks(obstacle=True, pml=self.PML)
+        src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=0.5)
+        on_read = {"_fluid_pair", "_iso_pair", "K_solid_h1"}
+        newmark_run(blk, MEDIA, src, 0.5, 5)
+        assert not on_read & set(vars(blk))
+        # the norms read the fluid pair and the solid H1 stiffness only
+        newmark_run(blk, MEDIA, src, 0.5, 5, record_norms=True)
+        assert on_read & set(vars(blk)) == {"_fluid_pair", "K_solid_h1"}
+
+
+class TestMapSolves:
+    def test_results_in_input_order(self, cpus):
+        # on two threads item 2 finishes before item 1 starts returning;
+        # the results keep the input order
+        done = threading.Event()
+
+        def solve(k):
+            if k == 1 and cpus == 2:
+                assert done.wait(timeout=10)
+            if k == 2:
+                done.set()
+            return k * k
+        assert map_solves(solve, range(7)) == [k * k for k in range(7)]
+        assert map_solves(solve, []) == []
+
+    def test_one_thread_per_cpu(self, cpus):
+        # the first item runs in the calling thread, the rest on the pool
+        names = map_solves(lambda k: threading.current_thread().name,
+                           range(40))
+        assert names[0] == threading.current_thread().name
+        assert 1 <= len(set(names[1:])) <= cpus
+        assert threading.current_thread().name not in names[1:]
+
+    def test_first_failure_raised(self, cpus):
+        def solve(k):
+            if k in (3, 5):
+                raise SingularSystemError(f"item {k}")
+            return k
+        with pytest.raises(SingularSystemError, match="item 3"):
+            map_solves(solve, range(8))
+
+    def test_cpu_count_from_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert _cpu_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _cpu_count() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _cpu_count() == 1

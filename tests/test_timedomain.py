@@ -14,8 +14,9 @@ from pmlstrip import (ContourConfig, Geometry, MediaParams, PmlProfile,
                       load_vector, locate_probes, newmark_run, probe_values,
                       reconstruct_signal, solve_frequency, synthesize,
                       term_weights, time_matrices)
-from pmlstrip.fem import DIAG_PIVOT_THRESH, LU_ORDERING, _affine_form, \
-    _sqrt_form, _with_data, factorize
+import pmlstrip.timedomain
+from pmlstrip.fem import DIAG_PIVOT_THRESH, LU_ORDERING, \
+    SingularSystemError, _affine_form, _sqrt_form, _with_data, factorize
 from pmlstrip.timedomain import ProbeError
 
 MEDIA = MediaParams()
@@ -360,3 +361,56 @@ class TestContour:
         assert np.abs(ref).max() > 0
         assert np.max(np.abs(traj.probe_p - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
+
+
+def serial_contour(blk, media, source, cfg, probes, variant):
+    """Probe traces and solve residuals of contour_synthesize's loop as
+    one serial pass over the frequencies."""
+    rhs0 = load_vector(blk, source.spatial)[_affine_form(blk, variant).free] \
+        / media.c ** 2
+    rows, residuals = [], []
+    for w in cfg.half_grid():
+        s = cfg.s1 + 1j * w
+        sol = solve_frequency(assemble(blk, media, s, None, 0.0, variant),
+                              rhs=complex(source.pulse.laplace(s)) * rhs0)
+        rows.append(probe_values(blk.mesh, probes, sol.p_hat))
+        residuals.append(sol.residual)
+    return synthesize(np.stack(rows, axis=-1), cfg, cfg.t_grid), residuals
+
+
+@pytest.mark.filterwarnings("ignore::pmlstrip.xform.TruncationWarning")
+class TestConcurrentContour:
+    SRC = SourceSpec(center=(0.25, 0.25), radius=0.08, T=2.0)
+    CFG = ContourConfig(s1=0.5, s2_max=20.0, n_freq=41,
+                        t_grid=np.linspace(0.0, 2.0, 21))
+
+    def setup_blocks(self):
+        geom = Geometry(period=1.0, surface=SurfaceProfile.cosine(0.1, 1.0),
+                        h=0.5, obstacle=Rectangle.square((0.6, 0.3), 0.16))
+        blk = build_blocks(build_mesh(geom, PML, 0.08), n_modes=16)
+        return blk, locate_probes(blk.mesh, [[0.3, 0.4], [0.8, 0.2]])
+
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
+    def test_equals_serial_loop_bitwise(self, cpus, variant):
+        blk, probes = self.setup_blocks()
+        traj = contour_synthesize(blk, ODD_MEDIA, self.SRC, self.CFG, probes,
+                                  variant)
+        ref, residuals = serial_contour(blk, ODD_MEDIA, self.SRC, self.CFG,
+                                        probes, variant)
+        assert np.abs(ref).max() > 0
+        assert np.array_equal(traj.probe_p, ref)
+        assert traj.meta["workers"] == cpus
+        assert traj.meta["max_residual"] == max(residuals)
+        assert traj.meta["max_residual"] <= 1e-10
+
+    def test_singular_solve_propagates(self, cpus, monkeypatch):
+        blk, probes = self.setup_blocks()
+        solve = pmlstrip.timedomain.solve_frequency
+
+        def failing(system, rhs=None):
+            if system.s.imag in (7.0, 15.0):
+                raise SingularSystemError(f"singular at s2 = {system.s.imag}")
+            return solve(system, rhs)
+        monkeypatch.setattr(pmlstrip.timedomain, "solve_frequency", failing)
+        with pytest.raises(SingularSystemError, match="s2 = 7.0"):
+            contour_synthesize(blk, MEDIA, self.SRC, self.CFG, probes)
