@@ -27,8 +27,8 @@ from .fem import (AssemblyError, FemBlocks, FrequencySolution,
                   build_blocks, coercivity_probe, dofs_to_nodal, dtn_block,
                   fluid_error_norms, free_dofs, frequency_matrix,
                   h_norm_sq, load_vector, manufactured_residual,
-                  nodal_to_dofs, solve_frequency, source_l2_norm,
-                  stability_ratios, term_weights)
+                  nodal_to_dofs, shared_dofs, solve_frequency,
+                  source_l2_norm, stability_ratios, term_weights)
 from .timedomain import (ContourConfig, ProbeSet, TimeTrajectory,
                          causality_margin, contour_synthesize,
                          energy_trace, locate_probes, newmark_run,

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .fem import build_blocks, assemble, nodal_to_dofs, h_norm_sq, \
-    map_solves, solve_frequency, source_l2_norm, stability_ratios
+from .fem import build_blocks, assemble, h_norm_sq, map_solves, \
+    shared_dofs, solve_frequency, source_l2_norm, stability_ratios
 from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
 from .mesh import build_mesh, export_mesh
@@ -358,27 +358,23 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
             complex(cfg.source.pulse.laplace(s)), variant)), s_list)
 
     refs = solve_all(blk_ref, "exact_dtn")
-    nv_ref = mesh_ref.n_vertices
     errors = []
     for L in L_values:
         pml = PmlProfile(sigma0=cfg.pml.sigma0, m=cfg.pml.m, L=L, s1=s1)
         mesh_L = build_mesh(cfg.geometry, pml, cfg.numerics["mesh_size"])
         blk_L = build_blocks(mesh_L, cfg.numerics["n_modes"])
-        err_sq = 0.0
-        for sol, ref in zip(solve_all(blk_L, "pml_layer"), refs):
-            diff = nodal_to_dofs(blk_ref,
-                                 sol.p_hat[:nv_ref] - ref.p_hat,
-                                 sol.u_hat[:nv_ref] - ref.u_hat)
-            err_sq += h_norm_sq(blk_ref, diff)
-        errors.append(err_sq)
+        shared = shared_dofs(blk_ref, blk_L)
+        errors.append(sum(h_norm_sq(blk_ref, sol.x[shared] - ref.x)
+                          for sol, ref in zip(solve_all(blk_L, "pml_layer"),
+                                              refs)))
     return errors, blk_ref.n_modes_effective
 
 
 def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     """Time-integrated squared H1 gaps against a thick-layer reference
-    run sharing the sub-layer mesh (the layer meshes extend it: their
-    first vertices are its vertices, in order), and the sub-layer
-    blocks' effective boundary-map mode count."""
+    run, restricted to the sub-layer mesh (the layer meshes extend it:
+    fem.shared_dofs), and the sub-layer blocks' effective boundary-map
+    mode count."""
     s1 = cfg.numerics["s1"]
     n_steps = cfg.numerics["n_steps"]
     T = cfg.source.T
@@ -386,16 +382,14 @@ def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
 
     mesh_sub = build_mesh(cfg.geometry, None, cfg.numerics["mesh_size"])
     blk_sub = build_blocks(mesh_sub, cfg.numerics["n_modes"])
-    sub = np.arange(mesh_sub.n_vertices)
 
     def history(L, sigma0):
         """Sub-layer dof vectors of one run, one column per step."""
         pml = PmlProfile(sigma0=sigma0, m=cfg.pml.m, L=L, s1=s1)
         mesh = build_mesh(cfg.geometry, pml, cfg.numerics["mesh_size"])
         blk = build_blocks(mesh, cfg.numerics["n_modes"])
-        traj = newmark_run(blk, cfg.media, cfg.source, T, n_steps,
-                           store_nodes=sub)
-        return nodal_to_dofs(blk_sub, traj.field_p, traj.field_u)
+        return newmark_run(blk, cfg.media, cfg.source, T, n_steps,
+                           store_dofs=shared_dofs(blk_sub, blk)).history
 
     x_ref = history(cfg.sweep["L_ref"], sigma_ref)
     dt = T / n_steps

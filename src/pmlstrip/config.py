@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,9 @@ DEFAULTS = {
     "pml": {"sigma0": "2.0", "m": "1", "L": "1.0"},
     "source": {"center": "0.5,0.25", "radius": "0.08", "T": "2.0",
                "a": "4.0", "omega0": "8.0"},
-    "numerics": {"mesh_size": "0.05", "s1": "", "s2_max": "",
-                 "n_freq": "401", "n_steps": "400", "n_modes": "64",
-                 "route": "freq", "variant": "exact_dtn", "seed": "0"},
+    "numerics": {"mesh_size": "0.05", "s1": "", "n_steps": "400",
+                 "n_modes": "64", "route": "freq", "variant": "exact_dtn",
+                 "seed": "0"},
     "freq": {"s2_values": "0,5,10"},
     "td": {"snapshot_times": ""},
     "sweep": {"L_values": "0.25,0.5,1.0", "sigma0_values": "",
@@ -65,7 +65,6 @@ class RunConfig:
     probes: np.ndarray
     parseval: dict
     digest: str = ""
-    raw: dict = field(default_factory=dict)
 
 
 def _floats(text: str) -> list[float]:
@@ -213,12 +212,9 @@ def load_config(path: str) -> RunConfig:
                                                            "omega0")))
         check_source(source, geometry)
 
-        s2_text = cp.get("numerics", "s2_max").strip()
         numerics = {
             "mesh_size": cp.getfloat("numerics", "mesh_size"),
             "s1": s1,
-            "s2_max": float(s2_text) if s2_text else 40.0 / T,
-            "n_freq": cp.getint("numerics", "n_freq"),
             "n_steps": cp.getint("numerics", "n_steps"),
             "n_modes": cp.getint("numerics", "n_modes"),
             "route": cp.get("numerics", "route").strip(),
@@ -229,6 +225,16 @@ def load_config(path: str) -> RunConfig:
         }
         _distinct_names("freq.s2_values", [f"{v:g}" for v in
                                            numerics["freq_s2_values"]])
+        if not 0 < numerics["mesh_size"] < geometry.h - surface.f_plus \
+                or numerics["n_steps"] < 1 or numerics["n_modes"] < 0:
+            raise ConfigError("numerics needs 0 < mesh_size < h - f_plus, "
+                              "n_steps >= 1 and n_modes >= 0")
+        # Newmark snaps each time to its nearest step of dt = T / n_steps
+        snap, dt = numerics["snapshot_times"], T / numerics["n_steps"]
+        if not all(0 <= ts <= T for ts in snap) \
+                or len({round(ts / dt) for ts in snap}) < len(snap):
+            raise ConfigError("td.snapshot_times must lie in [0, T], on "
+                              "distinct time steps")
         if numerics["route"] not in ("freq", "time"):
             raise ConfigError("numerics.route must be freq or time")
         if numerics["variant"] not in ("exact_dtn", "pml_dtn",
@@ -315,4 +321,4 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(media=media, geometry=geometry, pml=pml,
                      source=source, numerics=numerics, sweep=sweep,
                      audit=audit, layer=layer, probes=probes,
-                     parseval=parseval, digest=digest.hexdigest(), raw=raw)
+                     parseval=parseval, digest=digest.hexdigest())

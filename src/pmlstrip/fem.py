@@ -9,9 +9,10 @@ M d'' + K d = f; the frequency-domain form is its Laplace transform,
 with weights theta(s) = r(s) (w_K + s^2 w_M), r = 1/s on pressure test
 rows and rho0 conj(s) on displacement test rows, plus -B(s)/s on
 Gamma_h x Gamma_h for the truncated Fourier-mode multiplier B(s) on
-x3 = h.  On first use per variant family the blocks are laid out as one
-term table (AffineForm), which the contour solves and Newmark both
-combine with their weights.
+x3 = h.  On first use the blocks are laid out as the mesh's one term
+table (AffineForm), which the contour solves and Newmark both combine
+with their weights: a layer mesh serves pml_layer, a mesh without the
+layer exact_dtn and pml_dtn.
 """
 
 from __future__ import annotations
@@ -190,11 +191,10 @@ class FemBlocks:
     """All s-independent matrices of the strip problem on one mesh.
 
     ``cache`` holds what is derived from the blocks on first use: the
-    midpoint load operators and one AffineForm per variant family.  The
-    blocks are not to be modified once either exists.  The fluid pair
-    (which the boundary-map family reads too), the isotropic pair and
-    K_solid_h1 are assembled on their first read: on a layer mesh only
-    the H-norms read them.
+    midpoint load operators and the mesh's AffineForm.  The blocks are
+    not to be modified once either exists.  The fluid pair, the
+    isotropic pair and K_solid_h1 are assembled on their first read: on
+    a layer mesh only the norms read them.
     """
 
     mesh: StripMesh
@@ -215,7 +215,6 @@ class FemBlocks:
     n_modes_effective: int = 0           # n_modes clamped to (n_h - 1) // 2
     dirichlet_f: np.ndarray = None       # pressure dofs on the bottom surface
     dirichlet_hl: np.ndarray = None      # pressure dofs on the layer top
-    above_h_pdofs: np.ndarray = None     # pressure dofs strictly above x3=h
     cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -375,9 +374,6 @@ def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
     ghl = mesh.boundary_edges.get(MARKER_GAMMA_HL,
                                   np.zeros(0, dtype=np.int64))
     blk.dirichlet_hl = dof.pdof(mesh.masters(np.unique(ghl)))
-    h = mesh.geometry.h
-    blk.above_h_pdofs = dof.pdof(
-        dof.p_nodes[mesh.vertices[dof.p_nodes, 1] > h + 1e-12])
     return blk
 
 
@@ -422,60 +418,62 @@ def dtn_block(blk: FemBlocks, media: MediaParams, s: complex,
     if variant not in ("exact_dtn", "pml_dtn"):
         raise AssemblyError("no boundary operator for variant "
                             f"{variant!r}")
-    profile = pml if pml is not None else blk.mesh.pml
-    if variant == "pml_dtn" and profile is None:
+    if variant == "pml_dtn" and pml is None:
         raise AssemblyError("pml_dtn variant needs a layer profile")
-    sym = dtn_symbol_grid(blk.modal_xi, s, media.c, profile.L_tilde
+    sym = dtn_symbol_grid(blk.modal_xi, s, media.c, pml.L_tilde
                           if variant == "pml_dtn" else None)
     E = blk.modal_E
     return blk.mesh.geometry.period * (E.conj().T * sym) @ E
 
 
 def free_dofs(blk: FemBlocks, variant: str) -> np.ndarray:
-    """Active unknowns for the chosen formulation."""
+    """Active unknowns of the mesh, which must suit the formulation: a
+    layer mesh pml_layer, a mesh without the layer the other variants."""
+    if variant not in VARIANTS:
+        raise AssemblyError(f"unknown variant {variant!r}")
+    if (variant == "pml_layer") != (blk.mesh.pml is not None):
+        raise AssemblyError(f"{variant} variant needs a mesh "
+                            f"{'with' if blk.mesh.pml is None else 'without'}"
+                            " an absorbing layer")
     keep = np.ones(blk.dof.size, dtype=bool)
     keep[blk.dirichlet_f] = False
-    if variant == "pml_layer":
-        if blk.mesh.pml is None:
-            raise AssemblyError("pml_layer variant needs a mesh with an "
-                                "absorbing layer")
-        keep[blk.dirichlet_hl] = False
-    else:
-        keep[blk.above_h_pdofs] = False
+    keep[blk.dirichlet_hl] = False
     return np.flatnonzero(keep)
 
 
 @dataclass
 class AffineForm:
-    """The s-independent part of one variant family's form.
+    """The s-independent part of the form on one mesh.
 
     terms[q] holds the block weighted by theta_q (module docstring) on
     the sparsity pattern of ``pattern``: the union of the blocks'
-    nonzeros and, for the boundary-map family, every Gamma_h x Gamma_h
+    nonzeros and, on a mesh without the layer, every Gamma_h x Gamma_h
     pair, at positions gamma_slots (row-major).  ``gather`` picks the
     values of the free-dof submatrix in the order of ``reduced``.
+    ``slot`` gives each global dof, and the sentinel dof.size, its
+    position in the free-dof state padded with one zero (free.size).
     """
 
     pattern: sp.csr_matrix
     terms: np.ndarray               # (7, nnz) real
     gamma_slots: np.ndarray
     free: np.ndarray
+    slot: np.ndarray                # (dof.size + 1,)
     gather: np.ndarray
     reduced: sp.csc_matrix
 
 
 def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
-    """Term table of the variant's family, built on its first use."""
-    if variant not in VARIANTS:
-        raise AssemblyError(f"unknown variant {variant!r}")
-    layer = variant == "pml_layer"
-    if ("affine", layer) in blk.cache:
-        return blk.cache["affine", layer]
+    """The mesh's term table, built on first use, for a variant the
+    mesh serves (free_dofs)."""
     free = free_dofs(blk, variant)
+    if "affine" in blk.cache:
+        return blk.cache["affine"]
     n = blk.dof.size
-    blocks = [blk.K_all, blk.M_all] if layer else [blk.K_fluid, blk.M_fluid]
-    blocks += [blk.K_div, blk.K_eps, blk.M_solid, blk.C_pu, blk.C_up]
-    gh = np.zeros(0, dtype=np.int64) if layer else blk.gamma_h_dofs
+    blocks = [blk.K_all, blk.M_all, blk.K_div, blk.K_eps, blk.M_solid,
+              blk.C_pu, blk.C_up]
+    gh = blk.gamma_h_dofs if blk.mesh.pml is None \
+        else np.zeros(0, dtype=np.int64)
     gh_rows, gh_cols = np.repeat(gh, gh.size), np.tile(gh, gh.size)
     # sparse sums drop exact zeros: the pattern keeps the positions where
     # some term is nonzero, as the sum of the weighted blocks would
@@ -490,10 +488,10 @@ def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
         nz = A.data != 0.0
         np.add.at(terms[q], np.searchsorted(
             keys, A.row[nz].astype(np.int64) * n + A.col[nz]), A.data[nz])
-    rank = np.full(n, -1)
-    rank[free] = np.arange(free.size)
-    r, c = rank[rows], rank[pattern.indices]
-    gather = np.flatnonzero((r >= 0) & (c >= 0))
+    slot = np.full(n + 1, free.size)
+    slot[free] = np.arange(free.size)
+    r, c = slot[rows], slot[pattern.indices]
+    gather = np.flatnonzero((r < free.size) & (c < free.size))
     gather = gather[np.lexsort((r[gather], c[gather]))]
     reduced = sp.csc_matrix(
         (np.zeros(gather.size), r[gather],
@@ -501,8 +499,8 @@ def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
         shape=(free.size, free.size))
     form = AffineForm(pattern=pattern, terms=terms,
                       gamma_slots=np.searchsorted(keys, gh_rows * n + gh_cols),
-                      free=free, gather=gather, reduced=reduced)
-    blk.cache["affine", layer] = form
+                      free=free, slot=slot, gather=gather, reduced=reduced)
+    blk.cache["affine"] = form
     return form
 
 
@@ -543,7 +541,7 @@ def frequency_matrix(blk: FemBlocks, media: MediaParams,
                      s: complex, variant: str,
                      pml: PmlProfile | None = None) -> sp.csr_matrix:
     """Global (unreduced) matrix of the chosen sesquilinear form, with
-    rows = test dofs and columns = trial dofs: the family's term table
+    rows = test dofs and columns = trial dofs: the mesh's term table
     (built on first use, then shared with assemble) combined at s."""
     form, data = _form_data(blk, media, s, variant, pml)
     return _with_data(form.pattern, data)
@@ -655,13 +653,24 @@ def dofs_to_nodal(blk: FemBlocks, x: np.ndarray):
     return padded[blk.dof.node_dof[:, 0]], padded[blk.dof.node_dof[:, 1:]]
 
 
-def h_norm_sq(blk: FemBlocks, x: np.ndarray, layer: bool = False):
-    """Squared norm of the product space: fluid H1 plus solid
+def shared_dofs(blk_sub: FemBlocks, blk: FemBlocks) -> np.ndarray:
+    """For each dof of blk_sub, the dof of blk at its vertex and field,
+    blk's mesh extending blk_sub's vertex by vertex (as a layer mesh the
+    mesh without it): x[shared_dofs(blk_sub, blk)] restricts x to blk_sub.
+    A vertex without a field writes the dropped sentinel entry."""
+    nv = blk_sub.mesh.n_vertices
+    if not np.array_equal(blk.mesh.vertices[:nv], blk_sub.mesh.vertices):
+        raise AssemblyError("the mesh does not extend the sub-mesh")
+    shared = np.empty(blk_sub.dof.size + 1, dtype=np.int64)
+    shared[blk_sub.dof.node_dof] = blk.dof.node_dof[:nv]
+    return shared[:-1]
+
+
+def h_norm_sq(blk: FemBlocks, x: np.ndarray):
+    """Squared norm of the product space: fluid and layer H1 plus solid
     (L2 + componentwise H1) of global dof vectors x (n_dofs, ...); a
     float for one vector, else an array over the trailing axes."""
-    Kf = blk.K_all_iso if layer else blk.K_fluid
-    Mf = blk.M_all_iso if layer else blk.M_fluid
-    G = Kf + Mf + blk.M_solid + blk.K_solid_h1
+    G = blk.K_all_iso + blk.M_all_iso + blk.M_solid + blk.K_solid_h1
     q = np.einsum("i...,i...->...", x.conj(), G @ x).real
     return float(q) if q.ndim == 0 else q
 
@@ -684,7 +693,7 @@ def coercivity_probe(blk: FemBlocks, media: MediaParams, s: complex,
     w = np.where(np.isin(np.arange(blk.dof.size), free_dofs(blk, variant)),
                  omega, 0.0)
     re_a = float(np.real(quadratic_form(A, w)))
-    return re_a, h_norm_sq(blk, w, layer=(variant == "pml_layer"))
+    return re_a, h_norm_sq(blk, w)
 
 
 def _sqrt_form(A: sp.spmatrix, x: np.ndarray) -> float:
@@ -697,11 +706,9 @@ def stability_ratios(sol: FrequencySolution, g_norm: float) -> dict:
     sys_ = sol.system
     blk, media, s = sys_.blocks, sys_.media, sys_.s
     s1 = s.real
-    layer = sys_.variant == "pml_layer"
     x = sol.x
-    Kf = blk.K_all_iso if layer else blk.K_fluid
-    Mf = blk.M_all_iso if layer else blk.M_fluid
-    lhs = {"fluid_lhs": _sqrt_form(Kf, x) + abs(s) * _sqrt_form(Mf, x),
+    lhs = {"fluid_lhs": _sqrt_form(blk.K_all_iso, x)
+           + abs(s) * _sqrt_form(blk.M_all_iso, x),
            "solid_lhs": _sqrt_form(blk.K_solid_h1, x)
            + _sqrt_form(blk.K_div, x) + abs(s) * _sqrt_form(blk.M_solid, x)}
     if g_norm == 0.0:

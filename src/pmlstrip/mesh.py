@@ -65,20 +65,20 @@ def _level_rows(geom: Geometry, pml: PmlProfile | None, target: float):
     levels: list = []
     rows_b = None
 
-    def blend(lo_func, hi_value, n, include_top):
-        for j in range(0 if not levels else 1, n + (1 if include_top else 0)):
+    def blend(lo_func, hi_value, n):
+        for j in range(0 if not levels else 1, n + 1):
             t = j / n
             levels.append(lambda x, t=t: (1.0 - t) * lo_func(x) + t * hi_value)
 
     if geom.obstacle is None:
         n3 = max(2, round((h - 0.5 * (f.f_minus + f.f_plus)) / target))
-        blend(f, h, n3, include_top=True)
+        blend(f, h, n3)
     else:
         ob = geom.obstacle
         nA = max(2, round((ob.x3a - 0.5 * (f.f_minus + f.f_plus)) / target))
         nB = max(1, round((ob.x3b - ob.x3a) / target))
         nC = max(1, round((h - ob.x3b) / target))
-        blend(f, ob.x3a, nA, include_top=True)
+        blend(f, ob.x3a, nA)
         rb1 = len(levels) - 1
         for j in range(1, nB + 1):
             z = ob.x3a + j / nB * (ob.x3b - ob.x3a)

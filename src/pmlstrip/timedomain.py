@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import LU_ORDERING, FemBlocks, _affine_form, _cpu_count, \
     _sqrt_form, _with_data, assemble, dofs_to_nodal, factorize, \
@@ -70,9 +69,14 @@ def locate_probes(mesh, points) -> ProbeSet:
 
 def probe_values(mesh, probes: ProbeSet, nodal: np.ndarray) -> np.ndarray:
     """Interpolate a nodal field (last axis = vertices) at the probes."""
-    tri_nodes = mesh.triangles[probes.tri]          # (n, 3)
-    vals = np.take(nodal, tri_nodes, axis=-1)       # (..., n, 3)
-    return np.einsum("...nk,nk->...n", vals, probes.bary)
+    return _interpolate(probes, np.take(nodal, mesh.triangles[probes.tri],
+                                        axis=-1))
+
+
+def _interpolate(probes: ProbeSet, corners: np.ndarray) -> np.ndarray:
+    """Barycentric combination of the values at the corners of each
+    probe's triangle, corners (..., n_probes, 3)."""
+    return np.einsum("...nk,nk->...n", corners, probes.bary)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +89,7 @@ class TimeTrajectory:
 
     t: np.ndarray
     probe_p: np.ndarray | None = None      # (n_probes, n_steps+1)
-    field_p: np.ndarray | None = None      # stored nodes x steps
-    field_u: np.ndarray | None = None      # stored nodes x 2 x steps
+    history: np.ndarray | None = None      # stored dofs x steps
     energy: np.ndarray | None = None
     norms: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)   # (t, p_nodal, u_nodal)
@@ -95,8 +98,8 @@ class TimeTrajectory:
 
 def time_matrices(blk: FemBlocks, media: MediaParams):
     """Real global mass and stiffness (CSR) of the second-order-in-time
-    layer system: the layer family's term table combined with the
-    weights of fem.term_weights."""
+    layer system: the layer mesh's term table combined with the weights
+    of fem.term_weights."""
     form = _affine_form(blk, "pml_layer")
     return tuple(_with_data(form.pattern, w @ form.terms)
                  for w in term_weights(media))
@@ -108,18 +111,15 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
                 snapshot_times=(), record_norms: bool = False,
                 record_energy: bool = False,
                 initial_d: np.ndarray | None = None,
-                store_nodes: np.ndarray | None = None) -> TimeTrajectory:
-    """Average-acceleration (1/4, 1/2) integration from rest.
+                store_dofs: np.ndarray | None = None) -> TimeTrajectory:
+    """Average-acceleration (1/4, 1/2) integration from rest, on a layer
+    mesh (Dirichlet wall at the layer top).
 
     initial_d optionally seeds a nonzero displacement state (used by the
-    conservation checks); store_nodes keeps the full history of the
-    listed vertex ids.  meta records the step matrix's LU ordering and
-    fill (lu_nnz).
+    conservation checks); store_dofs keeps the full history of the
+    listed global dofs (a dof that is not free reads 0).  meta records
+    the step matrix's LU ordering and fill (lu_nnz).
     """
-    mesh = blk.mesh
-    if mesh.pml is None:
-        raise ValueError("transient runs need a mesh with the absorbing "
-                         "layer (Dirichlet wall at its top)")
     if n_steps < 1 or T <= 0:
         raise ValueError("need T > 0 and n_steps >= 1")
     dt = T / n_steps
@@ -152,24 +152,17 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     traj = TimeTrajectory(t=t_grid, meta={"dt": dt, "n_steps": n_steps,
                                           "ordering": LU_ORDERING,
                                           "lu_nnz": lu.nnz})
-    # readout straight from the free-dof state: pos maps a global dof to
-    # its slot in (d, 0), so a vertex without that dof reads the sentinel
-    pos = np.full(blk.dof.size + 1, free.size)
-    pos[free] = np.arange(free.size)
+    # readout straight from the free-dof state (d, 0) through form.slot
     state = np.zeros(free.size + 1)
     if probes is not None:
-        cols = pos[blk.dof.node_dof[mesh.triangles[probes.tri], 0]]
-        probe_op = sp.csr_matrix(
-            (probes.bary.ravel(), (np.repeat(np.arange(probes.n), 3),
-                                   cols.ravel())),
-            shape=(probes.n, state.size))
+        probe_slots = form.slot[
+            blk.dof.node_dof[blk.mesh.triangles[probes.tri], 0]]
         traj.probe_p = np.zeros((probes.n, n_steps + 1))
-    if store_nodes is not None:
-        store_slots = pos[blk.dof.node_dof[store_nodes]]
-        # one contiguous (p, u1, u2) row block per step
-        history = np.zeros((n_steps + 1,) + store_slots.shape)
-        traj.field_p = history[:, :, 0].T
-        traj.field_u = history[:, :, 1:].transpose(1, 2, 0)
+    if store_dofs is not None:
+        store_slots = form.slot[store_dofs]
+        # one contiguous row per step
+        history = np.zeros((n_steps + 1, store_slots.size))
+        traj.history = history.T
     if record_energy:
         traj.energy = np.zeros(n_steps + 1)
     if record_norms:
@@ -182,10 +175,10 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
 
     def record(step):
         state[:-1] = d
-        if store_nodes is not None:
+        if store_dofs is not None:
             history[step] = state[store_slots]
         if probes is not None:
-            traj.probe_p[:, step] = probe_op @ state
+            traj.probe_p[:, step] = _interpolate(probes, state[probe_slots])
         if step in snap_steps or record_norms:
             x_full[free] = d
             v_full[free] = v

@@ -1,6 +1,8 @@
 """Command line harness: configs, subcommands, CSV and manifest output."""
 
+import configparser
 import csv
+import io
 import os
 import sys
 import threading
@@ -15,6 +17,7 @@ import pmlstrip.symbols
 from pmlstrip import ConfigError, PmlProfile, assemble, build_blocks, \
     build_mesh, h_norm_sq, load_config, nodal_to_dofs, solve_frequency, \
     source_l2_norm, stability_ratios
+from pmlstrip.config import DEFAULTS
 from pmlstrip.cli import (FitError, PlotError, emit_plots, fit_rate, main,
                           write_csv, write_field)
 from pmlstrip.symbols import default_xi_grid, principal_sqrt, \
@@ -44,6 +47,19 @@ n_modes = 16
 n_steps = 40
 s1 = 1.0
 """
+
+
+def with_setting(text: str, section: str, line: str) -> str:
+    """The config text with `line` (key = value) set in [section]: an
+    existing key is overwritten, a missing section is added."""
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, *(part.strip() for part in line.split("=", 1)))
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def reference_fmt(v) -> str:
@@ -177,7 +193,6 @@ class TestConfig:
         path.write_text(BASE_CONFIG.replace("s1 = 1.0\n", ""))
         cfg = load_config(str(path))
         assert cfg.pml.s1 == pytest.approx(1.0)   # 1/T with T = 1
-        assert cfg.numerics["s2_max"] == pytest.approx(40.0)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -216,12 +231,22 @@ class TestConfig:
         ("freq", "s2_values = 5,5.0000001"),
         ("audit", "xi_point = 11"),         # misspelt key
         ("audti", "xi_points = 11"),        # misspelt section
+        ("numerics", "s2_max = 40"),        # removed keys
+        ("numerics", "n_freq = 401"),
+        # T = 1 and n_steps = 40: dt = 0.025
+        ("numerics", "n_modes = -1"),
+        ("numerics", "n_steps = 0"),
+        ("numerics", "mesh_size = 0.5"),    # h - f_plus = 0.5
+        ("numerics", "mesh_size = 0"),
+        ("td", "snapshot_times = 5"),
+        ("td", "snapshot_times = -1"),
+        ("td", "snapshot_times = 0.5,0.51"),    # one step
     ])
     def test_rejected_at_load(self, tmp_path, section, line):
         # each of these used to load and then fail, or be ignored, at
         # run time
         path = tmp_path / "bad.ini"
-        path.write_text(BASE_CONFIG + f"\n[{section}]\n{line}\n")
+        path.write_text(with_setting(BASE_CONFIG, section, line))
         with pytest.raises(ConfigError):
             load_config(str(path))
         command = "layer-check" if section == "layer" else "symbol-audit"
@@ -251,6 +276,22 @@ class TestConfig:
             and err.count("\n") == 1
         assert not out.exists() or not os.listdir(out)
 
+    def test_readme_schema_names_every_key(self):
+        # the README's INI block documents exactly the sections and keys
+        # load_config accepts
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("## Config schema (INI)", 1)[1] \
+            .split("```ini\n", 1)[1].split("```", 1)[0]
+        documented, section = {}, None
+        for line in block.splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+                documented[section] = set()
+            elif line.strip() and not line[0].isspace():
+                documented[section].add(line.split("=", 1)[0].strip())
+        assert documented == {sec: set(keys)
+                              for sec, keys in DEFAULTS.items()}
+
     def test_keys_case_insensitive(self, tmp_path):
         path = tmp_path / "k.ini"
         path.write_text(BASE_CONFIG + "\n[sweep]\nl_ref = 2.0\n"
@@ -269,9 +310,12 @@ class TestConfig:
         assert cfg.geometry.surface.f_plus == pytest.approx(0.05)
 
     def test_digest_without_surface_file_unchanged(self, config_path):
-        # the INI-only digest, as before surface files were hashed too
+        # the INI-only digest, as before surface files were hashed too;
+        # it covers the defaults, so it changed once, when [numerics]
+        # lost the unread s2_max and n_freq (with them put back, this
+        # formula gives the former e747b216...c090be489b)
         assert load_config(config_path).digest == \
-            "e747b216842fdbc3f7bd40101a535815058014982ee9a2c74f8907c090be489b"
+            "96a278b704ea856f7fb4fae9e3963726aaceaebb8d4e5730da173caef0e56528"
 
     def test_digest_covers_surface_file(self, tmp_path):
         surf = tmp_path / "surface.txt"

@@ -17,10 +17,11 @@ from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       dtn_block, fluid_error_norms, free_dofs,
                       frequency_matrix,
                       h_norm_sq, load_vector, manufactured_residual,
-                      nodal_to_dofs, solve_frequency, source_l2_norm,
-                      stability_ratios)
+                      nodal_to_dofs, shared_dofs, solve_frequency,
+                      source_l2_norm, stability_ratios)
 from pmlstrip.fem import AssemblyError, SingularSystemError, \
-    _assemble_scalar, _cpu_count, _tri_geometry, map_solves, quadratic_form
+    _affine_form, _assemble_scalar, _cpu_count, _tri_geometry, map_solves, \
+    quadratic_form
 from pmlstrip.timedomain import newmark_run
 from pmlstrip.mesh import FLUID, PML, SOLID
 
@@ -225,15 +226,39 @@ class TestAffineForm:
             assert sparse_norm(system.matrix - red) \
                 <= 1e-13 * sparse_norm(red)
 
-    def test_table_built_on_first_use_per_family(self):
-        blk = make_blocks(pml=self.PML)
+    def test_one_table_per_mesh(self):
+        # a mesh without the layer serves exact_dtn and pml_dtn from one
+        # table built on first use, a layer mesh serves pml_layer alone
+        blk = make_blocks()
         assert not blk.cache
         frequency_matrix(blk, MEDIA, 1.0 + 1.0j, "exact_dtn")
-        form = blk.cache[("affine", False)]
+        form = blk.cache["affine"]
         assemble(blk, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_dtn", self.PML)
-        assert blk.cache[("affine", False)] is form
-        assemble(blk, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_layer")
-        assert len([k for k in blk.cache if k[0] == "affine"]) == 2
+        assert blk.cache["affine"] is form
+        with pytest.raises(AssemblyError, match="with an absorbing"):
+            assemble(blk, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_layer")
+        layer = make_blocks(pml=self.PML)
+        assemble(layer, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_layer")
+        form = layer.cache["affine"]
+        assert form.gamma_slots.size == 0
+        for variant in ("exact_dtn", "pml_dtn"):
+            with pytest.raises(AssemblyError, match="without an absorbing"):
+                assemble(layer, MEDIA, 2.0 + 0.0j, None, 0.0, variant,
+                         self.PML)
+        assert layer.cache["affine"] is form
+        assert [key for key in layer.cache if key == "affine"] == ["affine"]
+
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
+    def test_slot_positions_free_state(self, variant):
+        blk = make_blocks(obstacle=True, pml=self.PML
+                          if variant == "pml_layer" else None)
+        form = _affine_form(blk, variant)
+        free = free_dofs(blk, variant)
+        assert form.slot.shape == (blk.dof.size + 1,)
+        assert np.array_equal(form.slot[free], np.arange(free.size))
+        fixed = np.setdiff1d(np.arange(blk.dof.size + 1), free)
+        assert fixed[-1] == blk.dof.size
+        assert np.all(form.slot[fixed] == free.size)
 
     def test_unknown_variant(self):
         with pytest.raises(AssemblyError):
@@ -255,6 +280,30 @@ class TestAffineForm:
             assert np.max(np.abs(a)) > 0.0
             assert np.max(np.abs(b - np.conj(a))) \
                 <= 1e-12 * np.max(np.abs(a))
+
+
+class TestSharedDofs:
+    PML = PmlProfile(sigma0=2.0, m=1, L=0.3, s1=1.0)
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    def test_restricts_layer_vectors(self, obstacle):
+        blk_sub = make_blocks(obstacle=obstacle)
+        blk = make_blocks(obstacle=obstacle, pml=self.PML)
+        nv = blk_sub.mesh.n_vertices
+        rng = np.random.default_rng(3)
+        p = rng.normal(size=blk.mesh.n_vertices)
+        u = rng.normal(size=(blk.mesh.n_vertices, 2))
+        shared = shared_dofs(blk_sub, blk)
+        assert shared.shape == (blk_sub.dof.size,)
+        assert np.array_equal(nodal_to_dofs(blk, p, u)[shared],
+                              nodal_to_dofs(blk_sub, p[:nv], u[:nv]))
+        assert np.array_equal(shared_dofs(blk_sub, blk_sub),
+                              np.arange(blk_sub.dof.size))
+
+    def test_rejects_a_mesh_that_does_not_extend(self):
+        with pytest.raises(AssemblyError, match="does not extend"):
+            shared_dofs(make_blocks(), make_blocks(target=0.05,
+                                                   pml=self.PML))
 
 
 class TestFrequencySolve:

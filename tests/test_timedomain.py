@@ -94,13 +94,12 @@ class TestNewmark:
         assert 0 < ratios["fluid_ratio"] < np.inf
         assert ratios["fluid_ratio_pml"] <= ratios["fluid_ratio"]
 
-    def test_store_nodes(self):
+    def test_store_dofs(self):
         blk = layer_blocks()
         src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=0.5)
         keep = np.arange(10)
-        traj = newmark_run(blk, MEDIA, src, 0.5, 10, store_nodes=keep)
-        assert traj.field_p.shape == (10, 11)
-        assert traj.field_u.shape == (10, 2, 11)
+        traj = newmark_run(blk, MEDIA, src, 0.5, 10, store_dofs=keep)
+        assert traj.history.shape == (10, 11)
 
     def test_causality_margin_shape(self):
         blk = layer_blocks()
@@ -113,11 +112,11 @@ class TestNewmark:
 
 def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
                           snapshot_times=(), record_norms=False,
-                          store_nodes=None):
+                          store_dofs=None):
     """newmark_run with its former readout: the scalar pulse derivative at
     every step, and every step expands the whole dof vector through
-    dofs_to_nodal and reads probes, stored nodes and snapshots off the
-    nodal fields."""
+    dofs_to_nodal and reads probes and snapshots off the nodal fields,
+    stored dofs off the global dof vector."""
     dt = T / n_steps
     form = _affine_form(blk, "pml_layer")
     free = form.free
@@ -129,7 +128,7 @@ def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
     d, v = np.zeros(free.size), np.zeros(free.size)
     a = np.zeros(free.size)
     t_grid = np.linspace(0.0, T, n_steps + 1)
-    out = {"probe_p": [], "field_p": [], "field_u": [], "snapshots": [],
+    out = {"probe_p": [], "history": [], "snapshots": [],
            "norms": {k: [] for k in ("dt_p", "grad_p", "dt_u", "div_u",
                                      "grad_u")}}
     snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
@@ -145,9 +144,8 @@ def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
         x_full[free] = d
         v_full[free] = v
         p_nodal, u_nodal = dofs_to_nodal(blk, x_full)
-        if store_nodes is not None:
-            out["field_p"].append(p_nodal[store_nodes])
-            out["field_u"].append(u_nodal[store_nodes])
+        if store_dofs is not None:
+            out["history"].append(x_full[store_dofs])
         if probes is not None:
             out["probe_p"].append(probe_values(blk.mesh, probes, p_nodal))
         if step in snap_steps:
@@ -161,36 +159,30 @@ def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
                               ("grad_u", blk.K_solid_h1, x_full)):
                 out["norms"][key].append(_sqrt_form(A, x))
     out["probe_p"] = np.array(out["probe_p"]).T
-    out["field_p"] = np.array(out["field_p"]).T
-    out["field_u"] = np.moveaxis(np.array(out["field_u"]), 0, -1)
+    out["history"] = np.array(out["history"]).T
     return out
 
 
 class TestNewmarkReadout:
-    """Probes, stored nodes, snapshots and norms read straight off the
+    """Probes, stored dofs, snapshots and norms read straight off the
     free-dof state equal the former per-step nodal expansion."""
 
     SRC = SourceSpec(center=(0.2, 0.25), radius=0.08, T=1.0)
 
     @pytest.mark.parametrize("obstacle", [False, True])
-    def test_store_nodes_bitwise(self, obstacle):
+    def test_store_dofs_bitwise(self, obstacle):
         blk = layer_blocks(obstacle=obstacle)
-        # every vertex: Dirichlet, layer, periodic-slave and solid-only
-        keep = np.arange(blk.mesh.n_vertices)[::-1]
+        # every dof, free or not (bottom wall, layer top), some twice
+        keep = np.concatenate([np.arange(blk.dof.size)[::-1], [0, 3]])
         traj = newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30,
-                           store_nodes=keep)
+                           store_dofs=keep)
         ref = reference_newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30,
-                                    store_nodes=keep)
-        assert np.abs(ref["field_p"]).max() > 0
+                                    store_dofs=keep)["history"]
+        assert np.abs(ref[:blk.dof.n_p]).max() > 0
         if obstacle:
-            assert np.abs(ref["field_u"]).max() > 0
-        assert traj.field_p.shape == ref["field_p"].shape
-        assert traj.field_u.shape == ref["field_u"].shape
-        assert np.array_equal(traj.field_p, ref["field_p"])
-        assert np.array_equal(traj.field_u, ref["field_u"])
-        # both are views of one history buffer, not copies
-        assert traj.field_p.base is not None
-        assert traj.field_p.base is traj.field_u.base
+            assert np.abs(ref[blk.dof.n_p:]).max() > 0
+        assert traj.history.shape == ref.shape == (keep.size, 31)
+        assert np.array_equal(traj.history, ref)
 
     @pytest.mark.parametrize("obstacle", [False, True])
     def test_probes_match(self, obstacle):
@@ -202,9 +194,9 @@ class TestNewmarkReadout:
                            probes=probes)
         ref = reference_newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30,
                                     probes=probes)["probe_p"]
+        assert np.abs(ref).max() > 0
         assert traj.probe_p.shape == ref.shape
-        assert np.max(np.abs(traj.probe_p - ref)) \
-            <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(traj.probe_p, ref)
 
     def test_snapshots_and_norms_unchanged(self):
         blk = layer_blocks(obstacle=True)
@@ -344,7 +336,8 @@ class TestContour:
         # assembling it with the pulse transform at every frequency
         geom = Geometry(period=1.0, surface=SurfaceProfile.flat(0.0), h=0.5,
                         obstacle=Rectangle.square((0.6, 0.25), 0.16))
-        blk = build_blocks(build_mesh(geom, PML, 0.08), n_modes=16)
+        pml = PML if variant == "pml_layer" else None
+        blk = build_blocks(build_mesh(geom, pml, 0.08), n_modes=16)
         src = SourceSpec(center=(0.25, 0.25), radius=0.08, T=2.0)
         probes = locate_probes(blk.mesh, [[0.3, 0.4], [0.8, 0.2]])
         cfg = ContourConfig(s1=0.5, s2_max=20.0, n_freq=41,
@@ -384,15 +377,16 @@ class TestConcurrentContour:
     CFG = ContourConfig(s1=0.5, s2_max=20.0, n_freq=41,
                         t_grid=np.linspace(0.0, 2.0, 21))
 
-    def setup_blocks(self):
+    def setup_blocks(self, variant):
         geom = Geometry(period=1.0, surface=SurfaceProfile.cosine(0.1, 1.0),
                         h=0.5, obstacle=Rectangle.square((0.6, 0.3), 0.16))
-        blk = build_blocks(build_mesh(geom, PML, 0.08), n_modes=16)
+        pml = PML if variant == "pml_layer" else None
+        blk = build_blocks(build_mesh(geom, pml, 0.08), n_modes=16)
         return blk, locate_probes(blk.mesh, [[0.3, 0.4], [0.8, 0.2]])
 
     @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
     def test_equals_serial_loop_bitwise(self, cpus, variant):
-        blk, probes = self.setup_blocks()
+        blk, probes = self.setup_blocks(variant)
         traj = contour_synthesize(blk, ODD_MEDIA, self.SRC, self.CFG, probes,
                                   variant)
         ref, residuals = serial_contour(blk, ODD_MEDIA, self.SRC, self.CFG,
@@ -404,7 +398,7 @@ class TestConcurrentContour:
         assert traj.meta["max_residual"] <= 1e-10
 
     def test_singular_solve_propagates(self, cpus, monkeypatch):
-        blk, probes = self.setup_blocks()
+        blk, probes = self.setup_blocks("exact_dtn")
         solve = pmlstrip.timedomain.solve_frequency
 
         def failing(system, rhs=None):
