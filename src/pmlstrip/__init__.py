@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .model import (Geometry, GeometryError, MediaParams, OutOfLayerError,
                     PmlProfile, Pulse, Rectangle, SourceSpec,
-                    SurfaceProfile, check_source, effective_thickness,
-                    sigma_profile, stretched_coordinate, validate_media)
+                    SurfaceProfile, check_source, sigma_profile,
+                    stretched_coordinate, validate_media)
 from .symbols import (BoundaryTrace, BranchError, SymbolAudit, apply_dtn,
                       beta, beta_grid, cu_bound, default_xi_grid,
                       dtn_symbol, dtn_symbol_grid, pml_dtn_symbol,
@@ -27,13 +27,12 @@ from .fem import (AssemblyError, FemBlocks, FrequencySolution,
                   build_blocks, coercivity_probe, dofs_to_nodal, dtn_block,
                   fluid_error_norms, free_dofs, frequency_matrix,
                   h_norm_sq, load_vector, manufactured_residual,
-                  nodal_to_dofs, shared_dofs, solve_frequency,
-                  source_l2_norm, stability_ratios, term_weights)
+                  shared_dofs, solve_frequency, source_l2_norm,
+                  stability_ratios, term_weights)
 from .timedomain import (ContourConfig, ProbeSet, TimeTrajectory,
                          causality_margin, contour_synthesize,
                          energy_trace, locate_probes, newmark_run,
-                         probe_values, reconstruct_signal, synthesize,
-                         time_matrices)
+                         reconstruct_signal, synthesize, time_matrices)
 from .xform import (SampledSignal, TruncationWarning, inverse_laplace_grid,
                     laplace_grid, laplace_numeric, parseval_residual,
                     transform_property_check)

@@ -18,14 +18,16 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .fem import build_blocks, assemble, h_norm_sq, map_solves, \
-    shared_dofs, solve_frequency, source_l2_norm, stability_ratios
+from .fem import build_blocks, assemble, dofs_to_nodal, h_norm_sq, \
+    map_solves, shared_dofs, solve_frequency, source_l2_norm, \
+    stability_ratios
 from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
 from .mesh import build_mesh, export_mesh
 from .model import PmlProfile
 from .symbols import default_xi_grid, pml_dtn_symbol, symbol_gap_sup
-from .timedomain import energy_trace, locate_probes, newmark_run
+from .timedomain import ProbeError, energy_trace, locate_probes, \
+    newmark_run
 from .xform import SampledSignal, parseval_residual, \
     transform_property_check
 
@@ -285,9 +287,20 @@ def run_layer_check(cfg: RunConfig, out: str) -> int:
     return 0 if ok else 1
 
 
+def _above_mesh_size(what: str, L_values, cfg: RunConfig) -> None:
+    """Reject layers a mesh of the configured size cannot resolve:
+    build_mesh needs each thickness above mesh_size."""
+    mesh_size = cfg.numerics["mesh_size"]
+    if not all(L > mesh_size for L in L_values):
+        raise ConfigError(f"{what} must be above numerics.mesh_size = "
+                          f"{mesh_size:g}")
+
+
 def run_freq_solve(cfg: RunConfig, out: str) -> int:
     variant = cfg.numerics["variant"]
     with_layer = variant == "pml_layer"
+    if with_layer:
+        _above_mesh_size("pml.L", [cfg.pml.L], cfg)
     mesh = build_mesh(cfg.geometry, cfg.pml if with_layer else None,
                       cfg.numerics["mesh_size"])
     blk = build_blocks(mesh, cfg.numerics["n_modes"])
@@ -321,9 +334,17 @@ def run_freq_solve(cfg: RunConfig, out: str) -> int:
 
 
 def run_td(cfg: RunConfig, out: str) -> int:
+    _above_mesh_size("pml.L", [cfg.pml.L], cfg)
+    # the inclusion carries no pressure: a probe there would read 0
+    ob = cfg.geometry.obstacle
+    if ob is not None and np.any(ob.contains(*cfg.probes.T)):
+        raise ConfigError("probes.points must lie off the inclusion")
     mesh = build_mesh(cfg.geometry, cfg.pml, cfg.numerics["mesh_size"])
+    try:
+        probes = locate_probes(mesh, cfg.probes)
+    except ProbeError as exc:
+        raise ConfigError(f"probes.points: {exc}") from exc
     blk = build_blocks(mesh, cfg.numerics["n_modes"])
-    probes = locate_probes(mesh, cfg.probes)
     traj = newmark_run(blk, cfg.media, cfg.source, cfg.source.T,
                        cfg.numerics["n_steps"], probes=probes,
                        snapshot_times=cfg.numerics["snapshot_times"],
@@ -333,8 +354,9 @@ def run_td(cfg: RunConfig, out: str) -> int:
                             traj.probe_p.T.ravel()))
     write_csv(os.path.join(out, "probes.csv"), ["t", "probe_id", "p"],
               rows)
-    for t_snap, p_nodal, u_nodal in traj.snapshots:
-        write_field(os.path.join(out, f"p_t{t_snap:g}.txt"), p_nodal)
+    for t_snap, x in traj.snapshots:
+        write_field(os.path.join(out, f"p_t{t_snap:g}.txt"),
+                    dofs_to_nodal(blk, x)[0])
     ratios = energy_trace(traj, blk, cfg.media, cfg.source)
     write_csv(os.path.join(out, "energy_ratios.csv"),
               sorted(ratios), [[ratios[k] for k in sorted(ratios)]])
@@ -404,8 +426,12 @@ def run_convergence(cfg: RunConfig, out: str) -> int:
     L_values = cfg.sweep["L_values"]
     if len(L_values) < 3:
         raise ConfigError("convergence sweep needs at least 3 L values")
-    route = _freq_route_errors if cfg.numerics["route"] == "freq" \
-        else _time_route_errors
+    _above_mesh_size("every sweep.L_values entry", L_values, cfg)
+    time_route = cfg.numerics["route"] == "time"
+    if time_route and not cfg.sweep["L_ref"] > L_values[-1]:
+        raise ConfigError("sweep.L_ref must be above every sweep.L_values "
+                          "entry")
+    route = _time_route_errors if time_route else _freq_route_errors
     errors, n_modes_effective = route(cfg, L_values)
     csv_path = os.path.join(out, "convergence.csv")
     write_csv(csv_path, ["L", "error", "sqrt_error"],

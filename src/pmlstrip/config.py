@@ -305,6 +305,11 @@ def load_config(path: str) -> RunConfig:
                     for k in ("s1", "s2_max", "horizon")}
         parseval["n_freq"] = cp.getint("parseval", "n_freq")
         parseval["n_time"] = cp.getint("parseval", "n_time")
+        # n_time + 1 samples: the end-corrected time rule reads five
+        if not (parseval["s1"] > 0 and parseval["horizon"] > 0
+                and parseval["n_time"] >= 4 and parseval["n_freq"] >= 1):
+            raise ConfigError("parseval needs s1 > 0, horizon > 0, "
+                              "n_time >= 4 and n_freq >= 1")
 
         probes = _points(cp.get("probes", "points"))
     except (ValueError, configparser.Error) as exc:

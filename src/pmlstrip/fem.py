@@ -398,8 +398,6 @@ class FrequencySystem:
 
 @dataclass
 class FrequencySolution:
-    p_hat: np.ndarray               # per mesh vertex (complex)
-    u_hat: np.ndarray               # (n_vertices, 2) complex
     x: np.ndarray                   # global dof vector
     system: FrequencySystem
     residual: float = 0.0
@@ -409,6 +407,17 @@ class FrequencySolution:
     @property
     def s(self) -> complex:
         return self.system.s
+
+    @cached_property
+    def _nodal(self):
+        return dofs_to_nodal(self.system.blocks, self.x)
+
+    p_hat = property(lambda self: self._nodal[0],
+                     doc="pressure per mesh vertex, built from x on first "
+                         "read")
+    u_hat = property(lambda self: self._nodal[1],
+                     doc="(n_vertices, 2) displacement, built from x on "
+                         "first read")
 
 
 def dtn_block(blk: FemBlocks, media: MediaParams, s: complex,
@@ -620,35 +629,17 @@ def solve_frequency(system: FrequencySystem,
         res = 0.0
     x_all = np.zeros(system.blocks.dof.size, dtype=complex)
     x_all[system.free] = x
-    p_hat, u_hat = dofs_to_nodal(system.blocks, x_all)
-    return FrequencySolution(p_hat=p_hat, u_hat=u_hat, x=x_all,
-                             system=system, residual=res, lu_nnz=lu.nnz)
+    return FrequencySolution(x=x_all, system=system, residual=res,
+                             lu_nnz=lu.nnz)
 
 
 # ---------------------------------------------------------------------------
-# norms and probes
+# the nodal frame and norms
 # ---------------------------------------------------------------------------
-
-def nodal_to_dofs(blk: FemBlocks, p_nodal: np.ndarray,
-                  u_nodal: np.ndarray | None = None) -> np.ndarray:
-    """Pack per-vertex fields, p (n_vertices, ...) and u (n_vertices, 2,
-    ...), into global dof vectors (n_dofs, ...) of their common dtype;
-    trailing axes such as time steps are carried along."""
-    p = np.asarray(p_nodal)
-    u = np.zeros(0) if u_nodal is None else np.asarray(u_nodal)
-    x = np.zeros((blk.dof.size,) + p.shape[1:],
-                 dtype=np.result_type(p, u, 0.0))
-    x[:blk.dof.n_p] = p[blk.dof.p_nodes]
-    if u_nodal is not None and blk.dof.n_u:
-        x[blk.dof.n_p::2] = u[blk.dof.u_nodes, 0]
-        x[blk.dof.n_p + 1::2] = u[blk.dof.u_nodes, 1]
-    return x
-
 
 def dofs_to_nodal(blk: FemBlocks, x: np.ndarray):
-    """Per-vertex (p, u) of a global dof vector, the inverse of
-    nodal_to_dofs: periodic slaves repeat their master and a vertex
-    without a dof reads 0."""
+    """Per-vertex (p, u) of a global dof vector: periodic slaves repeat
+    their master and a vertex without a dof reads 0."""
     padded = np.append(x, np.zeros(1, dtype=x.dtype))
     return padded[blk.dof.node_dof[:, 0]], padded[blk.dof.node_dof[:, 1:]]
 
@@ -738,7 +729,8 @@ def manufactured_residual(blk: FemBlocks, media: MediaParams, s: complex,
     p_expr is a sympy expression in (x1, x3) vanishing on the bottom
     surface with zero value and zero x3-slope on x3 = h; u_expr is an
     optional pair of sympy expressions on the inclusion.  Returns
-    (rhs_vector, p_exact_nodal, u_exact_nodal).
+    (rhs_vector, x_exact): the exact fields at the dof nodes as a global
+    dof vector.
     """
     import sympy as sym
 
@@ -806,26 +798,24 @@ def manufactured_residual(blk: FemBlocks, media: MediaParams, s: complex,
                 np.add.at(rhs, dof.node_dof[edges, 1 + comp],
                           rho0 * np.conj(s) * r2[comp][:, None] * shp)
 
-    # exact nodal fields for error measurement
-    p_exact = np.asarray(p_num(mesh.vertices[:, 0], mesh.vertices[:, 1]),
-                         dtype=complex)
-    p_exact = np.broadcast_to(p_exact, (mesh.n_vertices,)).copy()
-    gf = np.unique(mesh.boundary_edges[MARKER_GAMMA_F])
-    scale = max(1.0, float(np.max(np.abs(p_exact))))
-    if np.max(np.abs(p_exact[gf])) > 1e-9 * scale:
+    # exact fields on the dof nodes for error measurement
+    x_exact = np.zeros(dof.size, dtype=complex)
+    x_exact[:dof.n_p] = p_num(*mesh.vertices[dof.p_nodes].T)
+    scale = max(1.0, float(np.max(np.abs(x_exact))))
+    if np.max(np.abs(x_exact[blk.dirichlet_f])) > 1e-9 * scale:
         raise AssemblyError("manufactured pressure must vanish on the "
                             "bottom surface")
-    u_exact = np.zeros((mesh.n_vertices, 2), dtype=complex)
     if u_num is not None:
         for comp in (0, 1):
-            u_exact[:, comp] = u_num[comp](*mesh.vertices.T)
-    return rhs, p_exact, u_exact
+            x_exact[dof.n_p + comp::2] = u_num[comp](
+                *mesh.vertices[dof.u_nodes].T)
+    return rhs, x_exact
 
 
-def fluid_error_norms(blk: FemBlocks, p_num: np.ndarray,
-                      p_ref: np.ndarray) -> tuple[float, float]:
-    """(L2, H1) norms of a nodal pressure difference over the fluid
-    region below x3 = h."""
-    e = nodal_to_dofs(blk, p_num - p_ref)
+def fluid_error_norms(blk: FemBlocks, x: np.ndarray,
+                      x_ref: np.ndarray) -> tuple[float, float]:
+    """(L2, H1) norms of the pressure difference of two global dof
+    vectors over the fluid region below x3 = h."""
+    e = x - x_ref
     return _sqrt_form(blk.M_fluid, e), \
         _sqrt_form(blk.M_fluid + blk.K_fluid, e)

@@ -97,11 +97,6 @@ class PmlProfile:
         return self.sigma0 * self.L / (self.m + 1)
 
 
-def effective_thickness(pml: PmlProfile) -> tuple[float, float]:
-    """Return (L_tilde, L_bar) for the given profile."""
-    return pml.L_tilde, pml.L_bar
-
-
 def sigma_profile(x3, pml: PmlProfile, h: float):
     """Damping profile: 1 below h, polynomially graded inside the layer.
 

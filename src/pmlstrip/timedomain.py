@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import LU_ORDERING, FemBlocks, _affine_form, _cpu_count, \
-    _sqrt_form, _with_data, assemble, dofs_to_nodal, factorize, \
-    load_vector, map_solves, solve_frequency, source_l2_norm, term_weights
+    _sqrt_form, _with_data, assemble, factorize, load_vector, map_solves, \
+    solve_frequency, source_l2_norm, term_weights
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
 
@@ -67,16 +67,21 @@ def locate_probes(mesh, points) -> ProbeSet:
     return ProbeSet(points=points, tri=tri_idx, bary=bary)
 
 
-def probe_values(mesh, probes: ProbeSet, nodal: np.ndarray) -> np.ndarray:
-    """Interpolate a nodal field (last axis = vertices) at the probes."""
-    return _interpolate(probes, np.take(nodal, mesh.triangles[probes.tri],
-                                        axis=-1))
-
-
 def _interpolate(probes: ProbeSet, corners: np.ndarray) -> np.ndarray:
     """Barycentric combination of the values at the corners of each
     probe's triangle, corners (..., n_probes, 3)."""
     return np.einsum("...nk,nk->...n", corners, probes.bary)
+
+
+def _probe_reader(blk: FemBlocks, probes: ProbeSet, slot=None):
+    """The probe pressures of a state vector padded with one zero: the
+    global pressure dofs at the corners of each probe's triangle (the
+    sentinel dof.size where a corner has none), mapped through slot into
+    a free-dof state when given, then interpolated."""
+    corners = blk.dof.node_dof[blk.mesh.triangles[probes.tri], 0]
+    if slot is not None:
+        corners = slot[corners]
+    return lambda padded: _interpolate(probes, padded[corners])
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +97,7 @@ class TimeTrajectory:
     history: np.ndarray | None = None      # stored dofs x steps
     energy: np.ndarray | None = None
     norms: dict = field(default_factory=dict)
-    snapshots: list = field(default_factory=list)   # (t, p_nodal, u_nodal)
+    snapshots: list = field(default_factory=list)   # (t, global dof vector)
     meta: dict = field(default_factory=dict)
 
 
@@ -155,8 +160,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     # readout straight from the free-dof state (d, 0) through form.slot
     state = np.zeros(free.size + 1)
     if probes is not None:
-        probe_slots = form.slot[
-            blk.dof.node_dof[blk.mesh.triangles[probes.tri], 0]]
+        read_probes = _probe_reader(blk, probes, form.slot)
         traj.probe_p = np.zeros((probes.n, n_steps + 1))
     if store_dofs is not None:
         store_slots = form.slot[store_dofs]
@@ -178,13 +182,12 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
         if store_dofs is not None:
             history[step] = state[store_slots]
         if probes is not None:
-            traj.probe_p[:, step] = _interpolate(probes, state[probe_slots])
+            traj.probe_p[:, step] = read_probes(state)
         if step in snap_steps or record_norms:
             x_full[free] = d
             v_full[free] = v
         if step in snap_steps:
-            p_nodal, u_nodal = dofs_to_nodal(blk, x_full)
-            traj.snapshots.append((t_grid[step], p_nodal, u_nodal))
+            traj.snapshots.append((t_grid[step], x_full.copy()))
         if record_energy:
             traj.energy[step] = 0.5 * float(v @ (Mr @ v)) \
                 + 0.5 * float(d @ (Kr @ d))
@@ -310,12 +313,13 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
     # the source load does not depend on s: assemble it once at scale 1
     rhs0 = load_vector(blk, source.spatial)[_affine_form(blk, variant).free] \
         / media.c ** 2
+    read_probes = _probe_reader(blk, probes)
 
     def solve(w):
         s = cfg.s1 + 1j * w
         sol = solve_frequency(assemble(blk, media, s, None, 0.0, variant),
                               rhs=complex(source.pulse.laplace(s)) * rhs0)
-        return probe_values(blk.mesh, probes, sol.p_hat), sol.residual
+        return read_probes(np.append(sol.x, 0.0)), sol.residual
 
     rows, residuals = zip(*map_solves(solve, cfg.half_grid()))
     return TimeTrajectory(t=np.asarray(t, dtype=float),

@@ -1,22 +1,26 @@
 """Command line harness: configs, subcommands, CSV and manifest output."""
 
 import configparser
+import contextlib
 import csv
 import io
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmlstrip.cli
 import pmlstrip.fem
 import pmlstrip.symbols
 from pmlstrip import ConfigError, PmlProfile, assemble, build_blocks, \
-    build_mesh, h_norm_sq, load_config, nodal_to_dofs, solve_frequency, \
-    source_l2_norm, stability_ratios
+    build_mesh, h_norm_sq, load_config, solve_frequency, source_l2_norm, \
+    stability_ratios
 from pmlstrip.config import DEFAULTS
 from pmlstrip.cli import (FitError, PlotError, emit_plots, fit_rate, main,
                           write_csv, write_field)
@@ -241,6 +245,11 @@ class TestConfig:
         ("td", "snapshot_times = 5"),
         ("td", "snapshot_times = -1"),
         ("td", "snapshot_times = 0.5,0.51"),    # one step
+        ("parseval", "n_time = 1"),
+        ("parseval", "n_time = 3"),
+        ("parseval", "n_freq = 0"),
+        ("parseval", "s1 = -1"),
+        ("parseval", "horizon = 0"),
     ])
     def test_rejected_at_load(self, tmp_path, section, line):
         # each of these used to load and then fail, or be ignored, at
@@ -585,11 +594,56 @@ class TestSubcommands:
         # missing config file: configuration error
         assert main(["freq-solve", "--config",
                      str(tmp_path / "nope.ini"), "--out", out]) == 2
-        # runtime failure: mesh size too coarse for the layer
+        # mesh size too coarse for the layer: configuration error
         path = tmp_path / "bad.ini"
         path.write_text(BASE_CONFIG.replace("mesh_size = 0.08",
                                             "mesh_size = 0.45"))
-        assert main(["td-run", "--config", str(path), "--out", out]) == 1
+        assert main(["td-run", "--config", str(path), "--out", out]) == 2
+
+    # BASE_CONFIG: inclusion 0.4-0.6 x 0.15-0.35, strip top h + L = 0.9,
+    # mesh_size 0.08
+    @pytest.mark.parametrize("command, lines, message", [
+        ("td-run", [("probes", "points = 0.3,0.3; 0.5,0.25")],
+         "off the inclusion"),
+        ("td-run", [("probes", "points = 0.5,0.95")], "outside the mesh"),
+        ("td-run", [("probes", "points = 0.5,-0.01")], "outside the mesh"),
+        ("td-run", [("pml", "L = 0.04")], "pml.L"),
+        ("td-run", [("pml", "L = 0.08")], "pml.L"),
+        ("freq-solve", [("numerics", "variant = pml_layer"),
+                        ("pml", "L = 0.08")], "pml.L"),
+        ("convergence", [("sweep", "L_values = 0.08,0.2,0.3")],
+         "sweep.L_values"),
+        ("convergence", [("sweep", "L_values = 0.02,0.1,0.2")],
+         "sweep.L_values"),
+        ("convergence", [("numerics", "route = time"),
+                         ("sweep", "L_values = 0.25,0.5,1"),
+                         ("sweep", "L_ref = 0.5")], "sweep.L_ref"),
+        ("convergence", [("numerics", "route = time"),
+                         ("sweep", "L_values = 0.25,0.5,1"),
+                         ("sweep", "L_ref = 1")], "sweep.L_ref"),
+    ], ids=["probe-in-inclusion", "probe-above-strip", "probe-below-surface",
+            "td-L-below-mesh-size", "td-L-at-mesh-size",
+            "freq-L-at-mesh-size", "sweep-L-at-mesh-size",
+            "sweep-L-below-mesh-size", "L_ref-inside-sweep",
+            "L_ref-at-sweep-end"])
+    def test_rejected_before_solving(self, tmp_path, capsys, command,
+                                     lines, message):
+        # rules on values only one subcommand reads, checked where it
+        # reads them; each used to fail at run time with exit 1, or (a
+        # probe in the inclusion) write the pressure sentinel 0
+        text = BASE_CONFIG
+        for section, line in lines:
+            text = with_setting(text, section, line)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        load_config(str(path))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) \
+            == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err \
+            and err.count("\n") == 1
+        assert not out.exists() or not os.listdir(out)
 
     def test_source_below_surface_crest_exits_2(self, tmp_path):
         # the support bottom 0.0995 dips below the crest 0.1 at x1 = 0.5,
@@ -621,6 +675,86 @@ class TestSubcommands:
         assert c1 == c2
 
 
+# a tiny strip for the contract fuzz: the inclusion 0.4-0.6 x 0.15-0.35
+# of BASE_CONFIG, few steps, one or two frequencies, short signals
+FUZZ_MESH = 0.125
+FUZZ_CONFIG = BASE_CONFIG.replace("mesh_size = 0.08",
+                                  f"mesh_size = {FUZZ_MESH}") \
+    .replace("n_steps = 40", "n_steps = 4") \
+    .replace("n_modes = 16", "n_modes = 4") + "[parseval]\ns2_max = 10\n"
+AROUND_MESH = [FUZZ_MESH - 1e-3, FUZZ_MESH, FUZZ_MESH + 1e-3, 0.3]
+
+
+@st.composite
+def contract_cases(draw):
+    """(command, lines, rejected): values at and around the bounds of
+    the rules checked where td-run, freq-solve, convergence and parseval
+    read them, and whether a rule rejects them."""
+    command = draw(st.sampled_from(["td-run", "freq-solve", "convergence",
+                                    "parseval"]))
+    if command == "parseval":
+        s1, horizon = draw(st.sampled_from([-1.0, 0.0, 0.5])), \
+            draw(st.sampled_from([-1.0, 0.0, 0.5]))
+        n_time, n_freq = draw(st.sampled_from([1, 3, 4, 5, 40])), \
+            draw(st.sampled_from([0, 1, 2, 11]))
+        return command, [("parseval", f"s1 = {s1}"),
+                         ("parseval", f"horizon = {horizon}"),
+                         ("parseval", f"n_time = {n_time}"),
+                         ("parseval", f"n_freq = {n_freq}")], \
+            not (s1 > 0 and horizon > 0 and n_time >= 4 and n_freq >= 1)
+    if command == "convergence":
+        route = draw(st.sampled_from(["freq", "time"]))
+        first = draw(st.sampled_from(AROUND_MESH))
+        L_values = [first, first + 0.1, first + 0.2]
+        L_ref = L_values[-1] + draw(st.sampled_from([-1e-3, 0.0, 1e-3,
+                                                     0.5]))
+        return command, [
+            ("numerics", f"route = {route}"), ("freq", "s2_values = 0,4"),
+            ("sweep", "L_values = " + ",".join(map(repr, L_values))),
+            ("sweep", f"L_ref = {L_ref!r}")], \
+            first <= FUZZ_MESH or (route == "time" and L_ref <= L_values[-1])
+    L = draw(st.sampled_from(AROUND_MESH))
+    lines = [("pml", f"L = {L!r}")]
+    if command == "freq-solve":
+        variant = draw(st.sampled_from(["pml_layer", "exact_dtn"]))
+        lines += [("numerics", f"variant = {variant}"),
+                     ("freq", "s2_values = 3")]
+        return command, lines, variant == "pml_layer" and L <= FUZZ_MESH
+    x1 = draw(st.sampled_from([0.0, 0.3, 0.4, 0.5, 0.6, 1.0]))
+    x3 = draw(st.sampled_from([-0.01, 0.0, 0.15, 0.25, 0.35, 0.5, 0.5 + L,
+                               0.51 + L]))
+    lines.append(("probes", f"points = {x1!r},{x3!r}"))
+    return command, lines, L <= FUZZ_MESH or not 0 <= x3 <= 0.5 + L \
+        or (0.4 < x1 < 0.6 and 0.15 < x3 < 0.35)
+
+
+class TestExitContract:
+    @settings(max_examples=60, deadline=None)
+    @given(case=contract_cases())
+    def test_exits_0_2_or_a_documented_gate(self, case):
+        # exit 2 exactly when a rule rejects the values; exit 1 only
+        # through a gate the manifest records; never an `error:` line
+        command, lines, rejected = case
+        text = FUZZ_CONFIG
+        for section, line in lines:
+            text = with_setting(text, section, line)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "f.ini"), os.path.join(tmp, "out")
+            Path(path).write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", out])
+            manifest = os.path.join(out, "manifest.txt")
+            assert "error: " not in err.getvalue().replace(
+                "configuration error: ", "")
+            assert (code == 2) == rejected, (code, err.getvalue())
+            if code == 2:
+                assert not os.path.exists(manifest)
+            elif code == 1:
+                gates = Path(manifest).read_text()
+                assert "fit_rejected=" in gates or "pass=0" in gates
+
+
 def serial_freq_solve(cfg, out):
     """freq-solve's per-frequency fields and summary as one serial loop
     over the frequencies wrote them."""
@@ -646,6 +780,16 @@ def serial_freq_solve(cfg, out):
     reference_write_csv(os.path.join(out, "freq_summary.csv"),
                         ["s1", "s2", "fluid_lhs", "solid_lhs", "fluid_ratio",
                          "solid_ratio", "residual"], rows)
+
+
+def nodal_to_dofs(blk, p, u):
+    """Per-vertex pressure and displacement packed into a global dof
+    vector: the nodal reference for the dof-frame comparison."""
+    x = np.zeros(blk.dof.size, dtype=np.result_type(p, u))
+    x[:blk.dof.n_p] = p[blk.dof.p_nodes]
+    x[blk.dof.n_p::2] = u[blk.dof.u_nodes, 0]
+    x[blk.dof.n_p + 1::2] = u[blk.dof.u_nodes, 1]
+    return x
 
 
 def serial_freq_route_errors(cfg, L_values):

@@ -17,8 +17,8 @@ from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       dtn_block, fluid_error_norms, free_dofs,
                       frequency_matrix,
                       h_norm_sq, load_vector, manufactured_residual,
-                      nodal_to_dofs, shared_dofs, solve_frequency,
-                      source_l2_norm, stability_ratios)
+                      shared_dofs, solve_frequency, source_l2_norm,
+                      stability_ratios)
 from pmlstrip.fem import AssemblyError, SingularSystemError, \
     _affine_form, _assemble_scalar, _cpu_count, _tri_geometry, map_solves, \
     quadratic_form
@@ -37,6 +37,21 @@ def make_blocks(obstacle=False, pml=None, target=0.08, n_modes=16,
         obstacle=Rectangle.square((0.5, 0.25), 0.2) if obstacle else None)
     mesh = build_mesh(geom, pml, target)
     return build_blocks(mesh, n_modes=n_modes)
+
+
+def nodal_to_dofs(blk, p_nodal, u_nodal=None):
+    """Per-vertex fields, p (n_vertices, ...) and u (n_vertices, 2, ...),
+    packed into global dof vectors (n_dofs, ...) of their common dtype:
+    the nodal reference for the dof frame, dofs_to_nodal's inverse."""
+    p = np.asarray(p_nodal)
+    u = np.zeros(0) if u_nodal is None else np.asarray(u_nodal)
+    x = np.zeros((blk.dof.size,) + p.shape[1:],
+                 dtype=np.result_type(p, u, 0.0))
+    x[:blk.dof.n_p] = p[blk.dof.p_nodes]
+    if u_nodal is not None and blk.dof.n_u:
+        x[blk.dof.n_p::2] = u[blk.dof.u_nodes, 0]
+        x[blk.dof.n_p + 1::2] = u[blk.dof.u_nodes, 1]
+    return x
 
 
 def reference_matrix(blk, s, variant, pml=None):
@@ -442,8 +457,8 @@ class TestNormsAndProbes:
 
     def test_fluid_error_norms_zero_on_equal(self):
         blk = make_blocks()
-        p = np.random.default_rng(2).normal(size=blk.mesh.n_vertices)
-        l2, h1 = fluid_error_norms(blk, p, p)
+        x = np.random.default_rng(2).normal(size=blk.dof.size)
+        l2, h1 = fluid_error_norms(blk, x, x)
         assert l2 == 0.0 and h1 == 0.0
 
     def test_stability_ratios_finite(self):
@@ -489,16 +504,51 @@ class TestManufactured:
         errs, sizes = [], []
         for target in (0.1, 0.05, 0.025):
             blk = make_blocks(target=target)
-            rhs, p_ex, _ = manufactured_residual(blk, MEDIA, 1.0 + 2.0j,
-                                                 p_expr)
+            rhs, x_ex = manufactured_residual(blk, MEDIA, 1.0 + 2.0j,
+                                              p_expr)
             system = assemble(blk, MEDIA, 1.0 + 2.0j, None, 0.0,
                               "exact_dtn")
             sol = solve_frequency(system, rhs=rhs[system.free])
-            l2, _ = fluid_error_norms(blk, sol.p_hat, p_ex)
+            l2, _ = fluid_error_norms(blk, sol.x, x_ex)
             errs.append(l2)
             sizes.append(target)
         order = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert 1.7 <= order <= 2.3
+
+    def test_exact_fields_equal_nodal_packing(self):
+        # the exact fields evaluated on the dof nodes equal the former
+        # per-vertex evaluation packed into dofs, and so do the error
+        # norms of a solve against them
+        x1, x3 = sym.symbols("x1 x3", real=True)
+        p_expr = (x3 - sym.Rational(1, 20) * sym.cos(2 * sym.pi * x1)) \
+            * (sym.Rational(1, 2) - x3) ** 2 * sym.cos(2 * sym.pi * x1)
+        u_expr = (sym.sin(sym.pi * x1) * x3, sym.cos(sym.pi * x1) * x3 ** 2)
+        blk = make_blocks(obstacle=True,
+                          surface=SurfaceProfile.cosine(0.05, 1.0))
+        s = 1.0 + 2.0j
+        rhs, x_ex = manufactured_residual(blk, MEDIA, s, p_expr, u_expr)
+        v = blk.mesh.vertices.T
+        p_nodal = sym.lambdify((x1, x3), p_expr, "numpy")(*v)
+        u_nodal = np.stack([sym.lambdify((x1, x3), e, "numpy")(*v)
+                            for e in u_expr], axis=1)
+        ref = nodal_to_dofs(blk, p_nodal.astype(complex),
+                            u_nodal.astype(complex))
+        assert np.abs(ref[blk.dof.n_p:]).max() > 0
+        assert np.array_equal(x_ex, ref)
+        system = assemble(blk, MEDIA, s, None, 0.0, "exact_dtn")
+        sol = solve_frequency(system, rhs=rhs[system.free])
+        e_ref = nodal_to_dofs(blk, sol.p_hat - p_nodal)
+        assert fluid_error_norms(blk, sol.x, x_ex) == \
+            (np.sqrt(np.vdot(e_ref, blk.M_fluid @ e_ref).real),
+             np.sqrt(np.vdot(e_ref, (blk.M_fluid + blk.K_fluid)
+                             @ e_ref).real))
+
+    def test_bottom_condition_enforced(self):
+        blk = make_blocks()
+        x1, x3 = sym.symbols("x1 x3", real=True)
+        with pytest.raises(AssemblyError, match="bottom surface"):
+            manufactured_residual(blk, MEDIA, 1.0 + 0.0j,
+                                  (sym.Rational(1, 2) - x3) ** 2)
 
 
 def eager_norm_blocks(mesh, dof):

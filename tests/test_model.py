@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from pmlstrip import (Geometry, GeometryError, MediaParams, OutOfLayerError,
                       PmlProfile, Pulse, Rectangle, SourceSpec,
-                      SurfaceProfile, check_source, effective_thickness,
-                      laplace_numeric, SampledSignal, sigma_profile,
+                      SurfaceProfile, check_source, laplace_numeric, SampledSignal, sigma_profile,
                       stretched_coordinate, validate_media)
 
 
@@ -31,7 +30,6 @@ class TestPmlProfile:
         pml = PmlProfile(sigma0=2.0, m=1, L=1.0, s1=1.0)
         assert pml.L_tilde == pytest.approx(2.0)
         assert pml.L_bar == pytest.approx(1.0)
-        assert effective_thickness(pml) == (pml.L_tilde, pml.L_bar)
 
     def test_general_thickness(self):
         pml = PmlProfile(sigma0=3.0, m=2, L=0.5, s1=0.25)

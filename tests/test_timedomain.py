@@ -11,13 +11,13 @@ from pmlstrip import (ContourConfig, Geometry, MediaParams, PmlProfile,
                       assemble, build_blocks, build_mesh, causality_margin,
                       contour_synthesize, dofs_to_nodal, energy_trace,
                       free_dofs, frequency_matrix, inverse_laplace_grid,
-                      load_vector, locate_probes, newmark_run, probe_values,
+                      load_vector, locate_probes, newmark_run,
                       reconstruct_signal, solve_frequency, synthesize,
                       term_weights, time_matrices)
 import pmlstrip.timedomain
 from pmlstrip.fem import DIAG_PIVOT_THRESH, LU_ORDERING, \
     SingularSystemError, _affine_form, _sqrt_form, _with_data, factorize
-from pmlstrip.timedomain import ProbeError
+from pmlstrip.timedomain import ProbeError, _probe_reader
 
 MEDIA = MediaParams()
 # distinct material constants, so that a misplaced weight shows
@@ -32,14 +32,25 @@ def layer_blocks(obstacle=False, target=0.08):
     return build_blocks(build_mesh(geom, PML, target), n_modes=16)
 
 
+def probe_values(mesh, probes, nodal):
+    """Nodal readout: a per-vertex field (last axis = vertices)
+    interpolated at the probes, the reference for the dof-frame
+    readout."""
+    return np.einsum("...nk,nk->...n",
+                     np.take(nodal, mesh.triangles[probes.tri], axis=-1),
+                     probes.bary)
+
+
 class TestProbes:
     def test_locate_and_interpolate_linear(self):
         blk = layer_blocks()
         mesh = blk.mesh
         pts = np.array([[0.31, 0.22], [0.77, 0.41]])
         probes = locate_probes(mesh, pts)
-        nodal = 2.0 * mesh.vertices[:, 0] - 3.0 * mesh.vertices[:, 1] + 1.0
-        vals = probe_values(mesh, probes, nodal)
+        x = np.zeros(blk.dof.size + 1)
+        x[:blk.dof.n_p] = 2.0 * mesh.vertices[blk.dof.p_nodes, 0] \
+            - 3.0 * mesh.vertices[blk.dof.p_nodes, 1] + 1.0
+        vals = _probe_reader(blk, probes)(x)
         assert vals == pytest.approx(2.0 * pts[:, 0] - 3.0 * pts[:, 1]
                                      + 1.0)
 
@@ -204,13 +215,74 @@ class TestNewmarkReadout:
         traj = newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30, **kw)
         ref = reference_newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30, **kw)
         assert len(traj.snapshots) == len(ref["snapshots"]) == 3
-        for (t, p, u), (t_ref, p_ref, u_ref) in zip(traj.snapshots,
-                                                     ref["snapshots"]):
-            assert t == t_ref
+        for (t, x), (t_ref, p_ref, u_ref) in zip(traj.snapshots,
+                                                 ref["snapshots"]):
+            assert t == t_ref and x.shape == (blk.dof.size,)
+            p, u = dofs_to_nodal(blk, x)
             assert np.array_equal(p, p_ref) and np.array_equal(u, u_ref)
         assert np.abs(ref["snapshots"][-1][2]).max() > 0
         for key, series in ref["norms"].items():
             assert np.array_equal(traj.norms[key], series)
+
+
+class TestTrapezoidalIdentity:
+    """Average-acceleration Newmark is the trapezoidal rule, so its
+    trajectory is one frequency solve (trapezoidal convolution
+    quadrature, Lubich 1988).  With D(z) = sum d_n z^n, F(z) = sum f_n
+    z^n and delta(z) = (2/dt)(1 - z)/(1 + z), exactly
+
+        (delta^2 M + K) D(z) = F(z) - f_0/(1 + z),
+
+    the f_0 term from the start-up solve M a_0 = f_0.  The left side is
+    the pml_layer form at s = delta up to its row scaling r(s): 1/s on
+    pressure rows, rho0 conj(s) on displacement rows.  On |z| = rho with
+    rho^N = 1e-16 the truncated series obey it to round-off."""
+
+    N = 200
+
+    class LoadOnAtStart:
+        """dg/dt nonzero at t = 0 (Pulse's vanishes there), so that
+        f_0 and the start-up solve enter."""
+
+        def derivative(self, t):
+            return np.exp(-t) * np.cos(6.0 * t)
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    @pytest.mark.parametrize("pulse", [Pulse(), LoadOnAtStart()],
+                             ids=["pulse", "load_on_at_start"])
+    def test_newmark_is_one_frequency_solve(self, obstacle, pulse):
+        src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=1.0,
+                         pulse=pulse)
+        blk = layer_blocks(obstacle=obstacle)
+        free = free_dofs(blk, "pml_layer")
+        probes = locate_probes(blk.mesh, [[0.31, 0.22], [0.77, 0.41],
+                                          [0.5, 0.7]])
+        traj = newmark_run(blk, ODD_MEDIA, src, src.T, self.N,
+                           probes=probes, store_dofs=free)
+        d = traj.history                                  # (free, N + 1)
+        f = np.outer(load_vector(blk, src.spatial)[free] / ODD_MEDIA.c ** 2,
+                     pulse.derivative(traj.t))
+        pressure = free < blk.dof.n_p
+        assert np.abs(d[pressure]).max() > 0
+        if obstacle:
+            assert np.abs(d[~pressure]).max() > 0
+        read = _probe_reader(blk, probes, _affine_form(blk, "pml_layer").slot)
+        dt, n = traj.meta["dt"], np.arange(self.N + 1)
+        rho = 1e-16 ** (1.0 / self.N)
+        scale = np.sum(rho ** n * np.linalg.norm(d, axis=0))
+        for angle in np.linspace(0.0, np.pi, 5):
+            z = rho * np.exp(1j * angle)
+            D, F = d @ z ** n, f @ z ** n
+            delta = 2.0 / dt * (1.0 - z) / (1.0 + z)
+            r = np.where(pressure, 1.0 / delta,
+                         ODD_MEDIA.rho0 * np.conj(delta))
+            sol = solve_frequency(
+                assemble(blk, ODD_MEDIA, delta, None, 0.0, "pml_layer"),
+                rhs=r * (F - f[:, 0] / (1.0 + z)))
+            assert np.linalg.norm(D - sol.x[free]) <= 1e-12 * scale
+            # the probe series transform equally, through the readout
+            P = traj.probe_p @ z ** n
+            assert np.abs(P - read(np.append(D, 0.0))).max() <= 1e-12 * scale
 
 
 class TestFactorization:
