@@ -25,14 +25,12 @@ from .mesh import StripMesh, build_mesh, export_mesh
 from .fem import (AssemblyError, FemBlocks, FrequencySolution,
                   FrequencySystem, SingularSystemError, assemble,
                   build_blocks, coercivity_probe, dofs_to_nodal, dtn_block,
-                  fluid_error_norms, free_dofs, frequency_matrix,
-                  h_norm_sq, load_vector, manufactured_residual,
-                  shared_dofs, solve_frequency, source_l2_norm,
-                  stability_ratios, term_weights)
+                  fluid_error_norms, free_dofs, h_norm_sq, load_vector,
+                  manufactured_residual, shared_dofs, solve_frequency,
+                  source_l2_norm, stability_ratios, term_weights)
 from .timedomain import (ContourConfig, ProbeSet, TimeTrajectory,
                          causality_margin, contour_synthesize,
-                         energy_trace, locate_probes, newmark_run,
-                         reconstruct_signal, synthesize, time_matrices)
+                         energy_trace, locate_probes, newmark_run)
 from .xform import (SampledSignal, TruncationWarning, inverse_laplace_grid,
                     laplace_grid, laplace_numeric, parseval_residual,
                     transform_property_check)

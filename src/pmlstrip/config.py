@@ -98,6 +98,15 @@ def _resolvable_layer(what: str, pml: PmlProfile, s1: float,
                           f"its boundary symbol at s1 = {s1:g}")
 
 
+def _normal_square(what: str, s1: float, c: float) -> None:
+    """Reject a Laplace abscissa whose square underflows: the symbols take
+    the root of s^2/c^2 + xi^2, which at s = s1, xi = 0 lands on the
+    branch cut once (s1/c)^2 is no longer a normal double."""
+    if not (s1 / c) ** 2 >= np.finfo(float).tiny:
+        raise ConfigError(f"{what} = {s1:g} is too small: (s1/c)^2 "
+                          "underflows")
+
+
 def _points(text: str) -> np.ndarray:
     pts = []
     for chunk in text.split(";"):
@@ -201,6 +210,7 @@ def load_config(path: str) -> RunConfig:
         pml = PmlProfile(sigma0=cp.getfloat("pml", "sigma0"),
                          m=cp.getint("pml", "m"),
                          L=cp.getfloat("pml", "L"), s1=s1)
+        _normal_square("numerics.s1", s1, media.c)
 
         center = _floats(cp.get("source", "center"))
         if len(center) != 2:
@@ -269,6 +279,8 @@ def load_config(path: str) -> RunConfig:
             if not audit[key] or not all(v > 0 for v in audit[key]):
                 raise ConfigError(f"audit.{key} must be nonempty and "
                                   "positive")
+        for s1_a in audit["s1_values"]:
+            _normal_square("audit.s1_values entry", s1_a, media.c)
         if audit["m"] < 1 or audit["xi_points"] < 1:
             raise ConfigError("audit.m and audit.xi_points must be >= 1")
         for s1_a, sigma0, L in itertools.product(
@@ -283,6 +295,7 @@ def load_config(path: str) -> RunConfig:
         s_pair = _floats(cp.get("layer", "s"))
         if len(s_pair) != 2 or not s_pair[0] > 0:
             raise ConfigError("layer.s must be s1,s2 with s1 > 0")
+        _normal_square("layer.s real part", s_pair[0], media.c)
         n_values = _floats(cp.get("layer", "n_values"))
         if len(n_values) < 2 or not all(v.is_integer() and v >= 8
                                         for v in n_values) \

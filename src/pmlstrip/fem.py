@@ -10,9 +10,9 @@ with weights theta(s) = r(s) (w_K + s^2 w_M), r = 1/s on pressure test
 rows and rho0 conj(s) on displacement test rows, plus -B(s)/s on
 Gamma_h x Gamma_h for the truncated Fourier-mode multiplier B(s) on
 x3 = h.  On first use the blocks are laid out as the mesh's one term
-table (AffineForm), which the contour solves and Newmark both combine
-with their weights: a layer mesh serves pml_layer, a mesh without the
-layer exact_dtn and pml_dtn.
+table on its free dofs (AffineForm), which the contour solves and
+Newmark both combine with their weights: a layer mesh serves
+pml_layer, a mesh without the layer exact_dtn and pml_dtn.
 """
 
 from __future__ import annotations
@@ -452,24 +452,30 @@ def free_dofs(blk: FemBlocks, variant: str) -> np.ndarray:
 
 @dataclass
 class AffineForm:
-    """The s-independent part of the form on one mesh.
+    """The s-independent part of the form on one mesh, on its free dofs.
 
     terms[q] holds the block weighted by theta_q (module docstring) on
-    the sparsity pattern of ``pattern``: the union of the blocks'
-    nonzeros and, on a mesh without the layer, every Gamma_h x Gamma_h
-    pair, at positions gamma_slots (row-major).  ``gather`` picks the
-    values of the free-dof submatrix in the order of ``reduced``.
-    ``slot`` gives each global dof, and the sentinel dof.size, its
-    position in the free-dof state padded with one zero (free.size).
+    the free-dof sparsity pattern, in row-major order: the union of the
+    blocks' nonzeros and, on a mesh without the layer, every Gamma_h x
+    Gamma_h pair, at positions gamma_slots (row-major).  matrix() moves
+    values in that order into the CSC pattern SuperLU factors (``order``,
+    ``indices``, ``indptr``).  ``slot`` gives each global dof, and the
+    sentinel dof.size, its position in the free-dof state padded with
+    one zero (free.size).
     """
 
-    pattern: sp.csr_matrix
     terms: np.ndarray               # (7, nnz) real
     gamma_slots: np.ndarray
     free: np.ndarray
     slot: np.ndarray                # (dof.size + 1,)
-    gather: np.ndarray
-    reduced: sp.csc_matrix
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    def matrix(self, values: np.ndarray) -> sp.csc_matrix:
+        """The free-dof matrix with the given row-major values."""
+        return sp.csc_matrix((values[self.order], self.indices, self.indptr),
+                             shape=(self.free.size, self.free.size))
 
 
 def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
@@ -478,37 +484,36 @@ def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
     free = free_dofs(blk, variant)
     if "affine" in blk.cache:
         return blk.cache["affine"]
-    n = blk.dof.size
-    blocks = [blk.K_all, blk.M_all, blk.K_div, blk.K_eps, blk.M_solid,
-              blk.C_pu, blk.C_up]
-    gh = blk.gamma_h_dofs if blk.mesh.pml is None \
+    n = free.size
+    slot = np.full(blk.dof.size + 1, n)
+    slot[free] = np.arange(n)
+    gh = slot[blk.gamma_h_dofs] if blk.mesh.pml is None \
         else np.zeros(0, dtype=np.int64)
-    gh_rows, gh_cols = np.repeat(gh, gh.size), np.tile(gh, gh.size)
-    # sparse sums drop exact zeros: the pattern keeps the positions where
-    # some term is nonzero, as the sum of the weighted blocks would
-    pattern = sum((abs(A) for A in blocks), sp.csr_matrix(
-        (np.ones(gh_rows.size), (gh_rows, gh_cols)), shape=(n, n)))
-    pattern.sort_indices()
-    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    keys = rows * n + pattern.indices
-    terms = np.zeros((len(blocks), keys.size))
-    for q, A in enumerate(blocks):
+    # row-major keys of the nonzeros between free dofs; sparse sums
+    # drop exact zeros, so the pattern keeps the positions where some
+    # term is nonzero, as the sum of the weighted blocks would
+    entries = []
+    for A in (blk.K_all, blk.M_all, blk.K_div, blk.K_eps, blk.M_solid,
+              blk.C_pu, blk.C_up):
         A = A.tocoo()
-        nz = A.data != 0.0
-        np.add.at(terms[q], np.searchsorted(
-            keys, A.row[nz].astype(np.int64) * n + A.col[nz]), A.data[nz])
-    slot = np.full(n + 1, free.size)
-    slot[free] = np.arange(free.size)
-    r, c = slot[rows], slot[pattern.indices]
-    gather = np.flatnonzero((r < free.size) & (c < free.size))
-    gather = gather[np.lexsort((r[gather], c[gather]))]
-    reduced = sp.csc_matrix(
-        (np.zeros(gather.size), r[gather],
-         np.searchsorted(c[gather], np.arange(free.size + 1))),
-        shape=(free.size, free.size))
-    form = AffineForm(pattern=pattern, terms=terms,
-                      gamma_slots=np.searchsorted(keys, gh_rows * n + gh_cols),
-                      free=free, slot=slot, gather=gather, reduced=reduced)
+        r, c = slot[A.row], slot[A.col]
+        keep = (A.data != 0.0) & (r < n) & (c < n)
+        entries.append((r[keep] * n + c[keep], A.data[keep]))
+    gh_keys = np.repeat(gh, gh.size) * n + np.tile(gh, gh.size)
+    # their union, sorted, as the pattern of a sparse sum of ones
+    keys = np.concatenate([k for k, _ in entries] + [gh_keys])
+    union = sp.csr_matrix((np.ones(keys.size), (keys // n, keys % n)),
+                          shape=(n, n))
+    rows, cols = np.repeat(np.arange(n), np.diff(union.indptr)), union.indices
+    pattern = rows * n + cols
+    terms = np.zeros((len(entries), pattern.size))
+    for q, (k, data) in enumerate(entries):
+        np.add.at(terms[q], np.searchsorted(pattern, k), data)
+    order = np.lexsort((rows, cols))
+    form = AffineForm(terms=terms,
+                      gamma_slots=np.searchsorted(pattern, gh_keys),
+                      free=free, slot=slot, order=order, indices=rows[order],
+                      indptr=np.searchsorted(cols[order], np.arange(n + 1)))
     blk.cache["affine"] = form
     return form
 
@@ -525,35 +530,6 @@ def term_weights(media: MediaParams) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([0.0, 1.0 / media.c ** 2, 0.0, 0.0, media.rho_e,
                       -media.rho0, 0.0]),
             np.array([1.0, 0.0, media.lam, media.mu, 0.0, 0.0, 1.0]))
-
-
-def _form_data(blk, media, s, variant, pml):
-    """(AffineForm, complex values on its pattern) of the form at s."""
-    form = _affine_form(blk, variant)
-    w_M, w_K = term_weights(media)
-    theta = np.where(_PRESSURE_ROWS, 1.0 / s, media.rho0 * np.conj(s)) \
-        * (w_K + s * s * w_M)
-    data = theta.real @ form.terms + 1j * (theta.imag @ form.terms)
-    if form.gamma_slots.size:
-        data[form.gamma_slots] -= \
-            (dtn_block(blk, media, s, variant, pml) / s).ravel()
-    return form, data
-
-
-def _with_data(template, data):
-    """A sparse matrix with the template's pattern and the given values."""
-    return type(template)((data, template.indices, template.indptr),
-                          shape=template.shape)
-
-
-def frequency_matrix(blk: FemBlocks, media: MediaParams,
-                     s: complex, variant: str,
-                     pml: PmlProfile | None = None) -> sp.csr_matrix:
-    """Global (unreduced) matrix of the chosen sesquilinear form, with
-    rows = test dofs and columns = trial dofs: the mesh's term table
-    (built on first use, then shared with assemble) combined at s."""
-    form, data = _form_data(blk, media, s, variant, pml)
-    return _with_data(form.pattern, data)
 
 
 def load_vector(blk: FemBlocks, spatial):
@@ -596,16 +572,21 @@ def assemble(blk: FemBlocks, media: MediaParams, s: complex,
     The transformed source is g_hat(x, s) = g_hat_scale * chi(x); the
     right-hand side of the variational problem is int g_hat / c^2 * q.
     """
-    form, data = _form_data(blk, media, s, variant, pml)
+    form = _affine_form(blk, variant)
+    w_M, w_K = term_weights(media)
+    theta = np.where(_PRESSURE_ROWS, 1.0 / s, media.rho0 * np.conj(s)) \
+        * (w_K + s * s * w_M)
+    data = theta.real @ form.terms + 1j * (theta.imag @ form.terms)
+    if form.gamma_slots.size:
+        data[form.gamma_slots] -= \
+            (dtn_block(blk, media, s, variant, pml) / s).ravel()
     free = form.free
     rhs = np.zeros(free.size, dtype=complex)
     if g_hat_spatial is not None:
         rhs = (g_hat_scale / media.c ** 2) \
             * load_vector(blk, g_hat_spatial)[free].astype(complex)
-    return FrequencySystem(matrix=_with_data(form.reduced,
-                                             data[form.gather]),
-                           rhs=rhs, free=free, blocks=blk, media=media, s=s,
-                           variant=variant)
+    return FrequencySystem(matrix=form.matrix(data), rhs=rhs, free=free,
+                           blocks=blk, media=media, s=s, variant=variant)
 
 
 def solve_frequency(system: FrequencySystem,
@@ -624,7 +605,7 @@ def solve_frequency(system: FrequencySystem,
             if np.linalg.norm(r) > 1e-8 * norm_b:
                 raise SingularSystemError(
                     f"relative residual {np.linalg.norm(r)/norm_b:.2e}")
-        res = float(np.linalg.norm(b - system.matrix @ x) / norm_b)
+        res = float(np.linalg.norm(r) / norm_b)
     else:
         res = 0.0
     x_all = np.zeros(system.blocks.dof.size, dtype=complex)
@@ -676,14 +657,15 @@ def coercivity_probe(blk: FemBlocks, media: MediaParams, s: complex,
     """Return (Re a(omega, omega), ||omega||_H^2) for a global dof
     vector omega supported on the free dofs.
 
-    Pass a precomputed form matrix to amortize assembly over many
-    probes.
+    Pass a precomputed free-dof matrix (assemble(...).matrix) to
+    amortize assembly over many probes.
     """
     A = matrix if matrix is not None \
-        else frequency_matrix(blk, media, s, variant, pml)
-    w = np.where(np.isin(np.arange(blk.dof.size), free_dofs(blk, variant)),
-                 omega, 0.0)
-    re_a = float(np.real(quadratic_form(A, w)))
+        else assemble(blk, media, s, None, 0.0, variant, pml).matrix
+    free = free_dofs(blk, variant)
+    w = np.zeros_like(omega)
+    w[free] = omega[free]
+    re_a = float(np.real(quadratic_form(A, omega[free])))
     return re_a, h_norm_sq(blk, w)
 
 
@@ -705,14 +687,16 @@ def stability_ratios(sol: FrequencySolution, g_norm: float) -> dict:
     if g_norm == 0.0:
         ratio = 0.0 if lhs["fluid_lhs"] + lhs["solid_lhs"] == 0 else np.inf
         return {"fluid_ratio": ratio, "solid_ratio": ratio, **lhs}
-    if sys_.variant in ("exact_dtn", "pml_dtn"):
-        env_f = abs(s) / s1 * g_norm
-        env_s = g_norm / (s1 * min(1.0, s1))
-    else:
-        pml = blk.mesh.pml
-        factor = 1.0 + pml.sigma0 / s1
-        env_f = factor * abs(s) / s1 * g_norm
-        env_s = np.sqrt(factor) / (s1 * min(1.0, s1)) * g_norm
+    # an envelope beyond the double range (s1 near the smallest one the
+    # config accepts) is inf, and its ratio 0
+    with np.errstate(over="ignore"):
+        if sys_.variant in ("exact_dtn", "pml_dtn"):
+            env_f = abs(s) / s1 * g_norm
+            env_s = g_norm / (s1 * min(1.0, s1))
+        else:
+            factor = 1.0 + blk.mesh.pml.sigma0 / s1
+            env_f = factor * abs(s) / s1 * g_norm
+            env_s = np.sqrt(factor) / (s1 * min(1.0, s1)) * g_norm
     return {"fluid_ratio": lhs["fluid_lhs"] / env_f,
             "solid_ratio": lhs["solid_lhs"] / env_s, **lhs}
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import LU_ORDERING, FemBlocks, _affine_form, _cpu_count, \
-    _sqrt_form, _with_data, assemble, factorize, load_vector, map_solves, \
+    _sqrt_form, assemble, factorize, load_vector, map_solves, \
     solve_frequency, source_l2_norm, term_weights
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
@@ -101,15 +101,6 @@ class TimeTrajectory:
     meta: dict = field(default_factory=dict)
 
 
-def time_matrices(blk: FemBlocks, media: MediaParams):
-    """Real global mass and stiffness (CSR) of the second-order-in-time
-    layer system: the layer mesh's term table combined with the weights
-    of fem.term_weights."""
-    form = _affine_form(blk, "pml_layer")
-    return tuple(_with_data(form.pattern, w @ form.terms)
-                 for w in term_weights(media))
-
-
 def newmark_run(blk: FemBlocks, media: MediaParams,
                 source: SourceSpec | None, T: float, n_steps: int,
                 probes: ProbeSet | None = None,
@@ -133,7 +124,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     form = _affine_form(blk, "pml_layer")
     free = form.free
     w_M, w_K = term_weights(media)
-    Mr, Kr, A_eff = (_with_data(form.reduced, (w @ form.terms)[form.gather])
+    Mr, Kr, A_eff = (form.matrix(w @ form.terms)
                      for w in (w_M, w_K, w_M + beta_n * dt * dt * w_K))
     lu = factorize(A_eff)
 
@@ -270,25 +261,6 @@ class ContourConfig:
         return np.linspace(0.0, self.s2_max, (self.n_freq - 1) // 2 + 1)
 
 
-def synthesize(values: np.ndarray, cfg: ContourConfig,
-               t: np.ndarray) -> np.ndarray:
-    """Inverse transform of conjugate-symmetric contour data.
-
-    values holds the transform on the nonnegative half grid (last axis);
-    the result is e^{s1 t}/pi * Re trapz(values * e^{i s2 t}), i.e.
-    twice the full-line inversion restricted to the half grid.
-    """
-    return 2.0 * inverse_laplace_grid(values, cfg.s1, cfg.half_grid(), t)
-
-
-def reconstruct_signal(transform, cfg: ContourConfig,
-                       t: np.ndarray) -> np.ndarray:
-    """Self-reconstruction of a scalar signal from its closed-form
-    transform (the calibration oracle for the contour parameters);
-    transform is evaluated once on the array of half-grid s values."""
-    return synthesize(transform(cfg.s1 + 1j * cfg.half_grid()), cfg, t)
-
-
 def contour_synthesize(blk: FemBlocks, media: MediaParams,
                        source: SourceSpec, cfg: ContourConfig,
                        probes: ProbeSet,
@@ -301,8 +273,10 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
     t = cfg.t_grid
     if t is None:
         t = np.linspace(0.0, source.T, 201)
+    half = cfg.half_grid()
     # calibration: the contour must reproduce the pulse itself
-    recon = reconstruct_signal(source.pulse.laplace, cfg, t)
+    recon = inverse_laplace_grid(source.pulse.laplace(cfg.s1 + 1j * half),
+                                 cfg.s1, half, t)
     err = float(np.max(np.abs(recon - source.pulse(t))))
     scale = float(np.max(np.abs(source.pulse(t))))
     if err > 1e-3 * max(scale, 1e-300):
@@ -321,9 +295,10 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
                               rhs=complex(source.pulse.laplace(s)) * rhs0)
         return read_probes(np.append(sol.x, 0.0)), sol.residual
 
-    rows, residuals = zip(*map_solves(solve, cfg.half_grid()))
+    rows, residuals = zip(*map_solves(solve, half))
     return TimeTrajectory(t=np.asarray(t, dtype=float),
-                          probe_p=synthesize(np.stack(rows, axis=-1), cfg, t),
+                          probe_p=inverse_laplace_grid(
+                              np.stack(rows, axis=-1), cfg.s1, half, t),
                           meta={"variant": variant, "s1": cfg.s1,
                                 "s2_max": cfg.s2_max,
                                 "n_freq": cfg.n_freq,

@@ -131,13 +131,17 @@ def laplace_grid(sig: SampledSignal, s1: float,
 
 def inverse_laplace_grid(vals: np.ndarray, s1: float, s2: np.ndarray,
                          t: np.ndarray) -> np.ndarray:
-    """Synthesize u(t) = (e^{s1 t}/2pi) Re int vals(s2) e^{i s2 t} ds2
-    by trapezoid on a uniform s2 grid (last axis of vals; leading axes
-    batched), one chirp-z sum over a uniform t grid.  The real part is
-    taken (conjugate symmetry of transforms of real signals)."""
+    """Synthesize u(t) = (e^{s1 t}/pi) Re int_0^inf vals(s2) e^{i s2 t}
+    ds2 from the nonnegative half of a conjugate-symmetric line (the
+    transform of a real signal): trapezoid on a uniform s2 grid starting
+    at 0 (last axis of vals; leading axes batched), one chirp-z sum over
+    a uniform t grid.  Equals the full-line trapezoid (e^{s1 t}/2pi) Re
+    int over the mirrored grid."""
     s2 = np.asarray(s2, dtype=float)
+    if s2.ndim != 1 or s2.size == 0 or s2[0] != 0.0:
+        raise ValueError("the s2 grid must be 1-D and start at 0")
     t = np.asarray(t, dtype=float)
-    return np.exp(s1 * t) / (2.0 * np.pi) * np.real(_chirp_quad(
+    return np.exp(s1 * t) / np.pi * np.real(_chirp_quad(
         vals * _rule_weights(s2.size, False), s2, t, 1.0))
 
 
@@ -171,9 +175,9 @@ def transform_property_check(u: Callable, du: Callable, d2u: Callable,
     r2 = abs(Lu2 - (s * s * Lu - s * u0 - du0))
 
     # antiderivative rule: running integral vs contour synthesis of
-    # s^-1 * L(u)
+    # s^-1 * L(u), on the nonnegative half of the n_freq-point line
     s1 = s.real
-    s2 = np.linspace(-s2_max, s2_max, n_freq)
+    s2 = np.linspace(0.0, s2_max, (n_freq - 1) // 2 + 1)
     vals = laplace_grid(sig, s1, s2) / (s1 + 1j * s2)
     window = sig.t <= min(t_max, sig.t[-1])
     stride = max(1, int(window.sum()) // 50)

@@ -16,7 +16,7 @@ from pmlstrip import (ContourConfig, Geometry, LayerMode, MediaParams,
                       assemble, build_blocks, build_mesh, causality_margin,
                       coercivity_probe, contour_synthesize, cu_bound,
                       energy_trace, fd_layer_solve, fluid_error_norms,
-                      frequency_matrix, locate_probes, manufactured_residual,
+                      locate_probes, manufactured_residual,
                       newmark_run, numeric_dtn_at_h, parseval_residual,
                       pml_dtn_symbol, solve_frequency, symbol_gap,
                       transform_property_check, weighted_gap)
@@ -115,7 +115,7 @@ def test_criterion_04_discrete_coercivity():
             blk = build_blocks(build_mesh(
                 geom, pml if with_layer else None, target), n_modes=32)
             for s in (1.0 + 0.0j, 1.0 + 10.0j):
-                A = frequency_matrix(blk, MEDIA, s, variant, pml=pml)
+                A = assemble(blk, MEDIA, s, None, 0.0, variant, pml).matrix
                 cmin = np.inf
                 for _ in range(200):
                     w = rng.normal(size=blk.dof.size) \

@@ -250,6 +250,12 @@ class TestConfig:
         ("parseval", "n_freq = 0"),
         ("parseval", "s1 = -1"),
         ("parseval", "horizon = 0"),
+        # Laplace abscissas whose square (s1/c)^2 is not a normal double
+        ("numerics", "s1 = 1e-300"),
+        ("numerics", "s1 = 1e-160"),
+        ("audit", "s1_values = 1e-300"),
+        ("audit", "s1_values = 1,1e-170"),
+        ("layer", "s = 1e-300,0"),
     ])
     def test_rejected_at_load(self, tmp_path, section, line):
         # each of these used to load and then fail, or be ignored, at
@@ -716,10 +722,13 @@ def contract_cases(draw):
     L = draw(st.sampled_from(AROUND_MESH))
     lines = [("pml", f"L = {L!r}")]
     if command == "freq-solve":
+        # (s1/c)^2 must be a normal double; c = 1
         variant = draw(st.sampled_from(["pml_layer", "exact_dtn"]))
+        s1 = draw(st.sampled_from([1.0, 1e-150, 1e-160, 1e-300]))
         lines += [("numerics", f"variant = {variant}"),
-                     ("freq", "s2_values = 3")]
-        return command, lines, variant == "pml_layer" and L <= FUZZ_MESH
+                  ("numerics", f"s1 = {s1!r}"), ("freq", "s2_values = 3")]
+        return command, lines, (variant == "pml_layer" and L <= FUZZ_MESH) \
+            or s1 * s1 < np.finfo(float).tiny
     x1 = draw(st.sampled_from([0.0, 0.3, 0.4, 0.5, 0.6, 1.0]))
     x3 = draw(st.sampled_from([-0.01, 0.0, 0.15, 0.25, 0.35, 0.5, 0.5 + L,
                                0.51 + L]))

@@ -10,13 +10,12 @@ from pmlstrip import (ContourConfig, Geometry, MediaParams, PmlProfile,
                       Pulse, Rectangle, SourceSpec, SurfaceProfile,
                       assemble, build_blocks, build_mesh, causality_margin,
                       contour_synthesize, dofs_to_nodal, energy_trace,
-                      free_dofs, frequency_matrix, inverse_laplace_grid,
-                      load_vector, locate_probes, newmark_run,
-                      reconstruct_signal, solve_frequency, synthesize,
-                      term_weights, time_matrices)
+                      free_dofs, inverse_laplace_grid, load_vector,
+                      locate_probes, newmark_run, solve_frequency,
+                      term_weights)
 import pmlstrip.timedomain
 from pmlstrip.fem import DIAG_PIVOT_THRESH, LU_ORDERING, \
-    SingularSystemError, _affine_form, _sqrt_form, _with_data, factorize
+    SingularSystemError, _affine_form, _sqrt_form, factorize
 from pmlstrip.timedomain import ProbeError, _probe_reader
 
 MEDIA = MediaParams()
@@ -70,7 +69,8 @@ class TestNewmark:
 
     def test_matrices_real(self):
         blk = layer_blocks(obstacle=True)
-        M, K = time_matrices(blk, MEDIA)
+        form = _affine_form(blk, "pml_layer")
+        M, K = (form.matrix(w @ form.terms) for w in term_weights(MEDIA))
         assert M.dtype.kind == "f" and K.dtype.kind == "f"
 
     def test_rest_stays_at_rest(self):
@@ -132,7 +132,7 @@ def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
     form = _affine_form(blk, "pml_layer")
     free = form.free
     w_M, w_K = term_weights(media)
-    Kr, A_eff = (_with_data(form.reduced, (w @ form.terms)[form.gather])
+    Kr, A_eff = (form.matrix(w @ form.terms)
                  for w in (w_K, w_M + 0.25 * dt * dt * w_K))
     lu = factorize(A_eff)
     f_shape = load_vector(blk, source.spatial)[free] / media.c ** 2
@@ -298,8 +298,7 @@ class TestFactorization:
         if s is None:
             form = _affine_form(blk, "pml_layer")
             w_M, w_K = term_weights(ODD_MEDIA)
-            A = _with_data(form.reduced,
-                           ((w_M + 1e-4 * w_K) @ form.terms)[form.gather])
+            A = form.matrix((w_M + 1e-4 * w_K) @ form.terms)
         else:
             A = assemble(blk, ODD_MEDIA, s, None, 0.0, "pml_layer").matrix
         assert factorize(A).nnz \
@@ -316,7 +315,7 @@ class TestFactorization:
         assert sol.lu_nnz > sol.system.matrix.shape[0]
 
 
-def sparse_sum_time_matrices(blk, media):
+def sparse_sum_layer_matrices(blk, media):
     """M and K as sparse sums of the weighted blocks: the construction
     the term table replaces."""
     M = blk.M_all / media.c ** 2 + media.rho_e * blk.M_solid \
@@ -330,10 +329,15 @@ class TestOneOperator:
     """The Newmark and Laplace-line routes read one term table."""
 
     @pytest.mark.parametrize("obstacle", [False, True])
-    def test_time_matrices_match_sparse_sums(self, obstacle):
+    def test_layer_matrices_match_sparse_sums(self, obstacle):
+        # Newmark's mass and stiffness on the free dofs
         blk = layer_blocks(obstacle=obstacle)
-        for A, ref in zip(time_matrices(blk, ODD_MEDIA),
-                          sparse_sum_time_matrices(blk, ODD_MEDIA)):
+        form = _affine_form(blk, "pml_layer")
+        free = free_dofs(blk, "pml_layer")
+        for w, ref in zip(term_weights(ODD_MEDIA),
+                          sparse_sum_layer_matrices(blk, ODD_MEDIA)):
+            A = form.matrix(w @ form.terms)
+            ref = ref[np.ix_(free, free)]
             assert sparse_norm(A - ref) <= 1e-14 * sparse_norm(ref)
 
     @pytest.mark.parametrize("obstacle", [False, True])
@@ -341,12 +345,13 @@ class TestOneOperator:
         # Laplace transform of M d'' + K d, test rows scaled by 1/s
         # (pressure) and rho0 conj(s) (displacement)
         blk = layer_blocks(obstacle=obstacle)
-        M, K = time_matrices(blk, ODD_MEDIA)
+        M, K = sparse_sum_layer_matrices(blk, ODD_MEDIA)
+        free = free_dofs(blk, "pml_layer")
         pressure = np.arange(blk.dof.size) < blk.dof.n_p
         for s in (0.7, 0.5 + 7.0j, 2.0 - 3.0j):
             r = np.where(pressure, 1.0 / s, ODD_MEDIA.rho0 * np.conj(s))
-            ref = sp.diags(r) @ (s * s * M + K)
-            A = frequency_matrix(blk, ODD_MEDIA, s, "pml_layer")
+            ref = (sp.diags(r) @ (s * s * M + K)).tocsr()[np.ix_(free, free)]
+            A = assemble(blk, ODD_MEDIA, s, None, 0.0, "pml_layer").matrix
             assert sparse_norm(A - ref) <= 1e-13 * sparse_norm(ref)
 
     def test_newmark_energy_uses_reduced_stiffness(self):
@@ -356,7 +361,7 @@ class TestOneOperator:
         traj = newmark_run(blk, ODD_MEDIA, None, 0.1, 1, initial_d=d0,
                            record_energy=True)
         free = free_dofs(blk, "pml_layer")
-        K = sparse_sum_time_matrices(blk, ODD_MEDIA)[1]
+        K = sparse_sum_layer_matrices(blk, ODD_MEDIA)[1]
         ref = 0.5 * d0[free] @ (K[np.ix_(free, free)] @ d0[free])
         assert traj.energy[0] == pytest.approx(ref, rel=1e-13)
 
@@ -370,34 +375,13 @@ class TestContour:
         cfg = ContourConfig(s1=1.0, s2_max=10.0, n_freq=5)
         assert cfg.half_grid() == pytest.approx([0.0, 5.0, 10.0])
 
-    def test_synthesize_is_twice_half_grid_inversion(self):
-        cfg = ContourConfig(s1=0.8, s2_max=30.0, n_freq=301)
-        half = cfg.half_grid()
-        s = cfg.s1 + 1j * half
-        vals = np.stack([Pulse().laplace(s), 1.0 / (s + 1.0) ** 2])
-        t = np.linspace(0.0, 4.0, 81)
-        out = synthesize(vals, cfg, t)
-        assert out.shape == (2, t.size)
-        assert np.array_equal(
-            out, 2.0 * inverse_laplace_grid(vals, cfg.s1, half, t))
-        # one trapezoid sum per time, as e^{s1 t}/pi Re trapz on the half
-        # grid
-        looped = np.stack([np.exp(cfg.s1 * tk) / np.pi * np.real(
-            np.trapezoid(vals * np.exp(1j * half * tk), half, axis=-1))
-            for tk in t], axis=-1)
-        assert np.max(np.abs(out - looped)) < 1e-12
-        # conjugate-symmetric data: the full line gives the same signal
-        full = np.linspace(-cfg.s2_max, cfg.s2_max, cfg.n_freq)
-        sf = cfg.s1 + 1j * full
-        vals_full = np.stack([Pulse().laplace(sf), 1.0 / (sf + 1.0) ** 2])
-        assert np.max(np.abs(out - inverse_laplace_grid(
-            vals_full, cfg.s1, full, t))) < 1e-12
-
     def test_pulse_self_reconstruction(self):
         p = Pulse()
         cfg = ContourConfig(s1=1.0, s2_max=60.0, n_freq=961)
         t = np.linspace(0.0, 2.0, 101)
-        recon = reconstruct_signal(p.laplace, cfg, t)
+        half = cfg.half_grid()
+        recon = inverse_laplace_grid(p.laplace(cfg.s1 + 1j * half), cfg.s1,
+                                     half, t)
         scale = np.max(np.abs(p(t)))
         assert np.max(np.abs(recon - p(t))) < 1e-3 * scale
 
@@ -422,7 +406,8 @@ class TestContour:
                                            complex(src.pulse.laplace(s)),
                                            variant))
             rows.append(probe_values(blk.mesh, probes, sol.p_hat))
-        ref = synthesize(np.stack(rows, axis=-1), cfg, cfg.t_grid)
+        ref = inverse_laplace_grid(np.stack(rows, axis=-1), cfg.s1,
+                                   cfg.half_grid(), cfg.t_grid)
         assert np.abs(ref).max() > 0
         assert np.max(np.abs(traj.probe_p - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
@@ -440,7 +425,8 @@ def serial_contour(blk, media, source, cfg, probes, variant):
                               rhs=complex(source.pulse.laplace(s)) * rhs0)
         rows.append(probe_values(blk.mesh, probes, sol.p_hat))
         residuals.append(sol.residual)
-    return synthesize(np.stack(rows, axis=-1), cfg, cfg.t_grid), residuals
+    return inverse_laplace_grid(np.stack(rows, axis=-1), cfg.s1,
+                                cfg.half_grid(), cfg.t_grid), residuals
 
 
 @pytest.mark.filterwarnings("ignore::pmlstrip.xform.TruncationWarning")

@@ -33,10 +33,12 @@ def direct_laplace_grid(sig, s1, s2):
 
 
 def looped_inverse(vals, s1, s2, t):
-    """One trapezoid sum over s2 per output time."""
+    """One trapezoid sum over s2 per output time, e^{s1 t}/pi Re trapz:
+    the half-line inversion on s2 >= 0, or twice the full-line one on a
+    symmetric grid."""
     out = np.empty(vals.shape[:-1] + t.shape)
     for k, tk in enumerate(t):
-        out[..., k] = np.exp(s1 * tk) / (2.0 * np.pi) * np.real(
+        out[..., k] = np.exp(s1 * tk) / np.pi * np.real(
             np.trapezoid(vals * np.exp(1j * s2 * tk), s2, axis=-1))
     return out
 
@@ -103,23 +105,32 @@ class TestChirpZ:
 
     def test_inverse_matches_time_loop(self):
         p = Pulse()
-        s2 = np.linspace(-80.0, 90.0, 1201)
-        vals = np.stack([p.laplace(1.0 + 1j * s2),
-                         p.laplace(1.0 + 1j * s2) / (1.0 + 1j * s2)])
         t = np.linspace(0.35, 2.5, 44)       # nonzero first time
-        recon = inverse_laplace_grid(vals, 1.0, s2, t)
-        assert recon.shape == (2, t.size)
-        assert np.max(np.abs(recon - looped_inverse(vals, 1.0, s2, t))) \
-            < 1e-12
-        assert np.max(np.abs(recon[0] - inverse_laplace_grid(
-            vals[0], 1.0, s2, t))) == 0.0
+        for s1, s2_max, n_half in ((1.0, 90.0, 1201), (0.8, 30.0, 151)):
+            half = np.linspace(0.0, s2_max, n_half)
+            full = np.concatenate([-half[:0:-1], half])
+            sf = s1 + 1j * full
+            vals_full = np.stack([p.laplace(sf), p.laplace(sf) / sf,
+                                  1.0 / (sf + 1.0) ** 2])
+            vals = vals_full[:, n_half - 1:]
+            recon = inverse_laplace_grid(vals, s1, half, t)
+            assert recon.shape == (3, t.size)
+            assert np.max(np.abs(
+                recon - looped_inverse(vals, s1, half, t))) < 1e-12
+            # conjugate-symmetric data: the full-line trapezoid gives the
+            # same signal
+            assert np.max(np.abs(recon - 0.5 * looped_inverse(
+                vals_full, s1, full, t))) < 1e-12
+            assert np.max(np.abs(recon[0] - inverse_laplace_grid(
+                vals[0], s1, half, t))) == 0.0
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is plain double here")
     def test_round_off_on_long_contour(self):
-        # 12001 frequencies against 51 times: the chirp phase runs to
-        # ~1e5 radians, yet the sum keeps the direct kernel's round-off
-        s2 = np.linspace(-400.0, 400.0, 12001)
+        # the 6001 nonnegative frequencies of a 12001-point line against
+        # 51 times: the chirp phase runs to ~1e5 radians, yet the sum
+        # keeps the direct kernel's round-off
+        s2 = np.linspace(0.0, 400.0, 6001)
         vals = 1.0 / (2.0 + 1j * s2)        # L(e^{-t}) at s = 1 + i s2
         t = np.linspace(0.0, 3.0, 51)
         recon = inverse_laplace_grid(vals, 1.0, s2, t)
@@ -127,7 +138,7 @@ class TestChirpZ:
             < 1e-12
 
     def test_rejects_nonuniform_grids(self):
-        s2 = np.linspace(-5.0, 5.0, 11)
+        s2 = np.linspace(0.0, 5.0, 11)
         bent = s2 + 1e-3 * s2 ** 2
         with pytest.raises(ValueError):
             laplace_grid(self.SIG, 1.0, bent)
@@ -137,6 +148,10 @@ class TestChirpZ:
             inverse_laplace_grid(vals, 1.0, bent, t)
         with pytest.raises(ValueError):
             inverse_laplace_grid(vals, 1.0, s2, t ** 2)
+        # the inversion reads the nonnegative half line from s2 = 0
+        for shifted in (s2 - 2.5, s2 + 0.5):
+            with pytest.raises(ValueError, match="start at 0"):
+                inverse_laplace_grid(vals, 1.0, shifted, t)
 
     def test_import_leaves_scipy_signal_unloaded(self):
         src = os.path.dirname(os.path.dirname(pmlstrip.__file__))
@@ -201,7 +216,7 @@ class TestInversion:
     def test_pulse_round_trip(self):
         p = Pulse()
         s1 = 1.0
-        s2 = np.linspace(-200.0, 200.0, 4001)
+        s2 = np.linspace(0.0, 200.0, 2001)
         vals = p.laplace(s1 + 1j * s2)
         t = np.linspace(0.0, 3.0, 31)
         recon = inverse_laplace_grid(vals, s1, s2, t)
