@@ -25,7 +25,7 @@ from .mesh import StripMesh, build_mesh, export_mesh
 from .fem import (AssemblyError, FemBlocks, FrequencySolution,
                   FrequencySystem, SingularSystemError, assemble,
                   build_blocks, coercivity_probe, dofs_to_nodal, dtn_block,
-                  fluid_error_norms, free_dofs, h_norm_sq, load_vector,
+                  fluid_error_norms, h_norm_sq, load_vector,
                   manufactured_residual, shared_dofs, solve_frequency,
                   source_l2_norm, stability_ratios, term_weights)
 from .timedomain import (ContourConfig, ProbeSet, TimeTrajectory,

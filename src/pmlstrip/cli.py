@@ -72,7 +72,6 @@ def write_manifest(out: str, cfg: RunConfig, command: str,
     lines = {
         "command": command,
         "config_sha256": cfg.digest,
-        "seed": cfg.numerics["seed"],
         "package": f"pmlstrip {__version__}",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -524,7 +523,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        np.random.seed(cfg.numerics["seed"])
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -33,8 +33,7 @@ DEFAULTS = {
     "source": {"center": "0.5,0.25", "radius": "0.08", "T": "2.0",
                "a": "4.0", "omega0": "8.0"},
     "numerics": {"mesh_size": "0.05", "s1": "", "n_steps": "400",
-                 "n_modes": "64", "route": "freq", "variant": "exact_dtn",
-                 "seed": "0"},
+                 "n_modes": "64", "route": "freq", "variant": "exact_dtn"},
     "freq": {"s2_values": "0,5,10"},
     "td": {"snapshot_times": ""},
     "sweep": {"L_values": "0.25,0.5,1.0", "sigma0_values": "",
@@ -229,7 +228,6 @@ def load_config(path: str) -> RunConfig:
             "n_modes": cp.getint("numerics", "n_modes"),
             "route": cp.get("numerics", "route").strip(),
             "variant": cp.get("numerics", "variant").strip(),
-            "seed": cp.getint("numerics", "seed"),
             "freq_s2_values": _floats(cp.get("freq", "s2_values")),
             "snapshot_times": _floats(cp.get("td", "snapshot_times")),
         }
@@ -262,6 +260,8 @@ def load_config(path: str) -> RunConfig:
             if vals and not np.all(np.diff(vals) > 0):
                 raise ConfigError(f"sweep.{key} must be strictly "
                                   "increasing")
+        if any(v < 0 for v in sweep["sigma0_values"]):
+            raise ConfigError("sweep.sigma0_values must be >= 0")
 
         rng = _floats(cp.get("audit", "s2_range"))
         if len(rng) != 3 or not rng[2].is_integer() or rng[2] < 1:
@@ -320,9 +320,10 @@ def load_config(path: str) -> RunConfig:
         parseval["n_time"] = cp.getint("parseval", "n_time")
         # n_time + 1 samples: the end-corrected time rule reads five
         if not (parseval["s1"] > 0 and parseval["horizon"] > 0
-                and parseval["n_time"] >= 4 and parseval["n_freq"] >= 1):
+                and parseval["s2_max"] > 0 and parseval["n_time"] >= 4
+                and parseval["n_freq"] >= 1):
             raise ConfigError("parseval needs s1 > 0, horizon > 0, "
-                              "n_time >= 4 and n_freq >= 1")
+                              "s2_max > 0, n_time >= 4 and n_freq >= 1")
 
         probes = _points(cp.get("probes", "points"))
     except (ValueError, configparser.Error) as exc:

@@ -73,14 +73,11 @@ def _interpolate(probes: ProbeSet, corners: np.ndarray) -> np.ndarray:
     return np.einsum("...nk,nk->...n", corners, probes.bary)
 
 
-def _probe_reader(blk: FemBlocks, probes: ProbeSet, slot=None):
-    """The probe pressures of a state vector padded with one zero: the
-    global pressure dofs at the corners of each probe's triangle (the
-    sentinel dof.size where a corner has none), mapped through slot into
-    a free-dof state when given, then interpolated."""
+def _probe_reader(blk: FemBlocks, probes: ProbeSet):
+    """The probe pressures of a dof vector padded with one zero: the
+    pressure dofs at the corners of each probe's triangle (the sentinel
+    dof.size, which reads the 0, where a corner has none), interpolated."""
     corners = blk.dof.node_dof[blk.mesh.triangles[probes.tri], 0]
-    if slot is not None:
-        corners = slot[corners]
     return lambda padded: _interpolate(probes, padded[corners])
 
 
@@ -97,7 +94,7 @@ class TimeTrajectory:
     history: np.ndarray | None = None      # stored dofs x steps
     energy: np.ndarray | None = None
     norms: dict = field(default_factory=dict)
-    snapshots: list = field(default_factory=list)   # (t, global dof vector)
+    snapshots: list = field(default_factory=list)   # (t, dof vector)
     meta: dict = field(default_factory=dict)
 
 
@@ -113,8 +110,8 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
 
     initial_d optionally seeds a nonzero displacement state (used by the
     conservation checks); store_dofs keeps the full history of the
-    listed global dofs (a dof that is not free reads 0).  meta records
-    the step matrix's LU ordering and fill (lu_nnz).
+    listed dofs (the sentinel dof.size reads 0).  meta records the step
+    matrix's LU ordering and fill (lu_nnz).
     """
     if n_steps < 1 or T <= 0:
         raise ValueError("need T > 0 and n_steps >= 1")
@@ -122,7 +119,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
     beta_n, gamma_n = 0.25, 0.5
 
     form = _affine_form(blk, "pml_layer")
-    free = form.free
+    n = blk.dof.size
     w_M, w_K = term_weights(media)
     Mr, Kr, A_eff = (form.matrix(w @ form.terms)
                      for w in (w_M, w_K, w_M + beta_n * dt * dt * w_K))
@@ -130,33 +127,32 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
 
     t_grid = np.linspace(0.0, T, n_steps + 1)
     if source is None:
-        f_shape, g_t = np.zeros(free.size), np.zeros(t_grid.size)
+        f_shape, g_t = np.zeros(n), np.zeros(t_grid.size)
     else:
-        f_shape = load_vector(blk, source.spatial)[free] / media.c ** 2
+        f_shape = load_vector(blk, source.spatial) / media.c ** 2
         g_t = source.pulse.derivative(t_grid)
 
-    d = np.zeros(free.size)
-    v = np.zeros(free.size)
+    d = np.zeros(n)
+    v = np.zeros(n)
     if initial_d is not None:
-        d = np.asarray(initial_d, dtype=float)[free].copy()
+        d = np.array(initial_d, dtype=float)
     r0 = g_t[0] * f_shape - Kr @ d
     if np.linalg.norm(r0) > 0:
         a = factorize(Mr).solve(r0)
     else:
-        a = np.zeros(free.size)
+        a = np.zeros(n)
 
     traj = TimeTrajectory(t=t_grid, meta={"dt": dt, "n_steps": n_steps,
                                           "ordering": LU_ORDERING,
                                           "lu_nnz": lu.nnz})
-    # readout straight from the free-dof state (d, 0) through form.slot
-    state = np.zeros(free.size + 1)
+    # readout from the state padded with one zero, (d, 0)
+    state = np.zeros(n + 1)
     if probes is not None:
-        read_probes = _probe_reader(blk, probes, form.slot)
+        read_probes = _probe_reader(blk, probes)
         traj.probe_p = np.zeros((probes.n, n_steps + 1))
     if store_dofs is not None:
-        store_slots = form.slot[store_dofs]
         # one contiguous row per step
-        history = np.zeros((n_steps + 1, store_slots.size))
+        history = np.zeros((n_steps + 1, len(store_dofs)))
         traj.history = history.T
     if record_energy:
         traj.energy = np.zeros(n_steps + 1)
@@ -165,29 +161,23 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
             traj.norms[key] = np.zeros(n_steps + 1)
     snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
 
-    x_full = np.zeros(blk.dof.size)
-    v_full = np.zeros(blk.dof.size)
-
     def record(step):
         state[:-1] = d
         if store_dofs is not None:
-            history[step] = state[store_slots]
+            history[step] = state[store_dofs]
         if probes is not None:
             traj.probe_p[:, step] = read_probes(state)
-        if step in snap_steps or record_norms:
-            x_full[free] = d
-            v_full[free] = v
         if step in snap_steps:
-            traj.snapshots.append((t_grid[step], x_full.copy()))
+            traj.snapshots.append((t_grid[step], d.copy()))
         if record_energy:
             traj.energy[step] = 0.5 * float(v @ (Mr @ v)) \
                 + 0.5 * float(d @ (Kr @ d))
         if record_norms:
-            traj.norms["dt_p"][step] = _sqrt_form(blk.M_fluid, v_full)
-            traj.norms["grad_p"][step] = _sqrt_form(blk.K_fluid, x_full)
-            traj.norms["dt_u"][step] = _sqrt_form(blk.M_solid, v_full)
-            traj.norms["div_u"][step] = _sqrt_form(blk.K_div, x_full)
-            traj.norms["grad_u"][step] = _sqrt_form(blk.K_solid_h1, x_full)
+            traj.norms["dt_p"][step] = _sqrt_form(blk.M_fluid, v)
+            traj.norms["grad_p"][step] = _sqrt_form(blk.K_fluid, d)
+            traj.norms["dt_u"][step] = _sqrt_form(blk.M_solid, v)
+            traj.norms["div_u"][step] = _sqrt_form(blk.K_div, d)
+            traj.norms["grad_u"][step] = _sqrt_form(blk.K_solid_h1, d)
 
     record(0)
     for step in range(1, n_steps + 1):
@@ -285,8 +275,7 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
                       TruncationWarning, stacklevel=2)
 
     # the source load does not depend on s: assemble it once at scale 1
-    rhs0 = load_vector(blk, source.spatial)[_affine_form(blk, variant).free] \
-        / media.c ** 2
+    rhs0 = load_vector(blk, source.spatial) / media.c ** 2
     read_probes = _probe_reader(blk, probes)
 
     def solve(w):

@@ -237,6 +237,7 @@ class TestConfig:
         ("audti", "xi_points = 11"),        # misspelt section
         ("numerics", "s2_max = 40"),        # removed keys
         ("numerics", "n_freq = 401"),
+        ("numerics", "seed = 0"),
         # T = 1 and n_steps = 40: dt = 0.025
         ("numerics", "n_modes = -1"),
         ("numerics", "n_steps = 0"),
@@ -250,6 +251,9 @@ class TestConfig:
         ("parseval", "n_freq = 0"),
         ("parseval", "s1 = -1"),
         ("parseval", "horizon = 0"),
+        ("parseval", "s2_max = 0"),
+        ("parseval", "s2_max = -400"),
+        ("sweep", "sigma0_values = -5,-1"),     # max() used to drop them
         # Laplace abscissas whose square (s1/c)^2 is not a normal double
         ("numerics", "s1 = 1e-300"),
         ("numerics", "s1 = 1e-160"),
@@ -326,11 +330,13 @@ class TestConfig:
 
     def test_digest_without_surface_file_unchanged(self, config_path):
         # the INI-only digest, as before surface files were hashed too;
-        # it covers the defaults, so it changed once, when [numerics]
-        # lost the unread s2_max and n_freq (with them put back, this
-        # formula gives the former e747b216...c090be489b)
+        # it covers the defaults, so it changed when [numerics] lost the
+        # unread s2_max and n_freq (with them put back, this formula
+        # gives the former e747b216...c090be489b), and again when it
+        # lost seed, which no computation read (with seed = 0 put back,
+        # the former 96a278b7...caef0e56528)
         assert load_config(config_path).digest == \
-            "96a278b704ea856f7fb4fae9e3963726aaceaebb8d4e5730da173caef0e56528"
+            "18e704ed3d16eeccd49588188060fa428372e2662fbdb7977d1be2ba061c8985"
 
     def test_digest_covers_surface_file(self, tmp_path):
         surf = tmp_path / "surface.txt"
@@ -666,6 +672,20 @@ class TestSubcommands:
             == 2
         assert not os.path.exists(os.path.join(out, "manifest.txt"))
 
+    def test_global_rng_untouched(self, tmp_path):
+        # main draws no random numbers and leaves an in-process caller's
+        # global NumPy generator as it was
+        path = tmp_path / "r.ini"
+        path.write_text(BASE_CONFIG + "\n[layer]\nn_values = 32,64\n")
+        np.random.seed(12345)
+        np.random.normal(size=3)
+        before = np.random.get_state()
+        assert main(["layer-check", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+
     def test_manifest_reproducible(self, config_path, tmp_path):
         extra = ("\n[layer]\nn_values = 32,64,128\n")
         path = tmp_path / "r.ini"
@@ -703,11 +723,14 @@ def contract_cases(draw):
             draw(st.sampled_from([-1.0, 0.0, 0.5]))
         n_time, n_freq = draw(st.sampled_from([1, 3, 4, 5, 40])), \
             draw(st.sampled_from([0, 1, 2, 11]))
+        s2_max = draw(st.sampled_from([-400.0, 0.0, 1e-300, 10.0]))
         return command, [("parseval", f"s1 = {s1}"),
                          ("parseval", f"horizon = {horizon}"),
+                         ("parseval", f"s2_max = {s2_max!r}"),
                          ("parseval", f"n_time = {n_time}"),
                          ("parseval", f"n_freq = {n_freq}")], \
-            not (s1 > 0 and horizon > 0 and n_time >= 4 and n_freq >= 1)
+            not (s1 > 0 and horizon > 0 and s2_max > 0 and n_time >= 4
+                 and n_freq >= 1)
     if command == "convergence":
         route = draw(st.sampled_from(["freq", "time"]))
         first = draw(st.sampled_from(AROUND_MESH))
@@ -792,7 +815,7 @@ def serial_freq_solve(cfg, out):
 
 
 def nodal_to_dofs(blk, p, u):
-    """Per-vertex pressure and displacement packed into a global dof
+    """Per-vertex pressure and displacement packed into a dof
     vector: the nodal reference for the dof-frame comparison."""
     x = np.zeros(blk.dof.size, dtype=np.result_type(p, u))
     x[:blk.dof.n_p] = p[blk.dof.p_nodes]

@@ -14,13 +14,12 @@ from scipy.sparse.linalg import norm as sparse_norm
 from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       SourceSpec, SurfaceProfile, assemble, build_blocks,
                       build_mesh, coercivity_probe, dofs_to_nodal,
-                      dtn_block, fluid_error_norms, free_dofs,
-                      h_norm_sq, load_vector, manufactured_residual,
+                      dtn_block, fluid_error_norms, h_norm_sq, load_vector, manufactured_residual,
                       shared_dofs, solve_frequency, source_l2_norm,
                       stability_ratios)
-from pmlstrip.fem import AssemblyError, SingularSystemError, \
-    _affine_form, _assemble_scalar, _cpu_count, _tri_geometry, map_solves, \
-    quadratic_form
+from pmlstrip.fem import AssemblyError, DofMap, FemBlocks, \
+    SingularSystemError, _assemble_scalar, _cpu_count, _tri_geometry, \
+    map_solves, quadratic_form
 from pmlstrip.timedomain import newmark_run
 from pmlstrip.mesh import FLUID, PML, SOLID
 
@@ -40,7 +39,7 @@ def make_blocks(obstacle=False, pml=None, target=0.08, n_modes=16,
 
 def nodal_to_dofs(blk, p_nodal, u_nodal=None):
     """Per-vertex fields, p (n_vertices, ...) and u (n_vertices, 2, ...),
-    packed into global dof vectors (n_dofs, ...) of their common dtype:
+    packed into dof vectors (n_dofs, ...) of their common dtype:
     the nodal reference for the dof frame, dofs_to_nodal's inverse."""
     p = np.asarray(p_nodal)
     u = np.zeros(0) if u_nodal is None else np.asarray(u_nodal)
@@ -51,6 +50,28 @@ def nodal_to_dofs(blk, p_nodal, u_nodal=None):
         x[blk.dof.n_p::2] = u[blk.dof.u_nodes, 0]
         x[blk.dof.n_p + 1::2] = u[blk.dof.u_nodes, 1]
     return x
+
+
+def former_blocks(blk):
+    """The blocks of blk's mesh under the former numbering, in which every
+    fluid and layer master node, the wall nodes included, keeps a pressure
+    dof, and blk's dofs in that numbering: the reference of the Dirichlet
+    elimination."""
+    mesh, u_nodes = blk.mesh, blk.dof.u_nodes
+    p_nodes = mesh.masters(mesh.nodes_of_region(FLUID, PML))
+    size = p_nodes.size + 2 * u_nodes.size
+    node_dof = np.full((mesh.n_vertices, 3), size, dtype=np.int64)
+    node_dof[p_nodes, 0] = np.arange(p_nodes.size)
+    node_dof[u_nodes, 1] = p_nodes.size + 2 * np.arange(u_nodes.size)
+    node_dof[u_nodes, 2] = node_dof[u_nodes, 1] + 1
+    ref = FemBlocks(mesh=mesh, dof=DofMap(p_nodes, u_nodes,
+                                          node_dof[mesh.node_master]),
+                    n_modes=blk.n_modes)
+    ref.K_all, ref.M_all = (ref.K_fluid, ref.M_fluid) if mesh.pml is None \
+        else _assemble_scalar(mesh, ref.dof, np.flatnonzero(np.isin(
+            mesh.tri_region, (FLUID, PML))), anisotropic=True, pml=mesh.pml,
+            h=mesh.geometry.h)
+    return ref, shared_dofs(blk, ref)
 
 
 def reference_matrix(blk, s, variant, pml=None):
@@ -78,7 +99,7 @@ def reference_matrix(blk, s, variant, pml=None):
 
 class TestAssembly:
     def test_mass_total_is_area(self):
-        blk = make_blocks()
+        blk, _ = former_blocks(make_blocks())
         ones = np.ones(blk.dof.size)
         # flat strip of height 0.5, period 1
         assert quadratic_form(blk.M_fluid, ones).real \
@@ -100,7 +121,7 @@ class TestAssembly:
 
     def test_layer_blocks(self):
         pml = PmlProfile(sigma0=2.0, m=1, L=0.4, s1=1.0)
-        blk = make_blocks(pml=pml)
+        blk, _ = former_blocks(make_blocks(pml=pml))
         ones = np.ones(blk.dof.size)
         # sigma-weighted mass = fluid area + int_layer sigma
         ramp_int = 0.4 + 2.0 * 0.4 / 2.0   # L + sigma0 L/(m+1)
@@ -129,9 +150,11 @@ class TestAssembly:
 
     def test_load_vector_total(self):
         blk = make_blocks()
-        v = load_vector(blk, lambda x, z: np.ones_like(x))
+        # with the wall nodes' rows the nodal basis sums to one
+        v = load_vector(former_blocks(blk)[0], lambda x, z: np.ones_like(x))
         assert v.sum() == pytest.approx(0.5, rel=1e-12)
-        # the edge-midpoint rule integrates the quadratic chi^2 exactly
+        # the edge-midpoint rule integrates the quadratic chi^2 exactly,
+        # though the wall nodes have no load row
         assert source_l2_norm(blk, lambda x, z: x) \
             == pytest.approx(np.sqrt(1.0 / 6.0), rel=1e-12)
 
@@ -185,6 +208,29 @@ class TestAssembly:
         assert abs(ones_p @ (blk.C_pu @ ones_u)) < 1e-12
 
 
+class TestDirichletElimination:
+    """The wall nodes (bottom surface, layer top) carry no pressure dof;
+    the blocks equal the former numbering's restricted to the others."""
+
+    @pytest.mark.parametrize("layer", [False, True])
+    def test_blocks_restrict_former_numbering(self, layer):
+        blk = make_blocks(obstacle=not layer, surface=SurfaceProfile.cosine(
+            0.1, 1.0), pml=PmlProfile(sigma0=2.0, m=1, L=0.4, s1=1.0)
+            if layer else None)
+        edges = blk.mesh.boundary_edges
+        assert ("GammaHL" in edges) == layer
+        walls = np.concatenate([edges[m].ravel() for m in
+                                ("GammaF", "GammaHL") if m in edges])
+        assert np.all(blk.dof.node_dof[walls, 0] == blk.dof.size)
+        ref, kept = former_blocks(blk)
+        assert ref.dof.size - blk.dof.size == np.unique(
+            blk.mesh.node_master[walls]).size
+        for name in ("K_fluid", "M_fluid", "K_all", "M_all"):
+            R = getattr(ref, name)[np.ix_(kept, kept)]
+            assert sparse_norm(getattr(blk, name) - R) \
+                <= 1e-15 * sparse_norm(R)
+
+
 class TestDtnBlock:
     def test_variants_differ_only_on_gamma_h(self):
         blk = make_blocks()
@@ -193,8 +239,7 @@ class TestDtnBlock:
         A_ex = assemble(blk, MEDIA, s, None, 0.0, "exact_dtn").matrix
         A_pml = assemble(blk, MEDIA, s, None, 0.0, "pml_dtn", pml).matrix
         D = (A_ex - A_pml).tocoo()
-        free = free_dofs(blk, "exact_dtn")
-        gh = set(np.flatnonzero(np.isin(free, blk.gamma_h_dofs)).tolist())
+        gh = set(blk.gamma_h_dofs.tolist())
         for r, c in zip(D.row[np.abs(D.data) > 1e-14],
                         D.col[np.abs(D.data) > 1e-14]):
             assert r in gh and c in gh
@@ -229,14 +274,11 @@ class TestAffineForm:
                           pml=self.PML if variant == "pml_layer" else None,
                           surface=SurfaceProfile.cosine(0.1, 1.0))
         for s in (0.5, 0.5 + 7.0j, 2.0 - 3.0j):
-            ref = reference_matrix(blk, s, variant, self.PML)
+            ref = reference_matrix(blk, s, variant, self.PML).tocsc()
             system = assemble(blk, MEDIA, s, None, 0.0, variant, self.PML)
-            free = free_dofs(blk, variant)
-            red = ref[np.ix_(free, free)].tocsc()
-            assert np.array_equal(system.free, free)
-            assert system.matrix.nnz == red.nnz
-            assert sparse_norm(system.matrix - red) \
-                <= 1e-13 * sparse_norm(red)
+            assert system.matrix.nnz == ref.nnz
+            assert sparse_norm(system.matrix - ref) \
+                <= 1e-13 * sparse_norm(ref)
 
     def test_one_table_per_mesh(self):
         # a mesh without the layer serves exact_dtn and pml_dtn from one
@@ -259,18 +301,6 @@ class TestAffineForm:
                          self.PML)
         assert layer.cache["affine"] is form
         assert [key for key in layer.cache if key == "affine"] == ["affine"]
-
-    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
-    def test_slot_positions_free_state(self, variant):
-        blk = make_blocks(obstacle=True, pml=self.PML
-                          if variant == "pml_layer" else None)
-        form = _affine_form(blk, variant)
-        free = free_dofs(blk, variant)
-        assert form.slot.shape == (blk.dof.size + 1,)
-        assert np.array_equal(form.slot[free], np.arange(free.size))
-        fixed = np.setdiff1d(np.arange(blk.dof.size + 1), free)
-        assert fixed[-1] == blk.dof.size
-        assert np.all(form.slot[fixed] == free.size)
 
     def test_unknown_variant(self):
         with pytest.raises(AssemblyError):
@@ -505,7 +535,7 @@ class TestManufactured:
                                               p_expr)
             system = assemble(blk, MEDIA, 1.0 + 2.0j, None, 0.0,
                               "exact_dtn")
-            sol = solve_frequency(system, rhs=rhs[system.free])
+            sol = solve_frequency(system, rhs=rhs)
             l2, _ = fluid_error_norms(blk, sol.x, x_ex)
             errs.append(l2)
             sizes.append(target)
@@ -533,7 +563,7 @@ class TestManufactured:
         assert np.abs(ref[blk.dof.n_p:]).max() > 0
         assert np.array_equal(x_ex, ref)
         system = assemble(blk, MEDIA, s, None, 0.0, "exact_dtn")
-        sol = solve_frequency(system, rhs=rhs[system.free])
+        sol = solve_frequency(system, rhs=rhs)
         e_ref = nodal_to_dofs(blk, sol.p_hat - p_nodal)
         assert fluid_error_norms(blk, sol.x, x_ex) == \
             (np.sqrt(np.vdot(e_ref, blk.M_fluid @ e_ref).real),

@@ -10,7 +10,7 @@ from pmlstrip import (ContourConfig, Geometry, MediaParams, PmlProfile,
                       Pulse, Rectangle, SourceSpec, SurfaceProfile,
                       assemble, build_blocks, build_mesh, causality_margin,
                       contour_synthesize, dofs_to_nodal, energy_trace,
-                      free_dofs, inverse_laplace_grid, load_vector,
+                      inverse_laplace_grid, load_vector,
                       locate_probes, newmark_run, solve_frequency,
                       term_weights)
 import pmlstrip.timedomain
@@ -127,23 +127,21 @@ def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
     """newmark_run with its former readout: the scalar pulse derivative at
     every step, and every step expands the whole dof vector through
     dofs_to_nodal and reads probes and snapshots off the nodal fields,
-    stored dofs off the global dof vector."""
+    stored dofs off the dof vector."""
     dt = T / n_steps
     form = _affine_form(blk, "pml_layer")
-    free = form.free
     w_M, w_K = term_weights(media)
     Kr, A_eff = (form.matrix(w @ form.terms)
                  for w in (w_K, w_M + 0.25 * dt * dt * w_K))
     lu = factorize(A_eff)
-    f_shape = load_vector(blk, source.spatial)[free] / media.c ** 2
-    d, v = np.zeros(free.size), np.zeros(free.size)
-    a = np.zeros(free.size)
+    f_shape = load_vector(blk, source.spatial) / media.c ** 2
+    d, v, a = np.zeros(blk.dof.size), np.zeros(blk.dof.size), \
+        np.zeros(blk.dof.size)
     t_grid = np.linspace(0.0, T, n_steps + 1)
     out = {"probe_p": [], "history": [], "snapshots": [],
            "norms": {k: [] for k in ("dt_p", "grad_p", "dt_u", "div_u",
                                      "grad_u")}}
     snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
-    x_full, v_full = np.zeros(blk.dof.size), np.zeros(blk.dof.size)
     for step in range(n_steps + 1):
         if step:
             d_star = d + dt * v + dt * dt * 0.25 * a
@@ -152,22 +150,20 @@ def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
                          - Kr @ d_star)
             d = d_star + 0.25 * dt * dt * a
             v = v_star + 0.5 * dt * a
-        x_full[free] = d
-        v_full[free] = v
-        p_nodal, u_nodal = dofs_to_nodal(blk, x_full)
+        p_nodal, u_nodal = dofs_to_nodal(blk, d)
         if store_dofs is not None:
-            out["history"].append(x_full[store_dofs])
+            out["history"].append(d[store_dofs])
         if probes is not None:
             out["probe_p"].append(probe_values(blk.mesh, probes, p_nodal))
         if step in snap_steps:
             out["snapshots"].append((t_grid[step], p_nodal.copy(),
                                      u_nodal.copy()))
         if record_norms:
-            for key, A, x in (("dt_p", blk.M_fluid, v_full),
-                              ("grad_p", blk.K_fluid, x_full),
-                              ("dt_u", blk.M_solid, v_full),
-                              ("div_u", blk.K_div, x_full),
-                              ("grad_u", blk.K_solid_h1, x_full)):
+            for key, A, x in (("dt_p", blk.M_fluid, v),
+                              ("grad_p", blk.K_fluid, d),
+                              ("dt_u", blk.M_solid, v),
+                              ("div_u", blk.K_div, d),
+                              ("grad_u", blk.K_solid_h1, d)):
                 out["norms"][key].append(_sqrt_form(A, x))
     out["probe_p"] = np.array(out["probe_p"]).T
     out["history"] = np.array(out["history"]).T
@@ -176,14 +172,14 @@ def reference_newmark_run(blk, media, source, T, n_steps, probes=None,
 
 class TestNewmarkReadout:
     """Probes, stored dofs, snapshots and norms read straight off the
-    free-dof state equal the former per-step nodal expansion."""
+    dof state equal the former per-step nodal expansion."""
 
     SRC = SourceSpec(center=(0.2, 0.25), radius=0.08, T=1.0)
 
     @pytest.mark.parametrize("obstacle", [False, True])
     def test_store_dofs_bitwise(self, obstacle):
         blk = layer_blocks(obstacle=obstacle)
-        # every dof, free or not (bottom wall, layer top), some twice
+        # every dof, some twice
         keep = np.concatenate([np.arange(blk.dof.size)[::-1], [0, 3]])
         traj = newmark_run(blk, ODD_MEDIA, self.SRC, 1.0, 30,
                            store_dofs=keep)
@@ -254,19 +250,19 @@ class TestTrapezoidalIdentity:
         src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=1.0,
                          pulse=pulse)
         blk = layer_blocks(obstacle=obstacle)
-        free = free_dofs(blk, "pml_layer")
         probes = locate_probes(blk.mesh, [[0.31, 0.22], [0.77, 0.41],
                                           [0.5, 0.7]])
         traj = newmark_run(blk, ODD_MEDIA, src, src.T, self.N,
-                           probes=probes, store_dofs=free)
-        d = traj.history                                  # (free, N + 1)
-        f = np.outer(load_vector(blk, src.spatial)[free] / ODD_MEDIA.c ** 2,
+                           probes=probes,
+                           store_dofs=np.arange(blk.dof.size))
+        d = traj.history                                  # (dofs, N + 1)
+        f = np.outer(load_vector(blk, src.spatial) / ODD_MEDIA.c ** 2,
                      pulse.derivative(traj.t))
-        pressure = free < blk.dof.n_p
+        pressure = np.arange(blk.dof.size) < blk.dof.n_p
         assert np.abs(d[pressure]).max() > 0
         if obstacle:
             assert np.abs(d[~pressure]).max() > 0
-        read = _probe_reader(blk, probes, _affine_form(blk, "pml_layer").slot)
+        read = _probe_reader(blk, probes)
         dt, n = traj.meta["dt"], np.arange(self.N + 1)
         rho = 1e-16 ** (1.0 / self.N)
         scale = np.sum(rho ** n * np.linalg.norm(d, axis=0))
@@ -279,7 +275,7 @@ class TestTrapezoidalIdentity:
             sol = solve_frequency(
                 assemble(blk, ODD_MEDIA, delta, None, 0.0, "pml_layer"),
                 rhs=r * (F - f[:, 0] / (1.0 + z)))
-            assert np.linalg.norm(D - sol.x[free]) <= 1e-12 * scale
+            assert np.linalg.norm(D - sol.x) <= 1e-12 * scale
             # the probe series transform equally, through the readout
             P = traj.probe_p @ z ** n
             assert np.abs(P - read(np.append(D, 0.0))).max() <= 1e-12 * scale
@@ -308,7 +304,7 @@ class TestFactorization:
         blk = layer_blocks(obstacle=True)
         traj = newmark_run(blk, MEDIA, None, 0.5, 2)
         assert traj.meta["ordering"] == LU_ORDERING == "MMD_AT_PLUS_A"
-        assert traj.meta["lu_nnz"] > free_dofs(blk, "pml_layer").size
+        assert traj.meta["lu_nnz"] > blk.dof.size
         sol = solve_frequency(assemble(blk, MEDIA, 1.0 + 2.0j, None, 0.0,
                                        "pml_layer"))
         assert sol.ordering == LU_ORDERING
@@ -330,14 +326,12 @@ class TestOneOperator:
 
     @pytest.mark.parametrize("obstacle", [False, True])
     def test_layer_matrices_match_sparse_sums(self, obstacle):
-        # Newmark's mass and stiffness on the free dofs
+        # Newmark's mass and stiffness
         blk = layer_blocks(obstacle=obstacle)
         form = _affine_form(blk, "pml_layer")
-        free = free_dofs(blk, "pml_layer")
         for w, ref in zip(term_weights(ODD_MEDIA),
                           sparse_sum_layer_matrices(blk, ODD_MEDIA)):
             A = form.matrix(w @ form.terms)
-            ref = ref[np.ix_(free, free)]
             assert sparse_norm(A - ref) <= 1e-14 * sparse_norm(ref)
 
     @pytest.mark.parametrize("obstacle", [False, True])
@@ -346,23 +340,21 @@ class TestOneOperator:
         # (pressure) and rho0 conj(s) (displacement)
         blk = layer_blocks(obstacle=obstacle)
         M, K = sparse_sum_layer_matrices(blk, ODD_MEDIA)
-        free = free_dofs(blk, "pml_layer")
         pressure = np.arange(blk.dof.size) < blk.dof.n_p
         for s in (0.7, 0.5 + 7.0j, 2.0 - 3.0j):
             r = np.where(pressure, 1.0 / s, ODD_MEDIA.rho0 * np.conj(s))
-            ref = (sp.diags(r) @ (s * s * M + K)).tocsr()[np.ix_(free, free)]
+            ref = (sp.diags(r) @ (s * s * M + K)).tocsr()
             A = assemble(blk, ODD_MEDIA, s, None, 0.0, "pml_layer").matrix
             assert sparse_norm(A - ref) <= 1e-13 * sparse_norm(ref)
 
     def test_newmark_energy_uses_reduced_stiffness(self):
-        # at rest the discrete energy is d.K d / 2 on the free dofs
+        # at rest the discrete energy is d.K d / 2
         blk = layer_blocks(obstacle=True)
         d0 = np.random.default_rng(5).normal(size=blk.dof.size)
         traj = newmark_run(blk, ODD_MEDIA, None, 0.1, 1, initial_d=d0,
                            record_energy=True)
-        free = free_dofs(blk, "pml_layer")
         K = sparse_sum_layer_matrices(blk, ODD_MEDIA)[1]
-        ref = 0.5 * d0[free] @ (K[np.ix_(free, free)] @ d0[free])
+        ref = 0.5 * d0 @ (K @ d0)
         assert traj.energy[0] == pytest.approx(ref, rel=1e-13)
 
 
@@ -416,8 +408,7 @@ class TestContour:
 def serial_contour(blk, media, source, cfg, probes, variant):
     """Probe traces and solve residuals of contour_synthesize's loop as
     one serial pass over the frequencies."""
-    rhs0 = load_vector(blk, source.spatial)[_affine_form(blk, variant).free] \
-        / media.c ** 2
+    rhs0 = load_vector(blk, source.spatial) / media.c ** 2
     rows, residuals = [], []
     for w in cfg.half_grid():
         s = cfg.s1 + 1j * w
