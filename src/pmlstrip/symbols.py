@@ -70,8 +70,9 @@ def layer_denominator_floor(s1, c: float, L_tilde):
 
 def _layer_modes(xi_abs, s, c: float, L_tilde):
     """beta, -beta * coth(beta L~), |1 - coth(beta L~)| = |2q / (1 - q)|
-    and the weighted gap per mode, broadcast over |xi|, s and L~ = L_tilde;
-    all through q = exp(-2 beta L~), so nothing overflows."""
+    and the weighted gap, that times ((|s|^2/c^2 + xi^2) / (1 + xi^2))^(1/2),
+    per mode, broadcast over |xi|, s and L~ = L_tilde; all through
+    q = exp(-2 beta L~), so nothing overflows."""
     if np.any(np.asarray(L_tilde) <= 0):
         raise ValueError("L_tilde must be positive")
     b = beta_grid(xi_abs, s, c)
@@ -95,29 +96,9 @@ def dtn_symbol_grid(xi_abs, s, c: float, L_tilde=None):
     return _layer_modes(xi_abs, s, c, L_tilde)[1]
 
 
-def dtn_symbol(xi, s: complex, c: float) -> complex:
-    """Symbol of the exact transparent-boundary map: -beta(xi)."""
-    return dtn_symbol_grid(np.linalg.norm(xi), s, c)
-
-
 def pml_dtn_symbol(xi, s: complex, c: float, L_tilde: float) -> complex:
     """Symbol of the layer-truncated boundary map at one mode."""
     return dtn_symbol_grid(np.linalg.norm(xi), s, c, L_tilde)
-
-
-def symbol_gap(xi, s: complex, c: float, L_tilde: float) -> float:
-    """|exact symbol - layer symbol| = |beta| * |1 - coth(beta*L_tilde)|."""
-    b, _, coth_gap, _ = _layer_modes(np.linalg.norm(xi), s, c, L_tilde)
-    return float(abs(b) * coth_gap)
-
-
-def weighted_gap(xi_abs, s, c: float, L_tilde):
-    """Per-mode quantity whose supremum over xi bounds the operator norm
-    of the boundary-map gap between the +1/2 and -1/2 trace spaces:
-
-        (|s|^2/c^2 + xi^2)^(1/2) * (1 + xi^2)^(-1/2) * |1 - coth(beta L~)|
-    """
-    return _layer_modes(xi_abs, s, c, L_tilde)[3]
 
 
 def cu_bound(s, c: float, L_bar):
@@ -179,55 +160,3 @@ def symbol_gap_sup(s, c: float, pml, xi_grid) -> SymbolAudit:
     b, _, _, gap = _layer_modes(xi_grid, s, c, Lt)
     return SymbolAudit(beta_vals=b, gap=gap, bound=cu_bound(s, c, Lb),
                        passive=(b / s).real >= -1e-14)
-
-
-# ---------------------------------------------------------------------------
-# boundary traces
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BoundaryTrace:
-    """Fourier-side representation of a periodic function on the plane
-    x3 = h: coefficients for modes xi_n = 2*pi*n/period, |n| <= N.
-
-    Coefficient order is n = -N..N.
-    """
-
-    period: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.size % 2 != 1:
-            raise ValueError("coefficient array must have odd length 2N+1")
-
-    @property
-    def n_max(self) -> int:
-        return (self.coeffs.size - 1) // 2
-
-    def xi_values(self) -> np.ndarray:
-        n = np.arange(-self.n_max, self.n_max + 1)
-        return 2.0 * np.pi * n / self.period
-
-
-def apply_dtn(trace: BoundaryTrace, s: complex, c: float,
-              variant: str = "exact",
-              L_tilde: float | None = None) -> BoundaryTrace:
-    """Apply the modal boundary map (exact or layer-truncated) to a
-    trace: coefficientwise multiplication by the symbol."""
-    if variant not in ("exact", "pml"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "pml" and L_tilde is None:
-        raise ValueError("pml variant needs L_tilde")
-    sym = dtn_symbol_grid(trace.xi_values(), s, c,
-                          L_tilde if variant == "pml" else None)
-    return BoundaryTrace(trace.period, sym * trace.coeffs)
-
-
-def trace_sobolev_norm(trace: BoundaryTrace, order: float) -> float:
-    """Discrete fractional trace norm:
-    ( sum_n (1+xi_n^2)^order |phi_n|^2 * 2*pi/period )^(1/2)."""
-    xi = trace.xi_values()
-    w = (1.0 + xi ** 2) ** order
-    return float(np.sqrt(np.sum(w * np.abs(trace.coeffs) ** 2)
-                         * 2.0 * np.pi / trace.period))

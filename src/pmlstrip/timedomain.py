@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import LU_ORDERING, FemBlocks, _affine_form, _cpu_count, \
-    _sqrt_form, assemble, factorize, load_vector, map_solves, \
+    _sqrt_form, assemble, factorize, load_vector, map_solves, pad_dofs, \
     solve_frequency, source_l2_norm, term_weights
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
@@ -216,18 +216,6 @@ def energy_trace(traj: TimeTrajectory, blk: FemBlocks,
     }
 
 
-def causality_margin(traj: TimeTrajectory, distance: float, c: float,
-                     probe: int = 0) -> tuple[float, float]:
-    """(pre-arrival max, global max) of one probe series for arrival
-    time distance/c minus two steps."""
-    dt = traj.meta["dt"]
-    cutoff = distance / c - 2.0 * dt
-    pre = traj.t < cutoff
-    series = np.abs(traj.probe_p[probe])
-    pre_max = float(series[pre].max()) if pre.any() else 0.0
-    return pre_max, float(series.max())
-
-
 # ---------------------------------------------------------------------------
 # contour synthesis
 # ---------------------------------------------------------------------------
@@ -282,7 +270,7 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
         s = cfg.s1 + 1j * w
         sol = solve_frequency(assemble(blk, media, s, None, 0.0, variant),
                               rhs=complex(source.pulse.laplace(s)) * rhs0)
-        return read_probes(np.append(sol.x, 0.0)), sol.residual
+        return read_probes(pad_dofs(sol.x)), sol.residual
 
     rows, residuals = zip(*map_solves(solve, half))
     return TimeTrajectory(t=np.asarray(t, dtype=float),

@@ -13,15 +13,16 @@ from scipy.sparse.linalg import norm as sparse_norm
 
 from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       SourceSpec, SurfaceProfile, assemble, build_blocks,
-                      build_mesh, coercivity_probe, dofs_to_nodal,
-                      dtn_block, fluid_error_norms, h_norm_sq, load_vector, manufactured_residual,
-                      shared_dofs, solve_frequency, source_l2_norm,
-                      stability_ratios)
+                      build_mesh, dofs_to_nodal, dtn_block,
+                      dtn_symbol_grid, h_norm_sq, load_vector, shared_dofs,
+                      solve_frequency, source_l2_norm, stability_ratios)
 from pmlstrip.fem import AssemblyError, DofMap, FemBlocks, \
     SingularSystemError, _assemble_scalar, _cpu_count, _tri_geometry, \
-    map_solves, quadratic_form
+    map_solves
 from pmlstrip.timedomain import newmark_run
 from pmlstrip.mesh import FLUID, PML, SOLID
+
+from oracles import fluid_error_norms, manufactured_residual
 
 
 MEDIA = MediaParams()
@@ -102,10 +103,10 @@ class TestAssembly:
         blk, _ = former_blocks(make_blocks())
         ones = np.ones(blk.dof.size)
         # flat strip of height 0.5, period 1
-        assert quadratic_form(blk.M_fluid, ones).real \
+        assert np.vdot(ones, blk.M_fluid @ ones).real \
             == pytest.approx(0.5, rel=1e-12)
         # constants are in the stiffness kernel
-        assert abs(quadratic_form(blk.K_fluid, ones)) < 1e-12
+        assert abs(np.vdot(ones, blk.K_fluid @ ones)) < 1e-12
 
     def test_no_layer_pairs_equal_fluid_pair(self):
         # without a layer the fluid + layer triangles are the fluid ones,
@@ -125,9 +126,9 @@ class TestAssembly:
         ones = np.ones(blk.dof.size)
         # sigma-weighted mass = fluid area + int_layer sigma
         ramp_int = 0.4 + 2.0 * 0.4 / 2.0   # L + sigma0 L/(m+1)
-        assert quadratic_form(blk.M_all, ones).real \
+        assert np.vdot(ones, blk.M_all @ ones).real \
             == pytest.approx(0.5 + ramp_int, rel=1e-6)
-        assert quadratic_form(blk.M_all_iso, ones).real \
+        assert np.vdot(ones, blk.M_all_iso @ ones).real \
             == pytest.approx(0.9, rel=1e-12)
 
     def test_solid_blocks_rigid_motions(self):
@@ -135,18 +136,18 @@ class TestAssembly:
         x = np.zeros(blk.dof.size)
         # uniform translation is strain free
         x[blk.dof.n_p::2] = 1.0
-        assert abs(quadratic_form(blk.K_div, x)) < 1e-12
-        assert abs(quadratic_form(blk.K_eps, x)) < 1e-12
+        assert abs(np.vdot(x, blk.K_div @ x)) < 1e-12
+        assert abs(np.vdot(x, blk.K_eps @ x)) < 1e-12
         # solid mass = obstacle area per component
-        assert quadratic_form(blk.M_solid, x).real \
+        assert np.vdot(x, blk.M_solid @ x).real \
             == pytest.approx(0.04, rel=1e-10)
         # infinitesimal rotation u = (-x3, x1) has zero symmetric strain
         verts = blk.mesh.vertices[blk.dof.u_nodes]
         x[:] = 0.0
         x[blk.dof.n_p::2] = -verts[:, 1]
         x[blk.dof.n_p + 1::2] = verts[:, 0]
-        assert abs(quadratic_form(blk.K_eps, x)) < 1e-10
-        assert abs(quadratic_form(blk.K_div, x)) < 1e-10
+        assert abs(np.vdot(x, blk.K_eps @ x)) < 1e-10
+        assert abs(np.vdot(x, blk.K_div @ x)) < 1e-10
 
     def test_load_vector_total(self):
         blk = make_blocks()
@@ -400,8 +401,7 @@ class TestFrequencySolve:
         # solution of -p''/s + s p/c^2 = f/c^2, p(0)=0, p'(h)=dtn*p(h)
         blk = make_blocks(target=0.02, n_modes=8)
         s = 1.0 + 2.0j
-        from pmlstrip import dtn_symbol
-        lam = dtn_symbol(0.0, s, MEDIA.c)
+        lam = dtn_symbol_grid(0.0, s, MEDIA.c)
         # manufactured 1D check via dense solve on the vertical line
         # instead: verified indirectly by the manufactured-solution
         # convergence test below
@@ -482,6 +482,23 @@ class TestNormsAndProbes:
             assert norms[k] == pytest.approx(xk @ (G @ xk), rel=1e-13)
             assert h_norm_sq(blk, xk) == pytest.approx(norms[k], rel=1e-13)
 
+    def test_dofs_to_nodal_stacked(self):
+        # dof vectors stacked on trailing axes (a Newmark history) expand
+        # column by column, and a vertex without a dof reads 0
+        pml = PmlProfile(sigma0=2.0, m=1, L=0.3, s1=1.0)
+        blk = make_blocks(obstacle=True, pml=pml)
+        dof, master = blk.dof, blk.mesh.node_master
+        x = np.random.default_rng(4).normal(size=(dof.size, 3))
+        p, u = dofs_to_nodal(blk, x)
+        nv = blk.mesh.n_vertices
+        assert p.shape == (nv, 3) and u.shape == (nv, 2, 3)
+        for k in range(3):
+            pk, uk = dofs_to_nodal(blk, x[:, k])
+            assert np.array_equal(p[:, k], pk)
+            assert np.array_equal(u[..., k], uk)
+        walls = ~np.isin(master, dof.p_nodes)
+        assert walls.any() and not np.any(p[walls])
+
     def test_fluid_error_norms_zero_on_equal(self):
         blk = make_blocks()
         x = np.random.default_rng(2).normal(size=blk.dof.size)
@@ -511,8 +528,7 @@ class TestCoercivity:
         for _ in range(25):
             w = rng.normal(size=blk.dof.size) \
                 + 1j * rng.normal(size=blk.dof.size)
-            re_a, nsq = coercivity_probe(blk, MEDIA, s, w, variant,
-                                         pml=pml, matrix=A)
+            re_a, nsq = np.vdot(w, A @ w).real, h_norm_sq(blk, w)
             assert nsq > 0
             assert re_a > 0
 

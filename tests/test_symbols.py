@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmlstrip import (BoundaryTrace, BranchError, PmlProfile, apply_dtn,
-                      beta, beta_grid, cu_bound, default_xi_grid,
-                      dtn_symbol, dtn_symbol_grid, pml_dtn_symbol,
-                      principal_sqrt, symbol_gap, symbol_gap_sup,
-                      trace_sobolev_norm, weighted_gap)
+from pmlstrip import (BranchError, PmlProfile, beta, beta_grid, cu_bound,
+                      default_xi_grid, dtn_symbol_grid, pml_dtn_symbol,
+                      principal_sqrt, symbol_gap_sup)
+
+from oracles import symbol_gap
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -68,7 +68,7 @@ class TestBeta:
 
 class TestSymbols:
     def test_exact_symbol(self):
-        assert dtn_symbol(0.0, 1.0 + 0.0j, 1.0) == pytest.approx(-1.0)
+        assert dtn_symbol_grid(0.0, 1.0 + 0.0j, 1.0) == pytest.approx(-1.0)
 
     def test_layer_symbol_oracle(self):
         # beta = 1, L_tilde = 1: -coth(1)
@@ -78,7 +78,7 @@ class TestSymbols:
     def test_layer_symbol_converges_to_exact(self):
         s, c = 1.0 + 2.0j, 1.0
         for xi in (0.0, 1.0, 5.0):
-            exact = dtn_symbol(xi, s, c)
+            exact = dtn_symbol_grid(xi, s, c)
             gaps = [abs(pml_dtn_symbol(xi, s, c, Lt) - exact)
                     for Lt in (1.0, 2.0, 4.0, 8.0)]
             assert np.all(np.diff(gaps) < 0)
@@ -87,13 +87,13 @@ class TestSymbols:
     def test_no_overflow_large_beta(self):
         # beta*L_tilde huge: coth -> 1 without overflow
         val = pml_dtn_symbol(1e4, 1.0 + 0.0j, 1.0, 10.0)
-        assert val == pytest.approx(dtn_symbol(1e4, 1.0 + 0.0j, 1.0))
+        assert val == pytest.approx(dtn_symbol_grid(1e4, 1.0 + 0.0j, 1.0))
 
     def test_grid_matches_scalar_symbols(self):
         xi = 2.0 * np.pi * np.arange(-6, 7)
         for s in (1.0 + 0.0j, 0.3 + 9.0j, 2.0 - 4.0j):
             assert dtn_symbol_grid(xi, s, 1.5) == pytest.approx(
-                [dtn_symbol(x, s, 1.5) for x in xi], rel=1e-14)
+                [dtn_symbol_grid(x, s, 1.5) for x in xi], rel=1e-14)
             assert dtn_symbol_grid(xi, s, 1.5, 0.7) == pytest.approx(
                 [pml_dtn_symbol(x, s, 1.5, 0.7) for x in xi], rel=1e-14)
 
@@ -138,7 +138,7 @@ class TestSymbols:
             pml = PmlProfile(sigma0=rng.uniform(0.5, 4.0), m=1,
                              L=rng.uniform(0.3, 2.0), s1=s.real)
             xi = default_xi_grid(s, 1.0, 101)
-            g = weighted_gap(xi, s, 1.0, pml.L_tilde)
+            g = symbol_gap_sup(s, 1.0, pml, xi).gap
             assert np.all(g <= cu_bound(s, 1.0, pml.L_bar) * (1 + 1e-10))
 
 
@@ -171,39 +171,22 @@ class TestAudits:
         assert c_emp <= 1.0 + 1e-12
 
 
+def _trace_norm(xi, coeffs, order):
+    """Discrete fractional trace norm of a 1-periodic trace:
+    ( sum_n (1+xi_n^2)^order |phi_n|^2 * 2*pi )^(1/2)."""
+    return np.sqrt(np.sum((1.0 + xi ** 2) ** order * np.abs(coeffs) ** 2)
+                   * 2.0 * np.pi)
+
+
 class TestBoundaryTraces:
-    def test_trace_construction(self):
-        with pytest.raises(ValueError):
-            BoundaryTrace(1.0, np.ones(4))
-        tr = BoundaryTrace(1.0, np.array([0.0, 1.0, 0.0]))
-        assert tr.n_max == 1
-        assert tr.xi_values() == pytest.approx(
-            2 * np.pi * np.array([-1.0, 0.0, 1.0]))
-
-    def test_apply_dtn_constant_mode(self):
-        tr = BoundaryTrace(1.0, np.array([0.0, 1.0, 0.0]))
-        out = apply_dtn(tr, 1.0 + 0.0j, 1.0, "exact")
-        assert out.coeffs[1] == pytest.approx(-1.0)
-        out_pml = apply_dtn(tr, 1.0 + 0.0j, 1.0, "pml", L_tilde=1.0)
-        assert out_pml.coeffs[1] == pytest.approx(-COTH1)
-        with pytest.raises(ValueError):
-            apply_dtn(tr, 1.0 + 0.0j, 1.0, "pml")
-        with pytest.raises(ValueError):
-            apply_dtn(tr, 1.0 + 0.0j, 1.0, "nope")
-
     def test_operator_norm_bound(self):
         # ||B phi||_{-1/2} <= max(1, |s|/c) ||phi||_{+1/2}
         rng = np.random.default_rng(3)
+        xi = 2.0 * np.pi * np.arange(-10, 11)
         for s in (1.0 + 0.0j, 0.5 + 8.0j, 2.0 - 3.0j):
+            sym = dtn_symbol_grid(xi, s, 1.0)
             for _ in range(20):
                 coeffs = rng.normal(size=21) + 1j * rng.normal(size=21)
-                tr = BoundaryTrace(1.0, coeffs)
-                out = apply_dtn(tr, s, 1.0, "exact")
-                lhs = trace_sobolev_norm(out, -0.5)
-                rhs = max(1.0, abs(s)) * trace_sobolev_norm(tr, 0.5)
+                lhs = _trace_norm(xi, sym * coeffs, -0.5)
+                rhs = max(1.0, abs(s)) * _trace_norm(xi, coeffs, 0.5)
                 assert lhs <= rhs * (1.0 + 1e-12)
-
-    def test_trace_norm_scaling(self):
-        tr = BoundaryTrace(1.0, np.array([0.0, 2.0, 0.0]))
-        assert trace_sobolev_norm(tr, 0.5) \
-            == pytest.approx(2.0 * np.sqrt(2 * np.pi))

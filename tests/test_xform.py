@@ -1,5 +1,6 @@
 """Laplace-transform quadrature, inversion and the Plancherel identity."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -154,23 +155,29 @@ class TestChirpZ:
                 inverse_laplace_grid(vals, 1.0, shifted, t)
 
     def test_import_leaves_scipy_signal_unloaded(self):
-        src = os.path.dirname(os.path.dirname(pmlstrip.__file__))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "import pmlstrip; "
-                "print('scipy.signal' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code, src],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert "scipy.signal" not in _modules_after_import()
 
     def test_import_leaves_scipy_integrate_unloaded(self):
         # only transform_property_check needs it, and imports it itself
-        src = os.path.dirname(os.path.dirname(pmlstrip.__file__))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "import pmlstrip; "
-                "print('scipy.integrate' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code, src],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert "scipy.integrate" not in _modules_after_import()
+
+    def test_import_leaves_sympy_unloaded(self):
+        # sympy is a test dependency
+        assert "sympy" not in _modules_after_import()
+
+
+@functools.cache
+def _modules_after_import() -> frozenset:
+    """Optional modules loaded by a bare `import pmlstrip` in a fresh
+    interpreter; one subprocess serves every import test."""
+    src = os.path.dirname(os.path.dirname(pmlstrip.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import pmlstrip; "
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.integrate', "
+            "'sympy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    return frozenset(out.stdout.split())
 
 
 # random uniform s2 grids: odd, even and single-point, with any start
