@@ -22,15 +22,18 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import FLUID, MARKER_GAMMA, MARKER_GAMMA_F, MARKER_GAMMA_HL, \
     PML, SOLID, StripMesh
 from .model import MediaParams, PmlProfile, sigma_profile
 from .symbols import dtn_symbol_grid
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
 
 VARIANTS = ("exact_dtn", "pml_dtn", "pml_layer")
 
@@ -60,12 +63,14 @@ LU_ORDERING = "MMD_AT_PLUS_A"
 DIAG_PIVOT_THRESH = 0.01
 
 
-def factorize(A: sp.spmatrix) -> spla.SuperLU:
+def factorize(A: sp.spmatrix) -> SuperLU:
     """Sparse LU of a square matrix (CSC preferred) with LU_ORDERING and
     DIAG_PIVOT_THRESH; the one sparse factorization of the package."""
+    # imported here: symbol-audit and parseval never factor
+    from scipy.sparse.linalg import splu
     try:
-        return spla.splu(A, permc_spec=LU_ORDERING,
-                         diag_pivot_thresh=DIAG_PIVOT_THRESH)
+        return splu(A, permc_spec=LU_ORDERING,
+                    diag_pivot_thresh=DIAG_PIVOT_THRESH)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import OutOfLayerError, PmlProfile, sigma_profile, \
     stretched_coordinate
@@ -103,6 +102,8 @@ def fd_layer_solve(mode: LayerMode, n: int) -> LayerSolution:
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
+    # imported here: of the subcommands only layer-check runs this
+    from scipy.linalg import solve_banded
     interior = solve_banded((1, 1), ab, rhs)
 
     values = np.empty(n + 1, dtype=complex)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
 
 
 class TruncationWarning(UserWarning):
@@ -75,6 +74,19 @@ def _rule_weights(n: int, end_corrected: bool) -> np.ndarray:
     return w
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: the FFT length SciPy's
+    next_fast_len picks for complex input."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def _chirp_quad(fw: np.ndarray, x: np.ndarray, y: np.ndarray,
                 sign: float) -> np.ndarray:
     """dx sum_n fw[..., n] e^{sign i x[n] y[k]} over uniform grids x
@@ -90,11 +102,12 @@ def _chirp_quad(fw: np.ndarray, x: np.ndarray, y: np.ndarray,
     turns = np.arange(max(n, m), dtype=np.longdouble) ** 2 \
         * (sign * dx * dy / (4.0 * np.pi))
     chirp = np.exp(-2j * np.pi * (turns - np.round(turns)).astype(float))
-    size = sfft.next_fast_len(n + m - 1)
+    size = _next_fast_len(n + m - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m], kernel[size - n + 1:] = chirp[:m], chirp[n - 1:0:-1]
     pre = np.exp(sign * 1j * dx * y[0] * np.arange(n)) * np.conj(chirp[:n])
-    conv = sfft.ifft(sfft.fft(fw * pre, size) * sfft.fft(kernel))[..., :m]
+    spec = np.fft.fft(fw * pre, size) * np.fft.fft(kernel)
+    conv = np.fft.ifft(spec)[..., :m]
     return dx * conv * np.conj(chirp[:m]) * np.exp(sign * 1j * x[0] * y)
 
 
@@ -145,6 +158,22 @@ def inverse_laplace_grid(vals: np.ndarray, s1: float, s2: np.ndarray,
         vals * _rule_weights(s2.size, False), s2, t, 1.0))
 
 
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running integral from 0 of samples y (n >= 3) at spacing dx, as
+    SciPy's cumulative_simpson(y, dx=dx, initial=0.0): interval
+    k takes the Simpson parabola through samples k..k+2 when k is even
+    and k-1..k+1 when k is odd; the last one always the parabola
+    through the last three samples."""
+    def panel(a, b, c):     # int over [a, b] of the parabola on a, b, c
+        return dx / 3 * (5 * a / 4 + 2 * b - c / 4)
+
+    left = panel(y[:-2], y[1:-1], y[2:])
+    right = panel(y[2:], y[1:-1], y[:-2])
+    parts = np.empty(y.size - 1)
+    parts[:-1:2], parts[1::2], parts[-1] = left[::2], right[::2], right[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
 def transform_property_check(u: Callable, du: Callable, d2u: Callable,
                              s: complex, T: float = 40.0, n: int = 20000,
                              s2_max: float = 400.0, n_freq: int = 12001,
@@ -159,10 +188,6 @@ def transform_property_check(u: Callable, du: Callable, d2u: Callable,
     (t_max bounds the e^{s1 t} amplification of contour noise in the
     synthesized antiderivative.)
     """
-    # imported here: scipy.integrate pulls in scipy.optimize, which
-    # nothing else in the package needs, at every package import
-    from scipy.integrate import cumulative_simpson
-
     sig = SampledSignal.sample(u, T, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -182,8 +207,8 @@ def transform_property_check(u: Callable, du: Callable, d2u: Callable,
     window = sig.t <= min(t_max, sig.t[-1])
     stride = max(1, int(window.sum()) // 50)
     t_out = sig.t[window][::stride]
-    running = cumulative_simpson(np.real(sig.values), dx=sig.dt,
-                                 initial=0.0)[window][::stride]
+    running = _cumulative_simpson(np.real(sig.values),
+                                  sig.dt)[window][::stride]
     synth = inverse_laplace_grid(vals, s1, s2, t_out)
     r3 = float(np.max(np.abs(np.real(running) - synth)))
     return r1, r2, r3

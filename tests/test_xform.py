@@ -15,6 +15,7 @@ import pmlstrip
 from pmlstrip import (Pulse, SampledSignal, TruncationWarning,
                       inverse_laplace_grid, laplace_grid, laplace_numeric,
                       parseval_residual, transform_property_check)
+from pmlstrip.xform import _cumulative_simpson, _next_fast_len
 
 D1 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 D3 = np.array([-5.0, 18.0, -24.0, 14.0, -3.0]) / 2.0
@@ -154,30 +155,45 @@ class TestChirpZ:
             with pytest.raises(ValueError, match="start at 0"):
                 inverse_laplace_grid(vals, 1.0, shifted, t)
 
-    def test_import_leaves_scipy_signal_unloaded(self):
-        assert "scipy.signal" not in _modules_after_import()
-
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # only transform_property_check needs it, and imports it itself
-        assert "scipy.integrate" not in _modules_after_import()
-
-    def test_import_leaves_sympy_unloaded(self):
-        # sympy is a test dependency
-        assert "sympy" not in _modules_after_import()
+    # scipy.sparse.linalg and scipy.linalg load on the first factorization
+    # and banded solve; scipy.integrate, scipy.fft (with scipy.special)
+    # and scipy.signal are never needed; sympy is a test dependency
+    @pytest.mark.parametrize("module", [
+        "scipy.signal", "scipy.integrate", "sympy", "scipy.fft",
+        "scipy.special", "scipy.linalg", "scipy.sparse.linalg"])
+    def test_import_leaves_unloaded(self, module):
+        assert module not in _modules_after_import()
 
 
 @functools.cache
 def _modules_after_import() -> frozenset:
-    """Optional modules loaded by a bare `import pmlstrip` in a fresh
+    """Modules loaded by a bare `import pmlstrip` in a fresh
     interpreter; one subprocess serves every import test."""
     src = os.path.dirname(os.path.dirname(pmlstrip.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import pmlstrip; "
-            "print(' '.join(m for m in ('scipy.signal', 'scipy.integrate', "
-            "'sympy') if m in sys.modules))")
+            "import pmlstrip; print(' '.join(sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
     return frozenset(out.stdout.split())
+
+
+class TestScipyEquivalents:
+    """The local stand-ins for scipy helpers return scipy's values."""
+
+    def test_next_fast_len(self):
+        from scipy.fft import next_fast_len
+        # past the chirp sizes of contour_synthesize and of the default
+        # parseval (24,001) and transform_property_check (26,001) runs
+        for n in range(1, 32_768):
+            assert _next_fast_len(n) == next_fast_len(n), n
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 4001])
+    def test_cumulative_simpson_bitwise(self, n):
+        from scipy.integrate import cumulative_simpson
+        y = np.random.default_rng(n).standard_normal(n)
+        dx = 0.0137
+        assert np.array_equal(_cumulative_simpson(y, dx),
+                              cumulative_simpson(y, dx=dx, initial=0.0))
 
 
 # random uniform s2 grids: odd, even and single-point, with any start
