@@ -98,12 +98,30 @@ def _resolvable_layer(what: str, pml: PmlProfile, s1: float,
 
 
 def _normal_square(what: str, s1: float, c: float) -> None:
-    """Reject a Laplace abscissa whose square underflows: the symbols take
-    the root of s^2/c^2 + xi^2, which at s = s1, xi = 0 lands on the
-    branch cut once (s1/c)^2 is no longer a normal double."""
-    if not (s1 / c) ** 2 >= np.finfo(float).tiny:
-        raise ConfigError(f"{what} = {s1:g} is too small: (s1/c)^2 "
-                          "underflows")
+    """Reject a Laplace abscissa whose square is not a normal double: the
+    symbols take the root of s^2/c^2 + xi^2, which at s = s1, xi = 0
+    lands on the branch cut once (s1/c)^2 underflows and is lost once it
+    overflows."""
+    r = s1 / c     # r * r overflows to inf, where r ** 2 would raise
+    if not np.finfo(float).tiny <= r * r < np.inf:
+        raise ConfigError(f"{what} = {s1:g} is out of range: (s1/c)^2 "
+                          "is not a normal double")
+
+
+def _finite_layer_system(layer: dict, pml: PmlProfile, c: float) -> None:
+    """Reject [layer] values that overflow fd_layer_solve's system: its
+    largest entry is below 2 (n/L)^2 + |k2| sigma_max, where
+    |k2| = |s^2/c^2 + xi^2| <= |s|^2/c^2 + xi^2 and the damping peaks at
+    sigma_max = 1 + sigma0/s1 on the layer top."""
+    s, xi = layer["s"], np.max(np.abs(layer["xi_values"]))
+    with np.errstate(over="ignore"):
+        k = np.hypot(np.hypot(s.real, s.imag) / c, xi)
+        bound = 2.0 * (np.float64(max(layer["n_values"])) / pml.L) ** 2 \
+            + k * k * (1.0 + np.float64(pml.sigma0) / pml.s1)
+    if not np.isfinite(bound):
+        raise ConfigError("layer: the finite-difference system overflows: "
+                          "(|s|^2/c^2 + xi^2)(1 + sigma0/s1) + 2 (n/L)^2 "
+                          "is not a finite double")
 
 
 def _points(text: str) -> np.ndarray:
@@ -313,6 +331,7 @@ def load_config(path: str) -> RunConfig:
                         [f"{v:g}" for v in layer["xi_values"]])
         # the boundary-map solves run at Re s = s1, layer-check at layer.s
         _resolvable_layer("pml", pml, min(s1, s_pair[0]), media.c)
+        _finite_layer_system(layer, pml, media.c)
 
         parseval = {k: float(cp.get("parseval", k))
                     for k in ("s1", "s2_max", "horizon")}

@@ -14,6 +14,11 @@ top, so their nodes carry no dof.  On first use the blocks are laid out
 as the mesh's one term table (AffineForm), which the contour solves and
 Newmark both combine with their weights: a layer mesh serves
 pml_layer, a mesh without the layer exact_dtn and pml_dtn.
+
+scipy.sparse is imported on first use, by _scatter (every assembled
+matrix) and AffineForm.matrix, and scipy.sparse.linalg by factorize:
+importing the package loads only numpy, and symbol-audit and parseval,
+which build no mesh, never load them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import FLUID, MARKER_GAMMA, MARKER_GAMMA_F, MARKER_GAMMA_HL, \
     PML, SOLID, StripMesh
@@ -33,6 +37,7 @@ from .model import MediaParams, PmlProfile, sigma_profile
 from .symbols import dtn_symbol_grid
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
     from scipy.sparse.linalg import SuperLU
 
 VARIANTS = ("exact_dtn", "pml_dtn", "pml_layer")
@@ -189,13 +194,16 @@ def _tri_geometry(mesh: StripMesh, which: np.ndarray):
     return tris, c, area, g, mid
 
 
-def _scatter(dofr, dofc, vals, n):
-    """n x n CSR sum of vals at (dofr, dofc): summed with the sentinel n
-    (a vertex without that dof) as one more row and column, which are
-    then dropped (slicing copies the summed nonzeros, fewer than a mask
-    of the entries would)."""
-    return sp.coo_matrix((vals.ravel(), (dofr.ravel(), dofc.ravel())),
-                         shape=(n + 1, n + 1)).tocsr()[:n, :n]
+def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
+    """CSR matrix of the given shape that sums vals at (rows, cols).  An
+    index equal to its dimension (the sentinel of a vertex without that
+    dof) lands in one more row or column, which is then dropped (slicing
+    copies the summed nonzeros, fewer than a mask of the entries
+    would)."""
+    import scipy.sparse as sp      # on first use: see the module docstring
+    n, m = shape
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n + 1, m + 1)).tocsr()[:n, :m]
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +297,17 @@ def _assemble_scalar(mesh, dof, which, anisotropic=False, pml=None,
 
     rows = np.repeat(dofs, 3, axis=1)
     cols = np.tile(dofs, (1, 3))
-    Km = _scatter(rows, cols, K.reshape(nt, 9), ndof)
-    Mm = _scatter(rows, cols, Mel.reshape(nt, 9), ndof)
+    Km = _scatter(rows, cols, K.reshape(nt, 9), (ndof, ndof))
+    Mm = _scatter(rows, cols, Mel.reshape(nt, 9), (ndof, ndof))
     return Km, Mm
 
 
 def _assemble_solid(mesh, dof, h1=False):
     """Solid blocks (K_div, K_eps, M_solid), or with h1 the
     componentwise H1 stiffness K_solid_h1 alone."""
-    which = np.flatnonzero(mesh.tri_region == SOLID)
     ndof = dof.size
-    if which.size == 0:
-        z = sp.csr_matrix((ndof, ndof))
-        return z if h1 else (z, z, z)
-    tris, c, area, g, mid = _tri_geometry(mesh, which)
+    tris, c, area, g, mid = _tri_geometry(
+        mesh, np.flatnonzero(mesh.tri_region == SOLID))
     nt = tris.shape[0]
     # interleaved (node, comp) dofs
     dcomp = dof.node_dof[tris][:, :, 1:].reshape(nt, 6)
@@ -310,7 +315,7 @@ def _assemble_solid(mesh, dof, h1=False):
     cols = np.tile(dcomp, (1, 6))
 
     def scatter(X):
-        return _scatter(rows, cols, X.reshape(nt, 36), ndof)
+        return _scatter(rows, cols, X.reshape(nt, 36), (ndof, ndof))
 
     def per_component(X):
         """Scalar element blocks, one copy per displacement component."""
@@ -347,7 +352,7 @@ def _assemble_coupling(mesh, dof):
         dof.node_dof[edges][:, :, 1:].transpose(0, 2, 1)[:, :, None, :],
         vals.shape)
     keep = np.broadcast_to((n != 0.0)[:, :, None, None], vals.shape)
-    C_pu = _scatter(rows[keep], cols[keep], vals[keep], dof.size)
+    C_pu = _scatter(rows[keep], cols[keep], vals[keep], (dof.size,) * 2)
     return C_pu, C_pu.T.tocsr()
 
 
@@ -461,6 +466,7 @@ class AffineForm:
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
         """The matrix with the given row-major values."""
+        import scipy.sparse as sp      # on first use, as in _scatter
         n = self.indptr.size - 1
         return sp.csc_matrix((values[self.order], self.indices, self.indptr),
                              shape=(n, n))
@@ -495,8 +501,7 @@ def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
     gh_keys = np.repeat(gh, gh.size) * n + np.tile(gh, gh.size)
     # their union, sorted, as the pattern of a sparse sum of ones
     keys = np.concatenate([k for k, _ in entries] + [gh_keys])
-    union = sp.csr_matrix((np.ones(keys.size), (keys // n, keys % n)),
-                          shape=(n, n))
+    union = _scatter(keys // n, keys % n, np.ones(keys.size), (n, n))
     rows, cols = np.repeat(np.arange(n), np.diff(union.indptr)), union.indices
     pattern = rows * n + cols
     terms = np.zeros((len(entries), pattern.size))
@@ -552,8 +557,7 @@ def _load_rule(blk: FemBlocks, region, col):
                                w.shape)
         cols = np.broadcast_to(
             np.arange(w.shape[0] * 3).reshape(-1, 3, 1), w.shape)
-        op = sp.csr_matrix((w.ravel(), (rows.ravel(), cols.ravel())),
-                           shape=(blk.dof.size + 1, w.shape[0] * 3))[:-1]
+        op = _scatter(rows, cols, w, (blk.dof.size, w.shape[0] * 3))
         blk.cache["load", region, col] = (
             mid[:, :, 0], mid[:, :, 1],
             np.broadcast_to((area / 3.0)[:, None], mid.shape[:2]), op)

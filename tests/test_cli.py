@@ -260,6 +260,15 @@ class TestConfig:
         ("audit", "s1_values = 1e-300"),
         ("audit", "s1_values = 1,1e-170"),
         ("layer", "s = 1e-300,0"),
+        ("numerics", "s1 = 1e160"),
+        ("audit", "s1_values = 1,1e160"),
+        ("layer", "s = 1e160,0"),
+        # layer-check's system overflows (a traceback or `error:` line)
+        # through xi, s, the damping 1 + sigma0/s1 or the grid's (n/L)^2
+        ("layer", "xi_values = 1e154"),
+        ("layer", "s = 1,1e160"),
+        ("pml", "sigma0 = 1e307"),
+        ("layer", "n_values = 8,1e160"),
     ])
     def test_rejected_at_load(self, tmp_path, section, line):
         # each of these used to load and then fail, or be ignored, at
@@ -709,15 +718,33 @@ FUZZ_CONFIG = BASE_CONFIG.replace("mesh_size = 0.08",
     .replace("n_steps = 40", "n_steps = 4") \
     .replace("n_modes = 16", "n_modes = 4") + "[parseval]\ns2_max = 10\n"
 AROUND_MESH = [FUZZ_MESH - 1e-3, FUZZ_MESH, FUZZ_MESH + 1e-3, 0.3]
+# [layer] values around sqrt(max double / 3) = 7.74e153, where
+# layer-check's system overflows for BASE_CONFIG's layer
+AROUND_LAYER_BOUND = [0.0, 1e150, 7.7e153, 7.8e153, 1e154, 1e160]
 
 
 @st.composite
 def contract_cases(draw):
     """(command, lines, rejected): values at and around the bounds of
-    the rules checked where td-run, freq-solve, convergence and parseval
-    read them, and whether a rule rejects them."""
+    the rules checked where td-run, freq-solve, convergence, parseval
+    and layer-check read them, and whether a rule rejects them."""
     command = draw(st.sampled_from(["td-run", "freq-solve", "convergence",
-                                    "parseval"]))
+                                    "parseval", "layer-check"]))
+    if command == "layer-check":
+        # the layer system holds (s^2/c^2 + xi^2) times the damping, which
+        # peaks at 1 + sigma0/s1 = 3: 3 (|s|^2 + xi^2) must stay finite
+        xi = draw(st.sampled_from(AROUND_LAYER_BOUND))
+        s1, s2 = draw(st.sampled_from([(1.0, 0.0), (1.0, 7.7e153),
+                                       (7.7e153, 0.0), (1.0, 7.8e153),
+                                       (7.8e153, 1.0), (1e160, 0.0),
+                                       (1.0, 1e160)]))
+        with np.errstate(over="ignore"):
+            entry = 3.0 * (np.float64(xi) ** 2 + np.float64(s1) ** 2
+                           + np.float64(s2) ** 2)
+        return command, [("layer", f"xi_values = {xi!r}"),
+                         ("layer", f"s = {s1!r},{s2!r}"),
+                         ("layer", "n_values = 8,16")], \
+            not np.isfinite(entry)
     if command == "parseval":
         s1, horizon = draw(st.sampled_from([-1.0, 0.0, 0.5])), \
             draw(st.sampled_from([-1.0, 0.0, 0.5]))

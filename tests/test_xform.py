@@ -1,9 +1,5 @@
 """Laplace-transform quadrature, inversion and the Plancherel identity."""
 
-import functools
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -154,27 +150,6 @@ class TestChirpZ:
         for shifted in (s2 - 2.5, s2 + 0.5):
             with pytest.raises(ValueError, match="start at 0"):
                 inverse_laplace_grid(vals, 1.0, shifted, t)
-
-    # scipy.sparse.linalg and scipy.linalg load on the first factorization
-    # and banded solve; scipy.integrate, scipy.fft (with scipy.special)
-    # and scipy.signal are never needed; sympy is a test dependency
-    @pytest.mark.parametrize("module", [
-        "scipy.signal", "scipy.integrate", "sympy", "scipy.fft",
-        "scipy.special", "scipy.linalg", "scipy.sparse.linalg"])
-    def test_import_leaves_unloaded(self, module):
-        assert module not in _modules_after_import()
-
-
-@functools.cache
-def _modules_after_import() -> frozenset:
-    """Modules loaded by a bare `import pmlstrip` in a fresh
-    interpreter; one subprocess serves every import test."""
-    src = os.path.dirname(os.path.dirname(pmlstrip.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import pmlstrip; print(' '.join(sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, src],
-                         capture_output=True, text=True, check=True)
-    return frozenset(out.stdout.split())
 
 
 class TestScipyEquivalents:
