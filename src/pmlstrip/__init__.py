@@ -16,9 +16,9 @@ from .model import (Geometry, GeometryError, MediaParams, OutOfLayerError,
                     PmlProfile, Pulse, Rectangle, SourceSpec,
                     SurfaceProfile, check_source, sigma_profile,
                     stretched_coordinate, validate_media)
-from .symbols import (BranchError, SymbolAudit, beta, beta_grid, cu_bound,
-                      default_xi_grid, dtn_symbol_grid, pml_dtn_symbol,
-                      principal_sqrt, symbol_gap_sup)
+from .symbols import (BranchError, SymbolAudit, beta_grid, cu_bound,
+                      default_xi_grid, dtn_symbol_grid, principal_sqrt,
+                      symbol_gap_sup)
 from .layer_bvp import (LayerMode, LayerSolution, analytic_layer_solution,
                         fd_layer_solve, numeric_dtn_at_h)
 from .mesh import StripMesh, build_mesh, export_mesh

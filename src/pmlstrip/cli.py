@@ -25,7 +25,7 @@ from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
 from .mesh import build_mesh, export_mesh
 from .model import PmlProfile
-from .symbols import default_xi_grid, pml_dtn_symbol, symbol_gap_sup
+from .symbols import default_xi_grid, dtn_symbol_grid, symbol_gap_sup
 from .timedomain import ProbeError, energy_trace, locate_probes, \
     newmark_run
 from .xform import SampledSignal, parseval_residual, \
@@ -100,17 +100,12 @@ def write_field(path: str, values: np.ndarray) -> None:
 
 @dataclass
 class RateFit:
-    """Least-squares exponential fit of errors against layer thickness."""
+    """Least-squares exponential fit of errors against layer thickness:
+    log error ~ intercept - exponent * L."""
 
-    abscissas: np.ndarray
     log_errors: np.ndarray
-    slope: float
-    intercept: float
+    exponent: float
     residual: float
-
-    @property
-    def exponent(self) -> float:
-        return -self.slope
 
 
 def fit_rate(L_values, errors) -> RateFit:
@@ -127,8 +122,8 @@ def fit_rate(L_values, errors) -> RateFit:
     A = np.vstack([L, np.ones_like(L)]).T
     coef, *_ = np.linalg.lstsq(A, log_e, rcond=None)
     resid = float(np.sqrt(np.mean((A @ coef - log_e) ** 2)))
-    return RateFit(abscissas=L, log_errors=log_e, slope=float(coef[0]),
-                   intercept=float(coef[1]), residual=resid)
+    return RateFit(log_errors=log_e, exponent=-float(coef[0]),
+                   residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +258,7 @@ def run_layer_check(cfg: RunConfig, out: str) -> int:
     ok, summary = True, []
     for xi in lay["xi_values"]:
         mode = LayerMode(xi=xi, s=lay["s"], c=c, pml=pml)
-        sym = pml_dtn_symbol(xi, lay["s"], c, pml.L_tilde)
+        sym = dtn_symbol_grid(abs(xi), lay["s"], c, pml.L_tilde)
         errs = []
         for n in lay["n_values"]:
             sol = fd_layer_solve(mode, n)
@@ -479,15 +474,14 @@ def run_parseval(cfg: RunConfig, out: str) -> int:
     check("rules_sine_u", max(r1, r2, r3), 1e-6)
 
     decay = SampledSignal.sample(lambda t: np.exp(-t), horizon, n_time)
-    check("parseval_exp", parseval_residual(decay, decay, 1.0,
-                                            s2_max=s2_max,
+    check("parseval_exp", parseval_residual(decay, 1.0, s2_max=s2_max,
                                             n_freq=n_freq), 1e-6)
     pulse = cfg.source.pulse
     sig = SampledSignal.sample(pulse, horizon, n_time)
     ref = float(np.trapezoid(np.exp(-2 * s1 * sig.t)
                          * np.abs(sig.values) ** 2, sig.t))
     check("parseval_pulse_rel",
-          parseval_residual(sig, sig, s1, s2_max=s2_max, n_freq=n_freq)
+          parseval_residual(sig, s1, s2_max=s2_max, n_freq=n_freq)
           / max(ref, 1e-300), 1e-5)
     write_csv(os.path.join(out, "parseval.csv"),
               ["case", "residual", "tolerance", "pass"], rows)

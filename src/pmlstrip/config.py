@@ -108,6 +108,22 @@ def _normal_square(what: str, s1: float, c: float) -> None:
                           "is not a normal double")
 
 
+def _finite_pulse_transform(pulse: Pulse, s1: float, s2_values) -> None:
+    """Reject a Laplace frequency s = s1 + i s2 at which the pulse
+    transform's denominators (s + a -+ i omega0)^4, computed as
+    Pulse.laplace computes them, are not finite doubles: the transform
+    then reads 0 or nan, and the weights theta(s) of the frequency
+    system, which grow like |s|^3, overflow soon after."""
+    s = np.array([complex(s1, s2) for s2 in s2_values], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite((s + pulse.a - 1j * pulse.omega0) ** 4) \
+            & np.isfinite((s + pulse.a + 1j * pulse.omega0) ** 4)
+    if not finite.all():
+        raise ConfigError("numerics.s1 with freq.s2_values: (s + a +- i "
+                          "omega0)^4 is not a finite double at s = "
+                          f"{s[~finite][0]:g}")
+
+
 def _finite_layer_system(layer: dict, pml: PmlProfile, c: float) -> None:
     """Reject [layer] values that overflow fd_layer_solve's system: its
     largest entry is below 2 (n/L)^2 + |k2| sigma_max, where
@@ -251,6 +267,8 @@ def load_config(path: str) -> RunConfig:
         }
         _distinct_names("freq.s2_values", [f"{v:g}" for v in
                                            numerics["freq_s2_values"]])
+        _finite_pulse_transform(source.pulse, s1,
+                                numerics["freq_s2_values"])
         if not 0 < numerics["mesh_size"] < geometry.h - surface.f_plus \
                 or numerics["n_steps"] < 1 or numerics["n_modes"] < 0:
             raise ConfigError("numerics needs 0 < mesh_size < h - f_plus, "

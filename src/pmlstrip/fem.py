@@ -142,15 +142,9 @@ class DofMap:
         return self.n_p + 2 * self.n_u
 
     def pdof(self, nodes) -> np.ndarray:
-        return self._lookup(nodes, 0)
-
-    def udof(self, nodes, comp) -> np.ndarray:
-        return self._lookup(nodes, 1 + comp)
-
-    def _lookup(self, nodes, col) -> np.ndarray:
-        dofs = self.node_dof[np.atleast_1d(nodes), col]
+        dofs = self.node_dof[np.atleast_1d(nodes), 0]
         if np.any(dofs == self.size):
-            raise KeyError("vertex without the requested dof")
+            raise KeyError("vertex without a pressure dof")
         return dofs
 
 
@@ -266,30 +260,24 @@ class FemBlocks:
         return _assemble_solid(self.mesh, self.dof, h1=True)
 
 
-def _assemble_scalar(mesh, dof, which, anisotropic=False, pml=None,
-                     h=None):
-    """Stiffness and mass over a triangle subset, optionally weighted by
-    the layer profile (midpoint quadrature)."""
+def _assemble_scalar(mesh, dof, which, pml=None):
+    """Stiffness and mass over a triangle subset, or with pml the
+    layer-stretched pair, weighted by the profile (midpoint quadrature)."""
     tris, c, area, g, mid = _tri_geometry(mesh, which)
     nt = tris.shape[0]
     ndof = dof.size
     dofs = dof.node_dof[tris, 0]
 
     if pml is not None:
-        sig = sigma_profile(mid[:, :, 1], pml, h)       # (nt, 3)
+        sig = sigma_profile(mid[:, :, 1], pml, mesh.geometry.h)   # (nt, 3)
         int_sig = area * sig.mean(axis=1)
         int_inv = area * (1.0 / sig).mean(axis=1)
-    else:
-        sig = np.ones((nt, 3))
-        int_sig = area
-        int_inv = area
-
-    if anisotropic:
         K = int_sig[:, None, None] * np.einsum("tia,tja->tij",
                                                g[:, :, :1], g[:, :, :1]) \
             + int_inv[:, None, None] * np.einsum("tia,tja->tij",
                                                  g[:, :, 1:], g[:, :, 1:])
     else:
+        sig = np.ones((nt, 3))
         K = area[:, None, None] * np.einsum("tia,tja->tij", g, g)
 
     Mel = np.einsum("tq,qi,qj->tij", (area / 3.0)[:, None] * sig,
@@ -380,8 +368,7 @@ def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
         blk.K_all, blk.M_all = blk.K_fluid, blk.M_fluid
     else:
         blk.K_all, blk.M_all = _assemble_scalar(
-            mesh, dof, _fluid_and_layer(mesh), anisotropic=True,
-            pml=mesh.pml, h=mesh.geometry.h)
+            mesh, dof, _fluid_and_layer(mesh), mesh.pml)
     blk.K_div, blk.K_eps, blk.M_solid = _assemble_solid(mesh, dof)
     blk.C_pu, blk.C_up = _assemble_coupling(mesh, dof)
     blk.gamma_h_dofs, blk.modal_E, blk.modal_xi, blk.n_modes_effective = \
@@ -412,12 +399,7 @@ class FrequencySolution:
     x: np.ndarray                   # dof vector
     system: FrequencySystem
     residual: float = 0.0
-    ordering: str = LU_ORDERING     # column ordering of the factorization
     lu_nnz: int = 0                 # nonzeros of its L and U factors
-
-    @property
-    def s(self) -> complex:
-        return self.system.s
 
     @cached_property
     def _nodal(self):
@@ -678,7 +660,8 @@ def stability_ratios(sol: FrequencySolution, g_norm: float) -> dict:
         ratio = 0.0 if lhs["fluid_lhs"] + lhs["solid_lhs"] == 0 else np.inf
         return {"fluid_ratio": ratio, "solid_ratio": ratio, **lhs}
     # an envelope beyond the double range (s1 near the smallest one the
-    # config accepts) is inf, and its ratio 0
+    # config accepts) is inf, and its ratio 0; one that underflows to 0
+    # (s1 near the largest) gives an infinite ratio
     with np.errstate(over="ignore"):
         if sys_.variant in ("exact_dtn", "pml_dtn"):
             env_f = abs(s) / s1 * g_norm
@@ -687,5 +670,6 @@ def stability_ratios(sol: FrequencySolution, g_norm: float) -> dict:
             factor = 1.0 + blk.mesh.pml.sigma0 / s1
             env_f = factor * abs(s) / s1 * g_norm
             env_s = np.sqrt(factor) / (s1 * min(1.0, s1)) * g_norm
-    return {"fluid_ratio": lhs["fluid_lhs"] / env_f,
-            "solid_ratio": lhs["solid_lhs"] / env_s, **lhs}
+    return {"fluid_ratio": lhs["fluid_lhs"] / env_f if env_f else np.inf,
+            "solid_ratio": lhs["solid_lhs"] / env_s if env_s else np.inf,
+            **lhs}

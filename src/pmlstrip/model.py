@@ -137,7 +137,6 @@ class SurfaceProfile:
     func: Callable[[np.ndarray], np.ndarray]
     f_minus: float
     f_plus: float
-    label: str = "custom"
     peaks: Callable[[float, float], np.ndarray] | None = None
 
     def __call__(self, x1):
@@ -153,7 +152,7 @@ class SurfaceProfile:
     @staticmethod
     def flat(level: float = 0.0) -> "SurfaceProfile":
         return SurfaceProfile(lambda x: np.full_like(x, level, dtype=float),
-                              level, level, "flat")
+                              level, level)
 
     @staticmethod
     def cosine(amplitude: float, frequency: float, period: float = 1.0,
@@ -173,7 +172,7 @@ class SurfaceProfile:
 
         return SurfaceProfile(lambda x: level + amplitude * np.cos(k * x),
                               level - abs(amplitude), level + abs(amplitude),
-                              "cosine", crests)
+                              crests)
 
     @staticmethod
     def from_samples(x1: np.ndarray, values: np.ndarray,
@@ -194,7 +193,7 @@ class SurfaceProfile:
             return x[(x >= a) & (x <= b)]
 
         return SurfaceProfile(f, float(values.min()), float(values.max()),
-                              "file", knots)
+                              knots)
 
 
 @dataclass(frozen=True)
@@ -210,19 +209,9 @@ class Rectangle:
         if not (self.x1a < self.x1b and self.x3a < self.x3b):
             raise GeometryError("degenerate obstacle rectangle")
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return 0.5 * (self.x1a + self.x1b), 0.5 * (self.x3a + self.x3b)
-
     def contains(self, x1, x3, pad: float = 0.0):
         return ((x1 > self.x1a - pad) & (x1 < self.x1b + pad)
                 & (x3 > self.x3a - pad) & (x3 < self.x3b + pad))
-
-    @staticmethod
-    def square(center: tuple[float, float], side: float) -> "Rectangle":
-        cx, cz = center
-        r = 0.5 * side
-        return Rectangle(cx - r, cx + r, cz - r, cz + r)
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,6 @@ def beta_grid(xi_abs, s, c: float):
     return principal_sqrt(k2 + np.asarray(xi_abs, dtype=float) ** 2)
 
 
-def beta(xi, s: complex, c: float) -> complex:
-    """beta at one mode; xi is |xi| (2D section) or a length-2 vector
-    (full 3D), of which only the norm matters."""
-    return beta_grid(np.linalg.norm(xi), s, c)
-
-
 # |1 - q| below this makes the layer symbol's denominator degenerate
 DEGENERATE_DENOMINATOR = 1e-14
 
@@ -94,11 +88,6 @@ def dtn_symbol_grid(xi_abs, s, c: float, L_tilde=None):
     if L_tilde is None:
         return -beta_grid(xi_abs, s, c)
     return _layer_modes(xi_abs, s, c, L_tilde)[1]
-
-
-def pml_dtn_symbol(xi, s: complex, c: float, L_tilde: float) -> complex:
-    """Symbol of the layer-truncated boundary map at one mode."""
-    return dtn_symbol_grid(np.linalg.norm(xi), s, c, L_tilde)
 
 
 def cu_bound(s, c: float, L_bar):

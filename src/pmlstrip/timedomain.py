@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import LU_ORDERING, FemBlocks, _affine_form, _cpu_count, \
-    _sqrt_form, assemble, factorize, load_vector, map_solves, pad_dofs, \
+from .fem import FemBlocks, _affine_form, _cpu_count, _sqrt_form, \
+    assemble, factorize, load_vector, map_solves, pad_dofs, \
     solve_frequency, source_l2_norm, term_weights
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
@@ -92,7 +92,6 @@ class TimeTrajectory:
     t: np.ndarray
     probe_p: np.ndarray | None = None      # (n_probes, n_steps+1)
     history: np.ndarray | None = None      # stored dofs x steps
-    energy: np.ndarray | None = None
     norms: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)   # (t, dof vector)
     meta: dict = field(default_factory=dict)
@@ -102,16 +101,12 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
                 source: SourceSpec | None, T: float, n_steps: int,
                 probes: ProbeSet | None = None,
                 snapshot_times=(), record_norms: bool = False,
-                record_energy: bool = False,
-                initial_d: np.ndarray | None = None,
                 store_dofs: np.ndarray | None = None) -> TimeTrajectory:
     """Average-acceleration (1/4, 1/2) integration from rest, on a layer
     mesh (Dirichlet wall at the layer top).
 
-    initial_d optionally seeds a nonzero displacement state (used by the
-    conservation checks); store_dofs keeps the full history of the
-    listed dofs (the sentinel dof.size reads 0).  meta records the step
-    matrix's LU ordering and fill (lu_nnz).
+    store_dofs keeps the full history of the listed dofs (the sentinel
+    dof.size reads 0).  meta records the step matrix's LU fill (lu_nnz).
     """
     if n_steps < 1 or T <= 0:
         raise ValueError("need T > 0 and n_steps >= 1")
@@ -134,16 +129,13 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
 
     d = np.zeros(n)
     v = np.zeros(n)
-    if initial_d is not None:
-        d = np.array(initial_d, dtype=float)
-    r0 = g_t[0] * f_shape - Kr @ d
+    r0 = g_t[0] * f_shape
     if np.linalg.norm(r0) > 0:
         a = factorize(Mr).solve(r0)
     else:
         a = np.zeros(n)
 
     traj = TimeTrajectory(t=t_grid, meta={"dt": dt, "n_steps": n_steps,
-                                          "ordering": LU_ORDERING,
                                           "lu_nnz": lu.nnz})
     # readout from the state padded with one zero, (d, 0)
     state = np.zeros(n + 1)
@@ -154,8 +146,6 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
         # one contiguous row per step
         history = np.zeros((n_steps + 1, len(store_dofs)))
         traj.history = history.T
-    if record_energy:
-        traj.energy = np.zeros(n_steps + 1)
     if record_norms:
         for key in ("dt_p", "grad_p", "dt_u", "div_u", "grad_u"):
             traj.norms[key] = np.zeros(n_steps + 1)
@@ -169,9 +159,6 @@ def newmark_run(blk: FemBlocks, media: MediaParams,
             traj.probe_p[:, step] = read_probes(state)
         if step in snap_steps:
             traj.snapshots.append((t_grid[step], d.copy()))
-        if record_energy:
-            traj.energy[step] = 0.5 * float(v @ (Mr @ v)) \
-                + 0.5 * float(d @ (Kr @ d))
         if record_norms:
             traj.norms["dt_p"][step] = _sqrt_form(blk.M_fluid, v)
             traj.norms["grad_p"][step] = _sqrt_form(blk.K_fluid, d)
@@ -276,9 +263,6 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
     return TimeTrajectory(t=np.asarray(t, dtype=float),
                           probe_p=inverse_laplace_grid(
                               np.stack(rows, axis=-1), cfg.s1, half, t),
-                          meta={"variant": variant, "s1": cfg.s1,
-                                "s2_max": cfg.s2_max,
-                                "n_freq": cfg.n_freq,
-                                "reconstruction_error": err,
+                          meta={"reconstruction_error": err,
                                 "workers": _cpu_count(),
                                 "max_residual": max(residuals)})

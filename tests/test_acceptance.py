@@ -17,11 +17,11 @@ from pmlstrip import (ContourConfig, Geometry, LayerMode, MediaParams,
                       contour_synthesize, cu_bound, energy_trace,
                       fd_layer_solve, h_norm_sq, locate_probes,
                       newmark_run, numeric_dtn_at_h, parseval_residual,
-                      pml_dtn_symbol, solve_frequency, symbol_gap_sup,
+                      solve_frequency, symbol_gap_sup,
                       transform_property_check)
 from pmlstrip.cli import _time_route_errors, fit_rate
 from pmlstrip.config import load_config
-from pmlstrip.symbols import beta_grid
+from pmlstrip.symbols import beta_grid, dtn_symbol_grid
 
 from oracles import causality_margin, fluid_error_norms, \
     manufactured_residual, symbol_gap
@@ -82,7 +82,7 @@ def test_criterion_03_layer_bvp_consistency():
                      pml=PmlProfile(sigma0=2.0, m=1, L=1.0, s1=1.0))
     n_vals = (32, 64, 128, 256)
     errs, dtn_errs = [], []
-    target_dtn = pml_dtn_symbol(0.0, mode.s, mode.c, mode.pml.L_tilde)
+    target_dtn = dtn_symbol_grid(0.0, mode.s, mode.c, mode.pml.L_tilde)
     mid_val = None
     for n in n_vals:
         sol = fd_layer_solve(mode, n)
@@ -106,7 +106,7 @@ def test_criterion_04_discrete_coercivity():
     t0 = time.perf_counter()
     pml = PmlProfile(sigma0=2.0, m=1, L=0.5, s1=1.0)
     geom = Geometry(period=1.0, surface=SurfaceProfile.flat(0.0), h=0.5,
-                    obstacle=Rectangle.square((0.5, 0.25), 0.2))
+                    obstacle=Rectangle(0.4, 0.6, 0.15, 0.35))
     rng = np.random.default_rng(42)
     ok = True
     details = []
@@ -150,7 +150,9 @@ def _manufactured_order(surface, with_obstacle):
     u_expr = None
     obstacle = None
     if with_obstacle:
-        obstacle = Rectangle.square((0.5, 0.3), 0.2)
+        # bottom 0.3 - 0.1 = 0.19999999999999998: the meshes the printed
+        # orders were measured on (a bottom of 0.2 snaps other rows)
+        obstacle = Rectangle(0.4, 0.6, 0.3 - 0.1, 0.4)
         u_expr = (sympy.sin(sympy.pi * x1) * x3,
                   sympy.cos(sympy.pi * x1) * x3 ** 2)
     geom = Geometry(period=1.0, surface=prof, h=0.5, obstacle=obstacle)
@@ -232,7 +234,7 @@ def test_criterion_07_field_level_convergence(tmp_path):
 
 def test_criterion_08_stability_envelopes():
     geom = Geometry(period=1.0, surface=SurfaceProfile.flat(0.0), h=0.5,
-                    obstacle=Rectangle.square((0.5, 0.25), 0.2))
+                    obstacle=Rectangle(0.4, 0.6, 0.15, 0.35))
     src = SourceSpec(center=(0.2, 0.25), radius=0.06, T=1.0,
                      pulse=Pulse(a=2.0, omega0=3.0))
 
@@ -264,13 +266,13 @@ def test_criterion_09_transform_identities():
         T=40.0, n=16000)
     residuals["sine"] = max(r)
     decay = SampledSignal.sample(lambda t: np.exp(-t), 40.0, 16000)
-    residuals["parseval_exp"] = parseval_residual(decay, decay, 1.0)
+    residuals["parseval_exp"] = parseval_residual(decay, 1.0)
     pulse = Pulse()
     sig = SampledSignal.sample(pulse, 40.0, 16000)
     ref = float(np.trapezoid(np.exp(-2.0 * sig.t) * sig.values ** 2,
                              sig.t))
     residuals["parseval_pulse_rel"] = \
-        parseval_residual(sig, sig, 1.0) / ref
+        parseval_residual(sig, 1.0) / ref
     ok = (residuals["linear"] <= 1e-6 and residuals["sine"] <= 1e-6
           and residuals["parseval_exp"] <= 1e-6
           and residuals["parseval_pulse_rel"] <= 1e-5)

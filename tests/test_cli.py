@@ -263,6 +263,11 @@ class TestConfig:
         ("numerics", "s1 = 1e160"),
         ("audit", "s1_values = 1,1e160"),
         ("layer", "s = 1e160,0"),
+        # the pulse transform's (s + a +- i omega0)^4 overflows at
+        # s = s1 + i s2 (an overflow warning or a singular factor)
+        ("numerics", "s1 = 1e78"),
+        ("numerics", "s1 = 1e120"),
+        ("freq", "s2_values = 0,1e200"),
         # layer-check's system overflows (a traceback or `error:` line)
         # through xi, s, the damping 1 + sigma0/s1 or the grid's (n/L)^2
         ("layer", "xi_values = 1e154"),
@@ -588,6 +593,20 @@ class TestSubcommands:
         assert os.path.exists(os.path.join(out, "mesh.txt"))
         assert os.path.exists(os.path.join(out, "p_hat_s2_5.txt"))
 
+    def test_freq_solve_large_abscissa(self, tmp_path):
+        # s1 = 1e60 loads; the solid envelope g_norm / (s1 min(1, s1))
+        # underflows to 0, which used to end in a ZeroDivisionError, and
+        # gives an infinite ratio
+        text = BASE_CONFIG.replace("s1 = 1.0", "s1 = 1e60") \
+            .replace("mesh_size = 0.08", "mesh_size = 0.1") \
+            + "[freq]\ns2_values = 0,5\n"
+        path, out = tmp_path / "big.ini", str(tmp_path / "big")
+        path.write_text(text)
+        assert main(["freq-solve", "--config", str(path), "--out", out]) \
+            == 0
+        rows = read_csv(os.path.join(out, "freq_summary.csv"))
+        assert [r["solid_ratio"] for r in rows] == ["inf", "inf"]
+
     def test_td_run(self, config_path, tmp_path):
         out = str(tmp_path / "td")
         assert main(["td-run", "--config", config_path, "--out", out]) == 0
@@ -721,6 +740,9 @@ AROUND_MESH = [FUZZ_MESH - 1e-3, FUZZ_MESH, FUZZ_MESH + 1e-3, 0.3]
 # [layer] values around sqrt(max double / 3) = 7.74e153, where
 # layer-check's system overflows for BASE_CONFIG's layer
 AROUND_LAYER_BOUND = [0.0, 1e150, 7.7e153, 7.8e153, 1e154, 1e160]
+# s^4 overflows above max double ** (1/4) = 1.158e77, where freq-solve
+# draws s1 = 1.15e77 and 1.16e77
+QUARTIC_BOUND = np.finfo(float).max ** 0.25
 
 
 @st.composite
@@ -772,13 +794,15 @@ def contract_cases(draw):
     L = draw(st.sampled_from(AROUND_MESH))
     lines = [("pml", f"L = {L!r}")]
     if command == "freq-solve":
-        # (s1/c)^2 must be a normal double; c = 1
+        # (s1/c)^2 must be a normal double (c = 1), and the pulse
+        # transform's (s + a +- i omega0)^4, about s1^4, a finite one
         variant = draw(st.sampled_from(["pml_layer", "exact_dtn"]))
-        s1 = draw(st.sampled_from([1.0, 1e-150, 1e-160, 1e-300]))
+        s1 = draw(st.sampled_from([1.0, 1e-150, 1e-160, 1e-300, 1e60,
+                                   1.15e77, 1.16e77, 1e78]))
         lines += [("numerics", f"variant = {variant}"),
                   ("numerics", f"s1 = {s1!r}"), ("freq", "s2_values = 3")]
         return command, lines, (variant == "pml_layer" and L <= FUZZ_MESH) \
-            or s1 * s1 < np.finfo(float).tiny
+            or s1 * s1 < np.finfo(float).tiny or s1 > QUARTIC_BOUND
     x1 = draw(st.sampled_from([0.0, 0.3, 0.4, 0.5, 0.6, 1.0]))
     x3 = draw(st.sampled_from([-0.01, 0.0, 0.15, 0.25, 0.35, 0.5, 0.5 + L,
                                0.51 + L]))

@@ -5,24 +5,21 @@ import pytest
 
 from pmlstrip import (LayerMode, OutOfLayerError, PmlProfile,
                       analytic_layer_solution, fd_layer_solve,
-                      numeric_dtn_at_h, pml_dtn_symbol)
+                      dtn_symbol_grid, numeric_dtn_at_h)
 
 
 def default_mode(**kwargs):
     params = dict(xi=0.0, s=1.0 + 0.0j, c=1.0,
-                  pml=PmlProfile(sigma0=2.0, m=1, L=1.0, s1=1.0),
-                  h=0.0, phi=1.0)
+                  pml=PmlProfile(sigma0=2.0, m=1, L=1.0, s1=1.0))
     params.update(kwargs)
     return LayerMode(**params)
 
 
 class TestAnalytic:
     def test_boundary_values(self):
-        mode = default_mode(phi=2.0 - 1.0j)
-        assert analytic_layer_solution(mode, mode.h) \
-            == pytest.approx(mode.phi)
-        assert abs(analytic_layer_solution(mode, mode.h + mode.pml.L)) \
-            < 1e-14
+        mode = default_mode(s=1.0 + 3.0j)
+        assert analytic_layer_solution(mode, 0.0) == pytest.approx(1.0)
+        assert abs(analytic_layer_solution(mode, mode.pml.L)) < 1e-14
 
     def test_midpoint_oracle(self):
         # sigma0=2, m=1, s1=1, L=1: L_tilde=2, stretched midpoint 0.75,
@@ -31,11 +28,6 @@ class TestAnalytic:
         val = analytic_layer_solution(mode, 0.5)
         assert val == pytest.approx(np.sinh(1.25) / np.sinh(2.0), rel=1e-12)
         assert abs(val - 0.44168) < 1e-5
-
-    def test_scales_with_phi(self):
-        base = analytic_layer_solution(default_mode(), 0.3)
-        scaled = analytic_layer_solution(default_mode(phi=3.0 + 1.0j), 0.3)
-        assert scaled == pytest.approx((3.0 + 1.0j) * base)
 
     def test_out_of_layer(self):
         with pytest.raises(OutOfLayerError):
@@ -70,8 +62,7 @@ class TestFiniteDifference:
 
     def test_dtn_extraction(self):
         mode = default_mode(xi=1.0, s=1.0 + 2.0j)
-        target = pml_dtn_symbol(mode.xi, mode.s, mode.c,
-                                mode.pml.L_tilde) * mode.phi
+        target = dtn_symbol_grid(mode.xi, mode.s, mode.c, mode.pml.L_tilde)
         errs = []
         for n in (64, 128, 256, 512):
             errs.append(abs(numeric_dtn_at_h(fd_layer_solve(mode, n))

@@ -68,7 +68,7 @@ class TestBasic:
 
 class TestObstacle:
     def test_solid_region_and_interface(self):
-        ob = Rectangle.square((0.5, 0.25), 0.2)
+        ob = Rectangle(0.4, 0.6, 0.15, 0.35)
         mesh = build_mesh(flat_geometry(ob), None, 0.05)
         solid = np.flatnonzero(mesh.tri_region == SOLID)
         assert solid.size > 0
@@ -84,7 +84,7 @@ class TestObstacle:
                    or np.isclose(mid[1], ob.x3a)
                    or np.isclose(mid[1], ob.x3b))
             assert onb
-            cx, cz = ob.center
+            cx, cz = 0.5, 0.25
             assert n[0] * (mid[0] - cx) + n[1] * (mid[1] - cz) > 0
 
     def test_obstacle_sides_snapped(self):
@@ -182,7 +182,7 @@ class TestValidation:
                        PmlProfile(sigma0=1.0, m=1, L=0.05, s1=1.0), 0.1)
 
     def test_nonperiodic_surface_rejected(self):
-        bad = SurfaceProfile(lambda x: 0.1 * x, 0.0, 0.1, "ramp")
+        bad = SurfaceProfile(lambda x: 0.1 * x, 0.0, 0.1)
         geom = Geometry(period=1.0, surface=bad, h=0.5)
         with pytest.raises(GeometryError):
             build_mesh(geom, None, 0.1)
@@ -190,7 +190,7 @@ class TestValidation:
 
 class TestExport:
     def test_round_trip_counts(self, tmp_path):
-        mesh = build_mesh(flat_geometry(Rectangle.square((0.5, 0.25), 0.2)),
+        mesh = build_mesh(flat_geometry(Rectangle(0.4, 0.6, 0.15, 0.35)),
                           PmlProfile(sigma0=2.0, m=1, L=0.3, s1=1.0), 0.06)
         path = tmp_path / "mesh.txt"
         export_mesh(mesh, str(path))

@@ -122,16 +122,15 @@ class TestSurfaceAndGeometry:
         assert f.max_over(0.55, 0.7) == pytest.approx(f(0.55))
 
     def test_max_over_without_peaks_is_global_bound(self):
-        ramp = SurfaceProfile(lambda x: 0.1 * x, 0.0, 0.1, "ramp")
+        ramp = SurfaceProfile(lambda x: 0.1 * x, 0.0, 0.1)
         assert ramp.max_over(0.2, 0.3) == 0.1
 
     def test_rectangle(self):
         with pytest.raises(GeometryError):
             Rectangle(0.4, 0.4, 0.1, 0.2)
-        sq = Rectangle.square((0.5, 0.25), 0.2)
+        sq = Rectangle(0.4, 0.6, 0.15, 0.35)
         assert sq.contains(0.5, 0.25)
         assert not sq.contains(0.7, 0.25)
-        assert sq.center == pytest.approx((0.5, 0.25))
 
     def test_geometry_validation(self):
         flat = SurfaceProfile.flat(0.0)
@@ -144,7 +143,7 @@ class TestSurfaceAndGeometry:
             Geometry(period=1.0, surface=flat, h=0.5,
                      obstacle=Rectangle(0.3, 0.7, 0.1, 0.6))
         geom = Geometry(period=1.0, surface=flat, h=0.5,
-                        obstacle=Rectangle.square((0.5, 0.25), 0.2))
+                        obstacle=Rectangle(0.4, 0.6, 0.15, 0.35))
         assert geom.obstacle is not None
 
 
@@ -182,7 +181,7 @@ class TestSource:
     def test_check_source(self):
         flat = SurfaceProfile.flat(0.0)
         geom = Geometry(period=1.0, surface=flat, h=0.5,
-                        obstacle=Rectangle.square((0.5, 0.25), 0.2))
+                        obstacle=Rectangle(0.4, 0.6, 0.15, 0.35))
         good = SourceSpec(center=(0.2, 0.25), radius=0.05, T=2.0)
         check_source(good, geom)
         with pytest.raises(GeometryError):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmlstrip import (BranchError, PmlProfile, beta, beta_grid, cu_bound,
-                      default_xi_grid, dtn_symbol_grid, pml_dtn_symbol,
-                      principal_sqrt, symbol_gap_sup)
+from pmlstrip import (BranchError, PmlProfile, beta_grid, cu_bound,
+                      default_xi_grid, dtn_symbol_grid, principal_sqrt,
+                      symbol_gap_sup)
 
 from oracles import symbol_gap
 
@@ -38,24 +38,25 @@ class TestPrincipalSqrt:
 
 class TestBeta:
     def test_oracle(self):
-        assert beta(0.0, 1.0 + 0.0j, 1.0) == pytest.approx(1.0)
+        assert beta_grid(0.0, 1.0 + 0.0j, 1.0) == pytest.approx(1.0)
         # s = i limit avoided; s = 1+1i, xi = 0: sqrt(2i) = 1+i
-        assert beta(0.0, 1.0 + 1.0j, 1.0) == pytest.approx(1.0 + 1.0j)
+        assert beta_grid(0.0, 1.0 + 1.0j, 1.0) == pytest.approx(1.0 + 1.0j)
 
     def test_vector_xi(self):
         s = 2.0 + 3.0j
-        assert beta(np.array([3.0, 4.0]), s, 1.0) \
+        # a 3D mode xi = (3, 4) enters through |xi| = 5
+        assert beta_grid(np.linalg.norm([3.0, 4.0]), s, 1.0) \
             == pytest.approx(principal_sqrt(s * s + 25.0))
 
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):
-            beta(1.0, -1.0 + 2.0j, 1.0)
+            beta_grid(1.0, -1.0 + 2.0j, 1.0)
 
     @given(st.floats(0.01, 100.0), st.floats(-100.0, 100.0),
            st.floats(0.0, 1000.0), st.floats(0.1, 10.0))
     @settings(max_examples=200)
     def test_positive_real_part_sweep(self, s1, s2, xi, c):
-        b = beta(xi, complex(s1, s2), c)
+        b = beta_grid(xi, complex(s1, s2), c)
         assert b.real > 0
 
     def test_grid_matches_scalar(self):
@@ -63,7 +64,7 @@ class TestBeta:
         xi = np.array([0.0, 0.3, 10.0])
         g = beta_grid(xi, s, c)
         for k, x in enumerate(xi):
-            assert g[k] == pytest.approx(beta(x, s, c))
+            assert g[k] == pytest.approx(beta_grid(x, s, c))
 
 
 class TestSymbols:
@@ -72,21 +73,21 @@ class TestSymbols:
 
     def test_layer_symbol_oracle(self):
         # beta = 1, L_tilde = 1: -coth(1)
-        val = pml_dtn_symbol(0.0, 1.0 + 0.0j, 1.0, 1.0)
+        val = dtn_symbol_grid(0.0, 1.0 + 0.0j, 1.0, 1.0)
         assert val == pytest.approx(-COTH1, rel=1e-12)
 
     def test_layer_symbol_converges_to_exact(self):
         s, c = 1.0 + 2.0j, 1.0
         for xi in (0.0, 1.0, 5.0):
             exact = dtn_symbol_grid(xi, s, c)
-            gaps = [abs(pml_dtn_symbol(xi, s, c, Lt) - exact)
+            gaps = [abs(dtn_symbol_grid(xi, s, c, Lt) - exact)
                     for Lt in (1.0, 2.0, 4.0, 8.0)]
             assert np.all(np.diff(gaps) < 0)
             assert gaps[-1] < 1e-6
 
     def test_no_overflow_large_beta(self):
         # beta*L_tilde huge: coth -> 1 without overflow
-        val = pml_dtn_symbol(1e4, 1.0 + 0.0j, 1.0, 10.0)
+        val = dtn_symbol_grid(1e4, 1.0 + 0.0j, 1.0, 10.0)
         assert val == pytest.approx(dtn_symbol_grid(1e4, 1.0 + 0.0j, 1.0))
 
     def test_grid_matches_scalar_symbols(self):
@@ -95,12 +96,12 @@ class TestSymbols:
             assert dtn_symbol_grid(xi, s, 1.5) == pytest.approx(
                 [dtn_symbol_grid(x, s, 1.5) for x in xi], rel=1e-14)
             assert dtn_symbol_grid(xi, s, 1.5, 0.7) == pytest.approx(
-                [pml_dtn_symbol(x, s, 1.5, 0.7) for x in xi], rel=1e-14)
+                [dtn_symbol_grid(x, s, 1.5, 0.7) for x in xi], rel=1e-14)
 
     def test_degenerate_layer_denominator(self):
         # beta * L_tilde ~ 1e-15: 1 - exp(-2 beta L_tilde) is below 1e-14
         with pytest.raises(ArithmeticError):
-            pml_dtn_symbol(0.0, 1e-15 + 0.0j, 1.0, 1.0)
+            dtn_symbol_grid(0.0, 1e-15 + 0.0j, 1.0, 1.0)
         with pytest.raises(ArithmeticError):
             dtn_symbol_grid(np.array([1.0, 0.0]), 1e-15 + 0.0j, 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -122,7 +123,7 @@ class TestSymbols:
         # the raw gap oscillates through the |1 - q| denominator; the
         # certified envelope 2|beta| |q| / (1 - |q|) decreases strictly
         s = complex(s1, s2)
-        b = beta(xi, s, 1.0)
+        b = beta_grid(xi, s, 1.0)
         envelopes = []
         for Lt in (0.5, 1.0, 2.0, 4.0):
             qa = np.exp(-2.0 * b.real * Lt)

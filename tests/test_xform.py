@@ -1,16 +1,13 @@
 """Laplace-transform quadrature, inversion and the Plancherel identity."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import pmlstrip
-from pmlstrip import (Pulse, SampledSignal, TruncationWarning,
-                      inverse_laplace_grid, laplace_grid, laplace_numeric,
-                      parseval_residual, transform_property_check)
+from pmlstrip import (Pulse, SampledSignal, inverse_laplace_grid,
+                      laplace_grid, laplace_numeric, parseval_residual,
+                      transform_property_check)
 from pmlstrip.xform import _cumulative_simpson, _next_fast_len
 
 D1 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -68,20 +65,12 @@ class TestLaplaceNumeric:
         with pytest.raises(ValueError):
             laplace_numeric(sig, -1.0 + 2.0j)
 
-    def test_truncation_warning(self):
-        sig = SampledSignal.sample(lambda t: np.ones_like(t), 5.0, 500)
-        with pytest.warns(TruncationWarning):
-            laplace_numeric(sig, 1.0 + 0.0j)
-
     def test_grid_matches_pointwise(self):
         sig = SampledSignal.sample(lambda t: np.exp(-t) * np.cos(3 * t),
                                    30.0, 6000)
         s2 = np.linspace(-10.0, 10.0, 11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            vals = laplace_grid(sig, 1.0, s2)
-            ref = np.array([laplace_numeric(sig, complex(1.0, w))
-                            for w in s2])
+        vals = laplace_grid(sig, 1.0, s2)
+        ref = np.array([laplace_numeric(sig, complex(1.0, w)) for w in s2])
         assert np.max(np.abs(vals - ref)) < 1e-12
 
 
@@ -247,7 +236,7 @@ class TestParseval:
     def test_exponential_pair_quarter(self):
         # int_0^inf e^{-2t} e^{-t} e^{-t} dt = 1/4 exactly
         sig = SampledSignal.sample(lambda t: np.exp(-t), 40.0, 16000)
-        res = parseval_residual(sig, sig, 1.0)
+        res = parseval_residual(sig, 1.0)
         assert res <= 1e-6
         rhs = np.trapezoid(np.exp(-2 * sig.t) * sig.values ** 2, sig.t)
         assert rhs == pytest.approx(0.25, abs=1e-5)
@@ -257,25 +246,10 @@ class TestParseval:
         sig = SampledSignal.sample(p, 8.0, 8000)
         ref = float(np.trapezoid(np.exp(-2 * sig.t) * sig.values ** 2,
                                  sig.t))
-        res = parseval_residual(sig, sig, 1.0)
+        res = parseval_residual(sig, 1.0)
         assert res / ref <= 1e-5
 
     def test_rejects_bad_abscissa(self):
         sig = SampledSignal.sample(lambda t: np.exp(-t), 5.0, 100)
         with pytest.raises(ValueError):
-            parseval_residual(sig, sig, 0.0)
-
-    def test_same_signal_transformed_once(self, monkeypatch):
-        sig = SampledSignal.sample(Pulse(), 8.0, 2000)
-        twin = SampledSignal(sig.t, sig.values.copy())
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0])
-            return laplace_grid(*args)
-
-        monkeypatch.setattr(pmlstrip.xform, "laplace_grid", counting)
-        once = parseval_residual(sig, sig, 1.0, n_freq=2001)
-        assert len(calls) == 1 and calls[0] is sig
-        assert parseval_residual(sig, twin, 1.0, n_freq=2001) == once
-        assert len(calls) == 3
+            parseval_residual(sig, 0.0)
