@@ -32,10 +32,6 @@ from .xform import SampledSignal, parseval_residual, \
     transform_property_check
 
 
-class PlotError(ValueError):
-    pass
-
-
 class FitError(RuntimeError):
     pass
 
@@ -68,18 +64,17 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def write_manifest(out: str, cfg: RunConfig, command: str,
-                   extra: dict | None = None) -> None:
+                   extra: dict) -> None:
+    import scipy
     lines = {
         "command": command,
         "config_sha256": cfg.digest,
         "package": f"pmlstrip {__version__}",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **extra,
     }
-    import scipy
-    lines["scipy"] = scipy.__version__
-    if extra:
-        lines.update(extra)
     with open(os.path.join(out, "manifest.txt"), "w") as fh:
         for key in sorted(lines):
             fh.write(f"{key}={lines[key]}\n")
@@ -130,25 +125,10 @@ def fit_rate(L_values, errors) -> RateFit:
 # plot scripts
 # ---------------------------------------------------------------------------
 
-_PLOT_KINDS = {
-    "convergence": ["L", "error"],
-    "audit": ["s1", "s2", "xi", "gap", "bound"],
-}
-
-
 def emit_plots(csv_path: str, out_path: str, kind: str,
-               extra: dict | None = None) -> None:
-    """Write a self-contained matplotlib script for one result CSV."""
-    if kind not in _PLOT_KINDS:
-        raise PlotError(f"unknown plot kind {kind!r}")
-    if not os.path.exists(csv_path):
-        raise PlotError(f"missing CSV {csv_path!r}")
-    with open(csv_path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-    for col in _PLOT_KINDS[kind]:
-        if col not in header:
-            raise PlotError(f"CSV {csv_path!r} lacks column {col!r}")
-    extra = extra or {}
+               rates: tuple = ()) -> None:
+    """Write a self-contained matplotlib script for one result CSV: kind
+    "convergence" (with reference rates) or "audit"."""
     if kind == "convergence":
         body = f"""\
 import csv
@@ -163,7 +143,7 @@ with open({csv_path!r}) as fh:
         L.append(float(row["L"]))
         err.append(float(row["error"]))
 plt.semilogy(L, err, "o-", label="measured")
-rates = {extra.get('rates', (2.0, 4.0))!r}
+rates = {rates!r}
 for rate in rates:
     ref = [err[0] * math.exp(-2.0 * rate * (x - L[0])) for x in L]
     plt.semilogy(L, ref, "--", label=f"rate {{rate:g}}")
@@ -308,14 +288,14 @@ def run_freq_solve(cfg: RunConfig, out: str) -> int:
         scale = complex(cfg.source.pulse.laplace(s))
         sol = solve_frequency(assemble(blk, cfg.media, s, cfg.source.spatial,
                                        scale, variant, cfg.pml))
-        return sol, stability_ratios(sol, abs(scale) * chi)
+        return sol, stability_ratios(blk, s, sol.x, abs(scale) * chi)
 
     rows = []
     for s2, (sol, ratios) in zip(s2_values, map_solves(solve, s2_values)):
-        write_field(os.path.join(out, f"p_hat_s2_{s2:g}.txt"), sol.p_hat)
+        p_hat, u_hat = dofs_to_nodal(blk, sol.x)
+        write_field(os.path.join(out, f"p_hat_s2_{s2:g}.txt"), p_hat)
         if blk.dof.n_u:
-            write_field(os.path.join(out, f"u_hat_s2_{s2:g}.txt"),
-                        sol.u_hat)
+            write_field(os.path.join(out, f"u_hat_s2_{s2:g}.txt"), u_hat)
         rows.append((s1, s2, ratios["fluid_lhs"], ratios["solid_lhs"],
                      ratios["fluid_ratio"], ratios["solid_ratio"],
                      sol.residual))
@@ -445,7 +425,7 @@ def run_convergence(cfg: RunConfig, out: str) -> int:
         extra["fit_rejected"] = str(exc)
         code = 1
     emit_plots(csv_path, os.path.join(out, "plot_convergence.py"),
-               "convergence", {"rates": (rate_lbar, rate_printed)})
+               "convergence", (rate_lbar, rate_printed))
     write_manifest(out, cfg, "convergence", extra)
     return code
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem import VARIANTS
 from .model import Geometry, MediaParams, PmlProfile, Pulse, Rectangle, \
     SourceSpec, SurfaceProfile, check_source, validate_media
 from .symbols import DEGENERATE_DENOMINATOR, layer_denominator_floor
@@ -281,10 +282,9 @@ def load_config(path: str) -> RunConfig:
                               "distinct time steps")
         if numerics["route"] not in ("freq", "time"):
             raise ConfigError("numerics.route must be freq or time")
-        if numerics["variant"] not in ("exact_dtn", "pml_dtn",
-                                       "pml_layer"):
-            raise ConfigError("numerics.variant must be exact_dtn, "
-                              "pml_dtn or pml_layer")
+        if numerics["variant"] not in VARIANTS:
+            raise ConfigError("numerics.variant must be "
+                              f"{', '.join(VARIANTS[:-1])} or {VARIANTS[-1]}")
 
         sweep = {
             "L_values": _floats(cp.get("sweep", "L_values")),

@@ -11,9 +11,10 @@ rows and rho0 conj(s) on displacement test rows, plus -B(s)/s on
 Gamma_h x Gamma_h for the truncated Fourier-mode multiplier B(s) on
 x3 = h.  The pressure vanishes on the bottom surface and on the layer
 top, so their nodes carry no dof.  On first use the blocks are laid out
-as the mesh's one term table (AffineForm), which the contour solves and
-Newmark both combine with their weights: a layer mesh serves
-pml_layer, a mesh without the layer exact_dtn and pml_dtn.
+as the mesh's one term table (FemBlocks.form), which the contour solves
+and Newmark both combine with their weights: a layer mesh serves
+pml_layer, a mesh without the layer exact_dtn and pml_dtn, and assemble
+alone checks that pairing.
 
 scipy.sparse is imported on first use, by _scatter (every assembled
 matrix) and AffineForm.matrix, and scipy.sparse.linalg by factorize:
@@ -208,16 +209,15 @@ def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
 class FemBlocks:
     """All s-independent matrices of the strip problem on one mesh.
 
-    ``cache`` holds what is derived from the blocks on first use: the
-    midpoint load operators and the mesh's AffineForm.  The blocks are
-    not to be modified once either exists.  The fluid pair, the
-    isotropic pair and K_solid_h1 are assembled on their first read: on
-    a layer mesh only the norms read them.
+    ``cache`` holds the midpoint load rules, built on first use.  The
+    term table (form), the fluid pair, the isotropic pair and
+    K_solid_h1 are built on their first read: on a layer mesh only the
+    norms read the pairs and K_solid_h1.  The blocks are not to be
+    modified once the table or a load rule exists.
     """
 
     mesh: StripMesh
     dof: DofMap
-    n_modes: int
 
     K_all: sp.csr_matrix = None          # sigma-stretched grad-grad, fluid+pml
     M_all: sp.csr_matrix = None          # sigma-weighted mass, fluid+pml
@@ -258,6 +258,11 @@ class FemBlocks:
     def K_solid_h1(self):
         """Componentwise grad-grad, solid."""
         return _assemble_solid(self.mesh, self.dof, h1=True)
+
+    @cached_property
+    def form(self) -> AffineForm:
+        """The mesh's term table."""
+        return _affine_form(self)
 
 
 def _assemble_scalar(mesh, dof, which, pml=None):
@@ -362,7 +367,7 @@ def _modal_operator(mesh, dof, n_modes):
 
 def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
     dof = build_dofmap(mesh)
-    blk = FemBlocks(mesh=mesh, dof=dof, n_modes=n_modes)
+    blk = FemBlocks(mesh=mesh, dof=dof)
 
     if mesh.pml is None:    # no layer triangles: the fluid pair
         blk.K_all, blk.M_all = blk.K_fluid, blk.M_fluid
@@ -388,42 +393,21 @@ def _fluid_and_layer(mesh):
 class FrequencySystem:
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    blocks: FemBlocks
-    media: MediaParams
-    s: complex
-    variant: str
 
 
 @dataclass
 class FrequencySolution:
     x: np.ndarray                   # dof vector
-    system: FrequencySystem
-    residual: float = 0.0
-    lu_nnz: int = 0                 # nonzeros of its L and U factors
-
-    @cached_property
-    def _nodal(self):
-        return dofs_to_nodal(self.system.blocks, self.x)
-
-    p_hat = property(lambda self: self._nodal[0],
-                     doc="pressure per mesh vertex, built from x on first "
-                         "read")
-    u_hat = property(lambda self: self._nodal[1],
-                     doc="(n_vertices, 2) displacement, built from x on "
-                         "first read")
+    residual: float
+    lu_nnz: int                     # nonzeros of its L and U factors
 
 
-def dtn_block(blk: FemBlocks, media: MediaParams, s: complex,
-              variant: str, pml: PmlProfile | None = None) -> np.ndarray:
+def dtn_block(blk: FemBlocks, c: float, s: complex,
+              L_tilde: float | None = None) -> np.ndarray:
     """Dense Gamma_h block representing int_{Gamma_h} B[p] conj(q):
-    period * E^H diag(symbol) E via the trace Parseval identity."""
-    if variant not in ("exact_dtn", "pml_dtn"):
-        raise AssemblyError("no boundary operator for variant "
-                            f"{variant!r}")
-    if variant == "pml_dtn" and pml is None:
-        raise AssemblyError("pml_dtn variant needs a layer profile")
-    sym = dtn_symbol_grid(blk.modal_xi, s, media.c, pml.L_tilde
-                          if variant == "pml_dtn" else None)
+    period * E^H diag(symbol) E via the trace Parseval identity, for the
+    exact symbol or, with L_tilde, the layer one."""
+    sym = dtn_symbol_grid(blk.modal_xi, s, c, L_tilde)
     E = blk.modal_E
     return blk.mesh.geometry.period * (E.conj().T * sym) @ E
 
@@ -454,18 +438,8 @@ class AffineForm:
                              shape=(n, n))
 
 
-def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
-    """The mesh's term table, built on first use, for a variant the mesh
-    suits: a layer mesh pml_layer, a mesh without the layer the other
-    variants."""
-    if variant not in VARIANTS:
-        raise AssemblyError(f"unknown variant {variant!r}")
-    if (variant == "pml_layer") != (blk.mesh.pml is not None):
-        raise AssemblyError(f"{variant} variant needs a mesh "
-                            f"{'with' if blk.mesh.pml is None else 'without'}"
-                            " an absorbing layer")
-    if "affine" in blk.cache:
-        return blk.cache["affine"]
+def _affine_form(blk: FemBlocks) -> AffineForm:
+    """The term table of blk's mesh (FemBlocks.form)."""
     n = blk.dof.size
     gh = blk.gamma_h_dofs if blk.mesh.pml is None \
         else np.zeros(0, dtype=np.int64)
@@ -490,12 +464,10 @@ def _affine_form(blk: FemBlocks, variant: str) -> AffineForm:
     for q, (k, data) in enumerate(entries):
         np.add.at(terms[q], np.searchsorted(pattern, k), data)
     order = np.lexsort((rows, cols))
-    form = AffineForm(terms=terms,
+    return AffineForm(terms=terms,
                       gamma_slots=np.searchsorted(pattern, gh_keys),
                       order=order, indices=rows[order],
                       indptr=np.searchsorted(cols[order], np.arange(n + 1)))
-    blk.cache["affine"] = form
-    return form
 
 
 # test rows of each term: pressure (True) or displacement
@@ -561,21 +533,32 @@ def assemble(blk: FemBlocks, media: MediaParams, s: complex,
 
     The transformed source is g_hat(x, s) = g_hat_scale * chi(x); the
     right-hand side of the variational problem is int g_hat / c^2 * q.
+    The variant must suit the mesh (pml_layer a layer mesh, exact_dtn
+    and pml_dtn a mesh without the layer), and pml_dtn needs the
+    profile pml; anything else raises AssemblyError before any work.
     """
-    form = _affine_form(blk, variant)
+    if variant not in VARIANTS:
+        raise AssemblyError(f"unknown variant {variant!r}")
+    if (variant == "pml_layer") != (blk.mesh.pml is not None):
+        raise AssemblyError(f"{variant} variant needs a mesh "
+                            f"{'with' if blk.mesh.pml is None else 'without'}"
+                            " an absorbing layer")
+    if variant == "pml_dtn" and pml is None:
+        raise AssemblyError("pml_dtn variant needs a layer profile")
+    form = blk.form
     w_M, w_K = term_weights(media)
     theta = np.where(_PRESSURE_ROWS, 1.0 / s, media.rho0 * np.conj(s)) \
         * (w_K + s * s * w_M)
     data = theta.real @ form.terms + 1j * (theta.imag @ form.terms)
     if form.gamma_slots.size:
+        L_tilde = pml.L_tilde if variant == "pml_dtn" else None
         data[form.gamma_slots] -= \
-            (dtn_block(blk, media, s, variant, pml) / s).ravel()
+            (dtn_block(blk, media.c, s, L_tilde) / s).ravel()
     rhs = np.zeros(blk.dof.size, dtype=complex)
     if g_hat_spatial is not None:
         rhs = (g_hat_scale / media.c ** 2) \
             * load_vector(blk, g_hat_spatial).astype(complex)
-    return FrequencySystem(matrix=form.matrix(data), rhs=rhs, blocks=blk,
-                           media=media, s=s, variant=variant)
+    return FrequencySystem(matrix=form.matrix(data), rhs=rhs)
 
 
 def solve_frequency(system: FrequencySystem,
@@ -597,8 +580,7 @@ def solve_frequency(system: FrequencySystem,
         res = float(np.linalg.norm(r) / norm_b)
     else:
         res = 0.0
-    return FrequencySolution(x=x, system=system, residual=res,
-                             lu_nnz=lu.nnz)
+    return FrequencySolution(x=x, residual=res, lu_nnz=lu.nnz)
 
 
 # ---------------------------------------------------------------------------
@@ -645,31 +627,34 @@ def _sqrt_form(A: sp.spmatrix, x: np.ndarray) -> float:
     return float(np.sqrt(max(np.vdot(x, A @ x).real, 0.0)))
 
 
-def stability_ratios(sol: FrequencySolution, g_norm: float) -> dict:
-    """Solution norms against the right-hand sides of the frequency
-    stability estimates."""
-    sys_ = sol.system
-    blk, media, s = sys_.blocks, sys_.media, sys_.s
+def stability_ratios(blk: FemBlocks, s: complex, x: np.ndarray,
+                     g_norm: float) -> dict:
+    """Norms of the solution x at s against the right-hand sides of the
+    frequency stability estimates, whose envelopes for a layer mesh
+    carry the layer factor."""
     s1 = s.real
-    x = sol.x
     lhs = {"fluid_lhs": _sqrt_form(blk.K_all_iso, x)
            + abs(s) * _sqrt_form(blk.M_all_iso, x),
            "solid_lhs": _sqrt_form(blk.K_solid_h1, x)
            + _sqrt_form(blk.K_div, x) + abs(s) * _sqrt_form(blk.M_solid, x)}
-    if g_norm == 0.0:
-        ratio = 0.0 if lhs["fluid_lhs"] + lhs["solid_lhs"] == 0 else np.inf
-        return {"fluid_ratio": ratio, "solid_ratio": ratio, **lhs}
     # an envelope beyond the double range (s1 near the smallest one the
-    # config accepts) is inf, and its ratio 0; one that underflows to 0
-    # (s1 near the largest) gives an infinite ratio
-    with np.errstate(over="ignore"):
-        if sys_.variant in ("exact_dtn", "pml_dtn"):
-            env_f = abs(s) / s1 * g_norm
-            env_s = g_norm / (s1 * min(1.0, s1))
-        else:
-            factor = 1.0 + blk.mesh.pml.sigma0 / s1
-            env_f = factor * abs(s) / s1 * g_norm
-            env_s = np.sqrt(factor) / (s1 * min(1.0, s1)) * g_norm
-    return {"fluid_ratio": lhs["fluid_lhs"] / env_f if env_f else np.inf,
-            "solid_ratio": lhs["solid_lhs"] / env_s if env_s else np.inf,
-            **lhs}
+    # config accepts) is inf, and its ratio 0; one that is 0 (no load,
+    # or an underflow at s1 near the largest) gives 0 for a zero lhs
+    # and an infinite ratio otherwise
+    env_f = env_s = 0.0
+    if g_norm:
+        with np.errstate(over="ignore"):
+            if blk.mesh.pml is None:
+                env_f = abs(s) / s1 * g_norm
+                env_s = g_norm / (s1 * min(1.0, s1))
+            else:
+                factor = 1.0 + blk.mesh.pml.sigma0 / s1
+                env_f = factor * abs(s) / s1 * g_norm
+                env_s = np.sqrt(factor) / (s1 * min(1.0, s1)) * g_norm
+
+    def ratio(value, envelope):
+        if envelope:
+            return value / envelope
+        return 0.0 if value == 0 else np.inf
+    return {"fluid_ratio": ratio(lhs["fluid_lhs"], env_f),
+            "solid_ratio": ratio(lhs["solid_lhs"], env_s), **lhs}

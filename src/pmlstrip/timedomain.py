@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import FemBlocks, _affine_form, _cpu_count, _sqrt_form, \
-    assemble, factorize, load_vector, map_solves, pad_dofs, \
-    solve_frequency, source_l2_norm, term_weights
+from .fem import FemBlocks, _cpu_count, _sqrt_form, assemble, factorize, \
+    load_vector, map_solves, pad_dofs, solve_frequency, source_l2_norm, \
+    term_weights
 from .model import MediaParams, SourceSpec
 from .xform import TruncationWarning, inverse_laplace_grid
 
@@ -97,43 +97,38 @@ class TimeTrajectory:
     meta: dict = field(default_factory=dict)
 
 
-def newmark_run(blk: FemBlocks, media: MediaParams,
-                source: SourceSpec | None, T: float, n_steps: int,
-                probes: ProbeSet | None = None,
+def newmark_run(blk: FemBlocks, media: MediaParams, source: SourceSpec,
+                T: float, n_steps: int, probes: ProbeSet | None = None,
                 snapshot_times=(), record_norms: bool = False,
                 store_dofs: np.ndarray | None = None) -> TimeTrajectory:
-    """Average-acceleration (1/4, 1/2) integration from rest, on a layer
-    mesh (Dirichlet wall at the layer top).
+    """Average-acceleration (1/4, 1/2) integration on a layer mesh
+    (Dirichlet wall at the layer top), from rest: d = v = a = 0 at
+    t = 0, where the load dg/dt must vanish.
 
     store_dofs keeps the full history of the listed dofs (the sentinel
     dof.size reads 0).  meta records the step matrix's LU fill (lu_nnz).
     """
     if n_steps < 1 or T <= 0:
         raise ValueError("need T > 0 and n_steps >= 1")
+    if blk.mesh.pml is None:
+        raise ValueError("Newmark integration needs a layer mesh")
     dt = T / n_steps
     beta_n, gamma_n = 0.25, 0.5
+    t_grid = np.linspace(0.0, T, n_steps + 1)
+    g_t = source.pulse.derivative(t_grid)
+    if g_t[0] != 0:
+        raise ValueError("the load dg/dt must vanish at t = 0: Newmark "
+                         "starts at rest")
 
-    form = _affine_form(blk, "pml_layer")
+    form = blk.form
     n = blk.dof.size
     w_M, w_K = term_weights(media)
-    Mr, Kr, A_eff = (form.matrix(w @ form.terms)
-                     for w in (w_M, w_K, w_M + beta_n * dt * dt * w_K))
+    Kr, A_eff = (form.matrix(w @ form.terms)
+                 for w in (w_K, w_M + beta_n * dt * dt * w_K))
     lu = factorize(A_eff)
+    f_shape = load_vector(blk, source.spatial) / media.c ** 2
 
-    t_grid = np.linspace(0.0, T, n_steps + 1)
-    if source is None:
-        f_shape, g_t = np.zeros(n), np.zeros(t_grid.size)
-    else:
-        f_shape = load_vector(blk, source.spatial) / media.c ** 2
-        g_t = source.pulse.derivative(t_grid)
-
-    d = np.zeros(n)
-    v = np.zeros(n)
-    r0 = g_t[0] * f_shape
-    if np.linalg.norm(r0) > 0:
-        a = factorize(Mr).solve(r0)
-    else:
-        a = np.zeros(n)
+    d, v, a = np.zeros(n), np.zeros(n), np.zeros(n)
 
     traj = TimeTrajectory(t=t_grid, meta={"dt": dt, "n_steps": n_steps,
                                           "lu_nnz": lu.nnz})

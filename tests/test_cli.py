@@ -19,11 +19,11 @@ import pmlstrip.cli
 import pmlstrip.fem
 import pmlstrip.symbols
 from pmlstrip import ConfigError, PmlProfile, assemble, build_blocks, \
-    build_mesh, h_norm_sq, load_config, solve_frequency, source_l2_norm, \
-    stability_ratios
+    build_mesh, dofs_to_nodal, h_norm_sq, load_config, solve_frequency, \
+    source_l2_norm, stability_ratios
 from pmlstrip.config import DEFAULTS
-from pmlstrip.cli import (FitError, PlotError, emit_plots, fit_rate, main,
-                          write_csv, write_field)
+from pmlstrip.cli import (FitError, emit_plots, fit_rate, main, write_csv,
+                          write_field)
 from pmlstrip.symbols import default_xi_grid, principal_sqrt, \
     symbol_gap_sup
 
@@ -386,23 +386,12 @@ class TestFitRate:
 
 
 class TestPlots:
-    def test_errors(self, tmp_path):
-        with pytest.raises(PlotError):
-            emit_plots("missing.csv", str(tmp_path / "p.py"),
-                       "convergence")
-        csv_path = str(tmp_path / "c.csv")
-        write_csv(csv_path, ["L", "error"], [(1.0, 0.5)])
-        with pytest.raises(PlotError):
-            emit_plots(csv_path, str(tmp_path / "p.py"), "unknown")
-        with pytest.raises(PlotError):
-            emit_plots(csv_path, str(tmp_path / "p.py"), "audit")
-
     def test_emits_script(self, tmp_path):
         csv_path = str(tmp_path / "c.csv")
         write_csv(csv_path, ["L", "error", "sqrt_error"],
                   [(0.5, 1.0, 1.0), (1.0, 0.1, 0.32)])
         out = tmp_path / "plot.py"
-        emit_plots(csv_path, str(out), "convergence")
+        emit_plots(csv_path, str(out), "convergence", (2.0, 4.0))
         text = out.read_text()
         assert "matplotlib" in text
         compile(text, str(out), "exec")
@@ -594,18 +583,27 @@ class TestSubcommands:
         assert os.path.exists(os.path.join(out, "p_hat_s2_5.txt"))
 
     def test_freq_solve_large_abscissa(self, tmp_path):
-        # s1 = 1e60 loads; the solid envelope g_norm / (s1 min(1, s1))
-        # underflows to 0, which used to end in a ZeroDivisionError, and
-        # gives an infinite ratio
-        text = BASE_CONFIG.replace("s1 = 1.0", "s1 = 1e60") \
-            .replace("mesh_size = 0.08", "mesh_size = 0.1") \
-            + "[freq]\ns2_values = 0,5\n"
-        path, out = tmp_path / "big.ini", str(tmp_path / "big")
-        path.write_text(text)
-        assert main(["freq-solve", "--config", str(path), "--out", out]) \
-            == 0
-        rows = read_csv(os.path.join(out, "freq_summary.csv"))
-        assert [r["solid_ratio"] for r in rows] == ["inf", "inf"]
+        # s1 = 1e60 and 1e55 load; the solid envelope g_norm / (s1 min(1,
+        # s1)) underflows to 0, which used to end in a ZeroDivisionError,
+        # and so does the solution: 0 over a zero envelope reads 0, as
+        # under a zero load (it read inf)
+        cases = [[("numerics", "s1 = 1e60"), ("numerics", "mesh_size = 0.1"),
+                  ("freq", "s2_values = 0,5")]] + [
+            [("numerics", "s1 = 1e55"), ("numerics", "mesh_size = 0.125"),
+             ("geom", "obstacle = "), ("numerics", f"variant = {variant}"),
+             ("freq", "s2_values = 3")]
+            for variant in ("exact_dtn", "pml_layer")]
+        for k, lines in enumerate(cases):
+            text = BASE_CONFIG
+            for section, line in lines:
+                text = with_setting(text, section, line)
+            path, out = tmp_path / f"big{k}.ini", tmp_path / f"big{k}"
+            path.write_text(text)
+            assert main(["freq-solve", "--config", str(path),
+                         "--out", str(out)]) == 0
+            rows = (out / "freq_summary.csv").read_text().splitlines()[1:]
+            assert [row.split(",", 2)[2] for row in rows] \
+                == ["0,0,0,0,0"] * len(rows)
 
     def test_td_run(self, config_path, tmp_path):
         out = str(tmp_path / "td")
@@ -852,11 +850,12 @@ def serial_freq_solve(cfg, out):
         scale = complex(cfg.source.pulse.laplace(s))
         sol = solve_frequency(assemble(blk, cfg.media, s, cfg.source.spatial,
                                        scale, variant, cfg.pml))
-        ratios = stability_ratios(sol, abs(scale) * chi)
+        ratios = stability_ratios(blk, s, sol.x, abs(scale) * chi)
+        p_hat, u_hat = dofs_to_nodal(blk, sol.x)
         reference_write_field(os.path.join(out, f"p_hat_s2_{s2:g}.txt"),
-                              sol.p_hat)
+                              p_hat)
         reference_write_field(os.path.join(out, f"u_hat_s2_{s2:g}.txt"),
-                              sol.u_hat)
+                              u_hat)
         rows.append((num["s1"], s2, ratios["fluid_lhs"], ratios["solid_lhs"],
                      ratios["fluid_ratio"], ratios["solid_ratio"],
                      sol.residual))
@@ -895,10 +894,10 @@ def serial_freq_route_errors(cfg, L_values):
                            num["n_modes"])
         err_sq = 0.0
         for s, ref in zip(s_list, refs):
-            sol = solve(blk, s, "pml_layer")
+            p, u = dofs_to_nodal(blk, solve(blk, s, "pml_layer").x)
+            p_ref, u_ref = dofs_to_nodal(blk_ref, ref.x)
             err_sq += h_norm_sq(blk_ref, nodal_to_dofs(
-                blk_ref, sol.p_hat[:nv] - ref.p_hat,
-                sol.u_hat[:nv] - ref.u_hat))
+                blk_ref, p[:nv] - p_ref, u[:nv] - u_ref))
         errors.append(err_sq)
     return errors
 

@@ -66,8 +66,7 @@ def former_blocks(blk):
     node_dof[u_nodes, 1] = p_nodes.size + 2 * np.arange(u_nodes.size)
     node_dof[u_nodes, 2] = node_dof[u_nodes, 1] + 1
     ref = FemBlocks(mesh=mesh, dof=DofMap(p_nodes, u_nodes,
-                                          node_dof[mesh.node_master]),
-                    n_modes=blk.n_modes)
+                                          node_dof[mesh.node_master]))
     ref.K_all, ref.M_all = (ref.K_fluid, ref.M_fluid) if mesh.pml is None \
         else _assemble_scalar(mesh, ref.dof, np.flatnonzero(np.isin(
             mesh.tri_region, (FLUID, PML))), mesh.pml)
@@ -89,7 +88,8 @@ def reference_matrix(blk, s, variant, pml=None):
     A = A - rho0 * s * blk.C_pu + rho0 * np.conj(s) * blk.C_up
     A = sp.csr_matrix(A, dtype=complex)
     if variant != "pml_layer":
-        B = dtn_block(blk, MEDIA, s, variant, pml)
+        B = dtn_block(blk, MEDIA.c, s,
+                      pml.L_tilde if variant == "pml_dtn" else None)
         gh = blk.gamma_h_dofs
         A = A.tolil()
         A[np.ix_(gh, gh)] = A[np.ix_(gh, gh)].toarray() - B / s
@@ -245,17 +245,19 @@ class TestDtnBlock:
             assert r in gh and c in gh
 
     def test_pml_dtn_needs_profile(self):
+        # assemble rejects pml_dtn without a profile before it builds
+        # anything: no term table, no load rule
         blk = make_blocks()
-        with pytest.raises(AssemblyError):
-            dtn_block(blk, MEDIA, 1.0 + 0.0j, "pml_dtn")
-        with pytest.raises(AssemblyError):
-            dtn_block(blk, MEDIA, 1.0 + 0.0j, "pml_layer")
+        src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=2.0)
+        with pytest.raises(AssemblyError, match="layer profile"):
+            assemble(blk, MEDIA, 1.0 + 0.0j, src.spatial, 1.0, "pml_dtn")
+        assert "form" not in vars(blk) and not blk.cache
 
     def test_boundary_term_passive(self):
         blk = make_blocks()
         rng = np.random.default_rng(11)
         for s in (1.0 + 0.0j, 0.3 + 9.0j, 2.0 - 4.0j):
-            B = dtn_block(blk, MEDIA, s, "exact_dtn")
+            B = dtn_block(blk, MEDIA.c, s)
             for _ in range(10):
                 y = rng.normal(size=B.shape[0]) \
                     + 1j * rng.normal(size=B.shape[0])
@@ -284,27 +286,33 @@ class TestAffineForm:
         # a mesh without the layer serves exact_dtn and pml_dtn from one
         # table built on first use, a layer mesh serves pml_layer alone
         blk = make_blocks()
-        assert not blk.cache
+        assert "form" not in vars(blk)
         assemble(blk, MEDIA, 1.0 + 1.0j, None, 0.0, "exact_dtn")
-        form = blk.cache["affine"]
+        form = vars(blk)["form"]
         assemble(blk, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_dtn", self.PML)
-        assert blk.cache["affine"] is form
+        assert blk.form is form
         with pytest.raises(AssemblyError, match="with an absorbing"):
             assemble(blk, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_layer")
         layer = make_blocks(pml=self.PML)
+        with pytest.raises(AssemblyError, match="without an absorbing"):
+            assemble(layer, MEDIA, 2.0 + 0.0j, None, 0.0, "exact_dtn")
+        # rejected before the table is built
+        assert "form" not in vars(layer)
         assemble(layer, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_layer")
-        form = layer.cache["affine"]
+        form = layer.form
         assert form.gamma_slots.size == 0
-        for variant in ("exact_dtn", "pml_dtn"):
-            with pytest.raises(AssemblyError, match="without an absorbing"):
-                assemble(layer, MEDIA, 2.0 + 0.0j, None, 0.0, variant,
-                         self.PML)
-        assert layer.cache["affine"] is form
-        assert [key for key in layer.cache if key == "affine"] == ["affine"]
+        with pytest.raises(AssemblyError, match="without an absorbing"):
+            assemble(layer, MEDIA, 2.0 + 0.0j, None, 0.0, "pml_dtn",
+                     self.PML)
+        assert layer.form is form
+        # the cache keeps the load rules alone
+        assert not layer.cache
 
     def test_unknown_variant(self):
-        with pytest.raises(AssemblyError):
-            assemble(make_blocks(), MEDIA, 1.0 + 0.0j, None, 0.0, "nope")
+        blk = make_blocks()
+        with pytest.raises(AssemblyError, match="unknown variant"):
+            assemble(blk, MEDIA, 1.0 + 0.0j, None, 0.0, "nope")
+        assert "form" not in vars(blk)
 
     @pytest.mark.parametrize("variant", ["exact_dtn", "pml_dtn",
                                          "pml_layer"])
@@ -318,7 +326,8 @@ class TestAffineForm:
         up, down = (solve_frequency(assemble(blk, MEDIA, z, src.spatial,
                                              1.0, variant, self.PML))
                     for z in (s, np.conj(s)))
-        for a, b in ((up.p_hat, down.p_hat), (up.u_hat, down.u_hat)):
+        for a, b in zip(dofs_to_nodal(blk, up.x),
+                        dofs_to_nodal(blk, down.x)):
             assert np.max(np.abs(a)) > 0.0
             assert np.max(np.abs(b - np.conj(a))) \
                 <= 1e-12 * np.max(np.abs(a))
@@ -353,7 +362,7 @@ class TestFrequencySolve:
         blk = make_blocks()
         system = assemble(blk, MEDIA, 1.0 + 2.0j, None, 0.0, "exact_dtn")
         sol = solve_frequency(system)
-        assert np.max(np.abs(sol.p_hat)) == 0.0
+        assert np.max(np.abs(sol.x)) == 0.0
 
     def test_residual_small(self):
         blk = make_blocks(obstacle=True)
@@ -362,10 +371,11 @@ class TestFrequencySolve:
                           "exact_dtn")
         sol = solve_frequency(system)
         assert sol.residual <= 1e-10
-        assert np.max(np.abs(sol.p_hat)) > 0.0
+        p_hat = dofs_to_nodal(blk, sol.x)[0]
+        assert np.max(np.abs(p_hat)) > 0.0
         # Dirichlet wall on the bottom surface
         gf = np.unique(blk.mesh.boundary_edges["GammaF"])
-        assert np.max(np.abs(sol.p_hat[gf])) == 0.0
+        assert np.max(np.abs(p_hat[gf])) == 0.0
 
     def test_periodic_solution(self):
         blk = make_blocks()
@@ -376,7 +386,8 @@ class TestFrequencySolve:
         right = np.flatnonzero(np.isclose(blk.mesh.vertices[:, 0], 1.0))
         left = left[np.argsort(blk.mesh.vertices[left, 1])]
         right = right[np.argsort(blk.mesh.vertices[right, 1])]
-        assert np.allclose(sol.p_hat[left], sol.p_hat[right])
+        p_hat = dofs_to_nodal(blk, sol.x)[0]
+        assert np.allclose(p_hat[left], p_hat[right])
 
     def test_pml_layer_matches_exact_dtn(self):
         # generous layer: the two routes agree in the physical region
@@ -390,8 +401,9 @@ class TestFrequencySolve:
         sol_pml = solve_frequency(assemble(blk_pml, MEDIA, s, src.spatial,
                                            1.0, "pml_layer"))
         nv = blk_ex.mesh.n_vertices
-        num = np.max(np.abs(sol_pml.p_hat[:nv] - sol_ex.p_hat))
-        den = np.max(np.abs(sol_ex.p_hat))
+        p_ex = dofs_to_nodal(blk_ex, sol_ex.x)[0]
+        num = np.max(np.abs(dofs_to_nodal(blk_pml, sol_pml.x)[0][:nv] - p_ex))
+        den = np.max(np.abs(p_ex))
         assert num / den < 0.02
 
     def test_single_mode_oracle(self):
@@ -507,9 +519,10 @@ class TestNormsAndProbes:
     def test_stability_ratios_finite(self):
         blk = make_blocks(obstacle=True)
         src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=2.0)
-        sol = solve_frequency(assemble(blk, MEDIA, 1.0 + 5.0j, src.spatial,
-                                       1.0, "exact_dtn"))
-        ratios = stability_ratios(sol, 1.0)
+        s = 1.0 + 5.0j
+        sol = solve_frequency(assemble(blk, MEDIA, s, src.spatial, 1.0,
+                                       "exact_dtn"))
+        ratios = stability_ratios(blk, s, sol.x, 1.0)
         assert 0.0 < ratios["fluid_ratio"] < np.inf
         assert 0.0 < ratios["solid_ratio"] < np.inf
 
@@ -579,7 +592,7 @@ class TestManufactured:
         assert np.array_equal(x_ex, ref)
         system = assemble(blk, MEDIA, s, None, 0.0, "exact_dtn")
         sol = solve_frequency(system, rhs=rhs)
-        e_ref = nodal_to_dofs(blk, sol.p_hat - p_nodal)
+        e_ref = nodal_to_dofs(blk, dofs_to_nodal(blk, sol.x)[0] - p_nodal)
         assert fluid_error_norms(blk, sol.x, x_ex) == \
             (np.sqrt(np.vdot(e_ref, blk.M_fluid @ e_ref).real),
              np.sqrt(np.vdot(e_ref, (blk.M_fluid + blk.K_fluid)
