@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -262,12 +263,14 @@ def run_layer_check(cfg: RunConfig, out: str) -> int:
 
 
 def _above_mesh_size(what: str, L_values, cfg: RunConfig) -> None:
-    """Reject layers a mesh of the configured size cannot resolve:
-    build_mesh needs each thickness above mesh_size."""
+    """Reject layers a mesh of the configured size cannot resolve or
+    count: build_mesh needs each thickness above mesh_size, and rounds
+    thickness / mesh_size to the layer's row count."""
     mesh_size = cfg.numerics["mesh_size"]
-    if not all(L > mesh_size for L in L_values):
+    if not all(mesh_size < L and math.isfinite(L / mesh_size)
+               for L in L_values):
         raise ConfigError(f"{what} must be above numerics.mesh_size = "
-                          f"{mesh_size:g}")
+                          f"{mesh_size:g}, by a finite ratio")
 
 
 def run_freq_solve(cfg: RunConfig, out: str) -> int:
@@ -405,6 +408,8 @@ def run_convergence(cfg: RunConfig, out: str) -> int:
     if time_route and not cfg.sweep["L_ref"] > L_values[-1]:
         raise ConfigError("sweep.L_ref must be above every sweep.L_values "
                           "entry")
+    if time_route:
+        _above_mesh_size("sweep.L_ref", [cfg.sweep["L_ref"]], cfg)
     route = _time_route_errors if time_route else _freq_route_errors
     errors, n_modes_effective = route(cfg, L_values)
     csv_path = os.path.join(out, "convergence.csv")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,28 +26,124 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
 
 
-DEFAULTS = {
-    "media": {"c": "1.0", "rho0": "1.0", "rho_e": "1.0",
-              "lambda": "1.0", "mu": "1.0"},
-    "geom": {"period": "1.0", "h": "0.5", "surface": "flat",
-             "obstacle": ""},
-    "pml": {"sigma0": "2.0", "m": "1", "L": "1.0"},
-    "source": {"center": "0.5,0.25", "radius": "0.08", "T": "2.0",
-               "a": "4.0", "omega0": "8.0"},
-    "numerics": {"mesh_size": "0.05", "s1": "", "n_steps": "400",
-                 "n_modes": "64", "route": "freq", "variant": "exact_dtn"},
-    "freq": {"s2_values": "0,5,10"},
-    "td": {"snapshot_times": ""},
-    "sweep": {"L_values": "0.25,0.5,1.0", "sigma0_values": "",
-              "L_ref": "3.0"},
-    "audit": {"s1_values": "1.0,0.1", "s2_range": "-50,50,201",
-              "xi_points": "401", "sigma0_values": "1,2,4",
-              "L_values": "0.5,1,2", "m": "1"},
-    "layer": {"xi_values": "0.0,6.283185307179586", "s": "1.0,0.0",
-              "n_values": "32,64,128,256"},
-    "probes": {"points": "0.25,0.3; 0.5,0.35; 0.75,0.3"},
-    "parseval": {"s1": "1.0", "s2_max": "400.0", "n_freq": "8001",
-                 "horizon": "40.0", "n_time": "16000"},
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text!r} is not a finite number")
+    return value
+
+
+def _floats(text: str) -> list[float]:
+    """Comma- or semicolon-separated finite numbers; [] if empty."""
+    return [_finite(tok) for tok in text.replace(";", ",").split(",")
+            if tok.strip()]
+
+
+def _pair(text: str) -> tuple[float, float]:
+    xy = _floats(text)
+    if len(xy) != 2:
+        raise ConfigError(f"expected two numbers: {text!r}")
+    return xy[0], xy[1]
+
+
+def _points(text: str) -> np.ndarray:
+    """`x,z; x,z; ...` as an (n, 2) array."""
+    return np.array([_pair(chunk) for chunk in text.split(";")
+                     if chunk.strip()], dtype=float).reshape(-1, 2)
+
+
+def _choice(*names: str):
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ConfigError(f"must be {', '.join(names[:-1])} or "
+                              f"{names[-1]}")
+        return text
+    return parse
+
+
+def _surface(spec: str):
+    """The profile as a function of the period, and the bytes of its
+    samples file (b"" if none)."""
+    kind, sep, arg = spec.partition(":")
+    if kind == "flat":
+        level = _finite(arg) if sep else 0.0
+        return lambda period: SurfaceProfile.flat(level), b""
+    if kind == "cosine":
+        vals = _floats(arg)
+        if len(vals) != 2:
+            raise ConfigError("cosine surface needs amplitude,frequency")
+        return lambda period: SurfaceProfile.cosine(*vals, period), b""
+    if kind == "file":
+        path = arg.strip()
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read surface file {path!r}") from exc
+        data = np.loadtxt(raw.decode().splitlines())
+        if data.ndim != 2 or data.shape[1] != 2 \
+                or not np.isfinite(data).all():
+            raise ConfigError("surface file must have two columns x1, f "
+                              "of finite numbers")
+        return lambda period: SurfaceProfile.from_samples(*data.T,
+                                                         period), raw
+    raise ConfigError(f"unknown surface spec {spec!r}")
+
+
+def _obstacle(text: str):
+    """Parse a polygon vertex list; only axis-aligned rectangles are
+    supported (four vertices)."""
+    pts = _points(text)
+    if pts.size == 0:
+        return None
+    if pts.shape[0] != 4:
+        raise ConfigError("obstacle polygon must have exactly 4 vertices "
+                          "(axis-aligned rectangle)")
+    x1s, x3s = sorted(set(pts[:, 0])), sorted(set(pts[:, 1]))
+    if len(x1s) != 2 or len(x3s) != 2:
+        raise ConfigError("obstacle polygon must be an axis-aligned "
+                          "rectangle")
+    corners = {(a, b) for a in x1s for b in x3s}
+    if {(p[0], p[1]) for p in pts} != corners:
+        raise ConfigError("obstacle polygon must be an axis-aligned "
+                          "rectangle")
+    return Rectangle(x1s[0], x1s[1], x3s[0], x3s[1])
+
+
+# section -> key -> (default, parser).  The config digest hashes the
+# default strings, so changing one changes every run's config_sha256.
+SCHEMA = {
+    "media": {"c": ("1.0", _finite), "rho0": ("1.0", _finite),
+              "rho_e": ("1.0", _finite), "lambda": ("1.0", _finite),
+              "mu": ("1.0", _finite)},
+    "geom": {"period": ("1.0", _finite), "h": ("0.5", _finite),
+             "surface": ("flat", _surface), "obstacle": ("", _obstacle)},
+    "pml": {"sigma0": ("2.0", _finite), "m": ("1", int),
+            "L": ("1.0", _finite)},
+    "source": {"center": ("0.5,0.25", _pair), "radius": ("0.08", _finite),
+               "T": ("2.0", _finite), "a": ("4.0", _finite),
+               "omega0": ("8.0", _finite)},
+    "numerics": {"mesh_size": ("0.05", _finite),
+                 "s1": ("", lambda text: _finite(text) if text else None),
+                 "n_steps": ("400", int), "n_modes": ("64", int),
+                 "route": ("freq", _choice("freq", "time")),
+                 "variant": ("exact_dtn", _choice(*VARIANTS))},
+    "freq": {"s2_values": ("0,5,10", _floats)},
+    "td": {"snapshot_times": ("", _floats)},
+    "sweep": {"L_values": ("0.25,0.5,1.0", _floats),
+              "sigma0_values": ("", _floats), "L_ref": ("3.0", _finite)},
+    "audit": {"s1_values": ("1.0,0.1", _floats),
+              "s2_range": ("-50,50,201", _floats),
+              "xi_points": ("401", int),
+              "sigma0_values": ("1,2,4", _floats),
+              "L_values": ("0.5,1,2", _floats), "m": ("1", int)},
+    "layer": {"xi_values": ("0.0,6.283185307179586", _floats),
+              "s": ("1.0,0.0", _pair),
+              "n_values": ("32,64,128,256", _floats)},
+    "probes": {"points": ("0.25,0.3; 0.5,0.35; 0.75,0.3", _points)},
+    "parseval": {"s1": ("1.0", _finite), "s2_max": ("400.0", _finite),
+                 "n_freq": ("8001", int), "horizon": ("40.0", _finite),
+                 "n_time": ("16000", int)},
 }
 
 
@@ -65,18 +162,6 @@ class RunConfig:
     probes: np.ndarray
     parseval: dict
     digest: str = ""
-
-
-def _floats(text: str) -> list[float]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [float(tok) for tok in text.replace(";", ",").split(",")
-                if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers: {text!r}") \
-            from exc
 
 
 def _distinct_names(what: str, names: list[str]) -> None:
@@ -141,68 +226,10 @@ def _finite_layer_system(layer: dict, pml: PmlProfile, c: float) -> None:
                           "is not a finite double")
 
 
-def _points(text: str) -> np.ndarray:
-    pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        xy = _floats(chunk)
-        if len(xy) != 2:
-            raise ConfigError(f"point needs two coordinates: {chunk!r}")
-        pts.append(xy)
-    return np.array(pts, dtype=float).reshape(-1, 2)
-
-
-def _surface(spec: str, period: float) -> tuple[SurfaceProfile, bytes]:
-    """The profile and the bytes of its samples file (b"" if none)."""
-    spec = spec.strip()
-    if spec == "flat":
-        return SurfaceProfile.flat(0.0), b""
-    if spec.startswith("flat:"):
-        return SurfaceProfile.flat(float(spec.split(":", 1)[1])), b""
-    if spec.startswith("cosine:"):
-        vals = _floats(spec.split(":", 1)[1])
-        if len(vals) != 2:
-            raise ConfigError("cosine surface needs amplitude,frequency")
-        return SurfaceProfile.cosine(vals[0], vals[1], period), b""
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1].strip()
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read surface file {path!r}") from exc
-        data = np.loadtxt(raw.decode().splitlines())
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigError("surface file must have two columns x1, f")
-        return SurfaceProfile.from_samples(*data.T, period), raw
-    raise ConfigError(f"unknown surface spec {spec!r}")
-
-
-def _obstacle(text: str):
-    """Parse a polygon vertex list; only axis-aligned rectangles are
-    supported (four vertices)."""
-    pts = _points(text)
-    if pts.size == 0:
-        return None
-    if pts.shape[0] != 4:
-        raise ConfigError("obstacle polygon must have exactly 4 vertices "
-                          "(axis-aligned rectangle)")
-    x1s, x3s = sorted(set(pts[:, 0])), sorted(set(pts[:, 1]))
-    if len(x1s) != 2 or len(x3s) != 2:
-        raise ConfigError("obstacle polygon must be an axis-aligned "
-                          "rectangle")
-    corners = {(a, b) for a in x1s for b in x3s}
-    if {(p[0], p[1]) for p in pts} != corners:
-        raise ConfigError("obstacle polygon must be an axis-aligned "
-                          "rectangle")
-    return Rectangle(x1s[0], x1s[1], x3s[0], x3s[1])
-
-
 def load_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser()
-    cp.read_dict(DEFAULTS)
+    cp.read_dict({sec: {key: default for key, (default, _) in keys.items()}
+                  for sec, keys in SCHEMA.items()})
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -211,86 +238,70 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
     for sec in cp.sections():   # a misspelt name would be silently ignored
-        if sec not in DEFAULTS:
+        if sec not in SCHEMA:
             raise ConfigError(f"unknown section [{sec}]")
-        unknown = set(cp[sec]) - {key.lower() for key in DEFAULTS[sec]}
+        unknown = set(cp[sec]) - {key.lower() for key in SCHEMA[sec]}
         if unknown:
             raise ConfigError(f"unknown key(s) in [{sec}]: "
                               + ", ".join(sorted(unknown)))
+    p = {}
+    for sec, keys in SCHEMA.items():
+        p[sec] = {}
+        for key, (_, parse) in keys.items():
+            try:
+                p[sec][key] = parse(cp.get(sec, key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"{sec}.{key}: {exc}") from exc
 
     try:
-        media = MediaParams(
-            c=cp.getfloat("media", "c"),
-            rho0=cp.getfloat("media", "rho0"),
-            rho_e=cp.getfloat("media", "rho_e"),
-            lam=cp.getfloat("media", "lambda"),
-            mu=cp.getfloat("media", "mu"))
+        med, geo, src = p["media"], p["geom"], p["source"]
+        media = MediaParams(c=med["c"], rho0=med["rho0"], rho_e=med["rho_e"],
+                            lam=med["lambda"], mu=med["mu"])
         bad = validate_media(media)
         if bad:
             raise ConfigError("inadmissible media: " + ", ".join(bad))
 
-        period = cp.getfloat("geom", "period")
-        surface, surface_bytes = _surface(cp.get("geom", "surface"), period)
-        geometry = Geometry(
-            period=period,
-            surface=surface,
-            h=cp.getfloat("geom", "h"),
-            obstacle=_obstacle(cp.get("geom", "obstacle")))
+        make_surface, surface_bytes = geo["surface"]
+        surface = make_surface(geo["period"])
+        geometry = Geometry(period=geo["period"], surface=surface,
+                            h=geo["h"], obstacle=geo["obstacle"])
 
-        T = cp.getfloat("source", "T")
-        s1_default = 1.0 / T
-        s1_text = cp.get("numerics", "s1").strip()
-        s1 = float(s1_text) if s1_text else s1_default
-        pml = PmlProfile(sigma0=cp.getfloat("pml", "sigma0"),
-                         m=cp.getint("pml", "m"),
-                         L=cp.getfloat("pml", "L"), s1=s1)
+        T = src["T"]
+        if not (T > 0 and src["radius"] > 0):
+            raise ConfigError("source needs T > 0 and radius > 0")
+        s1 = 1.0 / T if p["numerics"]["s1"] is None else p["numerics"]["s1"]
+        pml = PmlProfile(s1=s1, **p["pml"])
         _normal_square("numerics.s1", s1, media.c)
 
-        center = _floats(cp.get("source", "center"))
-        if len(center) != 2:
-            raise ConfigError("source.center needs two coordinates")
-        source = SourceSpec(center=(center[0], center[1]),
-                            radius=cp.getfloat("source", "radius"), T=T,
-                            pulse=Pulse(a=cp.getfloat("source", "a"),
-                                        omega0=cp.getfloat("source",
-                                                           "omega0")))
+        source = SourceSpec(center=src["center"], radius=src["radius"], T=T,
+                            pulse=Pulse(a=src["a"], omega0=src["omega0"]))
         check_source(source, geometry)
 
-        numerics = {
-            "mesh_size": cp.getfloat("numerics", "mesh_size"),
-            "s1": s1,
-            "n_steps": cp.getint("numerics", "n_steps"),
-            "n_modes": cp.getint("numerics", "n_modes"),
-            "route": cp.get("numerics", "route").strip(),
-            "variant": cp.get("numerics", "variant").strip(),
-            "freq_s2_values": _floats(cp.get("freq", "s2_values")),
-            "snapshot_times": _floats(cp.get("td", "snapshot_times")),
-        }
+        numerics = {**p["numerics"], "s1": s1,
+                    "freq_s2_values": p["freq"]["s2_values"],
+                    "snapshot_times": p["td"]["snapshot_times"]}
         _distinct_names("freq.s2_values", [f"{v:g}" for v in
                                            numerics["freq_s2_values"]])
         _finite_pulse_transform(source.pulse, s1,
                                 numerics["freq_s2_values"])
-        if not 0 < numerics["mesh_size"] < geometry.h - surface.f_plus \
+        mesh_size = numerics["mesh_size"]
+        if not 0 < mesh_size < geometry.h - surface.f_plus \
                 or numerics["n_steps"] < 1 or numerics["n_modes"] < 0:
             raise ConfigError("numerics needs 0 < mesh_size < h - f_plus, "
                               "n_steps >= 1 and n_modes >= 0")
+        # build_mesh rounds these to its column count and row counts
+        if not math.isfinite(max(geometry.period, geometry.h
+                                 - float(surface.f_minus)) / mesh_size):
+            raise ConfigError("geom.period / mesh_size and (h - f_minus) / "
+                              "mesh_size must be finite doubles")
         # Newmark snaps each time to its nearest step of dt = T / n_steps
         snap, dt = numerics["snapshot_times"], T / numerics["n_steps"]
         if not all(0 <= ts <= T for ts in snap) \
                 or len({round(ts / dt) for ts in snap}) < len(snap):
             raise ConfigError("td.snapshot_times must lie in [0, T], on "
                               "distinct time steps")
-        if numerics["route"] not in ("freq", "time"):
-            raise ConfigError("numerics.route must be freq or time")
-        if numerics["variant"] not in VARIANTS:
-            raise ConfigError("numerics.variant must be "
-                              f"{', '.join(VARIANTS[:-1])} or {VARIANTS[-1]}")
 
-        sweep = {
-            "L_values": _floats(cp.get("sweep", "L_values")),
-            "sigma0_values": _floats(cp.get("sweep", "sigma0_values")),
-            "L_ref": cp.getfloat("sweep", "L_ref"),
-        }
+        sweep = p["sweep"]
         for key in ("L_values", "sigma0_values"):
             vals = sweep[key]
             if vals and not np.all(np.diff(vals) > 0):
@@ -299,18 +310,12 @@ def load_config(path: str) -> RunConfig:
         if any(v < 0 for v in sweep["sigma0_values"]):
             raise ConfigError("sweep.sigma0_values must be >= 0")
 
-        rng = _floats(cp.get("audit", "s2_range"))
+        audit = p["audit"]
+        rng = audit.pop("s2_range")
         if len(rng) != 3 or not rng[2].is_integer() or rng[2] < 1:
             raise ConfigError("audit.s2_range must be min,max,count with "
                               "a positive integer count")
-        audit = {
-            "s1_values": _floats(cp.get("audit", "s1_values")),
-            "s2_grid": np.linspace(rng[0], rng[1], int(rng[2])),
-            "xi_points": cp.getint("audit", "xi_points"),
-            "sigma0_values": _floats(cp.get("audit", "sigma0_values")),
-            "L_values": _floats(cp.get("audit", "L_values")),
-            "m": cp.getint("audit", "m"),
-        }
+        audit["s2_grid"] = np.linspace(rng[0], rng[1], int(rng[2]))
         for key in ("s1_values", "sigma0_values", "L_values"):
             if not audit[key] or not all(v > 0 for v in audit[key]):
                 raise ConfigError(f"audit.{key} must be nonempty and "
@@ -328,21 +333,18 @@ def load_config(path: str) -> RunConfig:
                          for sigma0 in audit["sigma0_values"]
                          for L in audit["L_values"]])
 
-        s_pair = _floats(cp.get("layer", "s"))
-        if len(s_pair) != 2 or not s_pair[0] > 0:
+        s_pair, n_values = p["layer"]["s"], p["layer"]["n_values"]
+        if not s_pair[0] > 0:
             raise ConfigError("layer.s must be s1,s2 with s1 > 0")
         _normal_square("layer.s real part", s_pair[0], media.c)
-        n_values = _floats(cp.get("layer", "n_values"))
         if len(n_values) < 2 or not all(v.is_integer() and v >= 8
                                         for v in n_values) \
                 or not np.all(np.diff(n_values) > 0):
             raise ConfigError("layer.n_values must be two or more "
                               "increasing integers >= 8")
-        layer = {
-            "xi_values": _floats(cp.get("layer", "xi_values")),
-            "s": complex(s_pair[0], s_pair[1]),
-            "n_values": [int(v) for v in n_values],
-        }
+        layer = {"xi_values": p["layer"]["xi_values"],
+                 "s": complex(*s_pair),
+                 "n_values": [int(v) for v in n_values]}
         if not layer["xi_values"]:
             raise ConfigError("layer.xi_values must be nonempty")
         _distinct_names("layer.xi_values",
@@ -351,30 +353,27 @@ def load_config(path: str) -> RunConfig:
         _resolvable_layer("pml", pml, min(s1, s_pair[0]), media.c)
         _finite_layer_system(layer, pml, media.c)
 
-        parseval = {k: float(cp.get("parseval", k))
-                    for k in ("s1", "s2_max", "horizon")}
-        parseval["n_freq"] = cp.getint("parseval", "n_freq")
-        parseval["n_time"] = cp.getint("parseval", "n_time")
-        # n_time + 1 samples: the end-corrected time rule reads five
+        parseval = p["parseval"]
+        # n_time + 1 samples: the end-corrected time rule reads five; the
+        # frequency grid spans [-s2_max, s2_max]
         if not (parseval["s1"] > 0 and parseval["horizon"] > 0
                 and parseval["s2_max"] > 0 and parseval["n_time"] >= 4
-                and parseval["n_freq"] >= 1):
+                and parseval["n_freq"] >= 1
+                and math.isfinite(2.0 * parseval["s2_max"])):
             raise ConfigError("parseval needs s1 > 0, horizon > 0, "
-                              "s2_max > 0, n_time >= 4 and n_freq >= 1")
-
-        probes = _points(cp.get("probes", "points"))
-    except (ValueError, configparser.Error) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+                              "0 < s2_max < max double / 2, n_time >= 4 "
+                              "and n_freq >= 1")
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    raw = {sec: dict(cp.items(sec)) for sec in cp.sections()}
     digest = hashlib.sha256(repr(sorted(
-        (sec, tuple(sorted(items.items()))) for sec, items in raw.items()
+        (sec, tuple(sorted(cp.items(sec)))) for sec in cp.sections()
     )).encode())
     if surface_bytes:   # the samples file is an input too
         digest.update(hashlib.sha256(surface_bytes).digest())
     return RunConfig(media=media, geometry=geometry, pml=pml,
                      source=source, numerics=numerics, sweep=sweep,
-                     audit=audit, layer=layer, probes=probes,
+                     audit=audit, layer=layer, probes=p["probes"]["points"],
                      parseval=parseval, digest=digest.hexdigest())

@@ -21,7 +21,7 @@ import pmlstrip.symbols
 from pmlstrip import ConfigError, PmlProfile, assemble, build_blocks, \
     build_mesh, dofs_to_nodal, h_norm_sq, load_config, solve_frequency, \
     source_l2_norm, stability_ratios
-from pmlstrip.config import DEFAULTS
+from pmlstrip.config import SCHEMA
 from pmlstrip.cli import (FitError, emit_plots, fit_rate, main, write_csv,
                           write_field)
 from pmlstrip.symbols import default_xi_grid, principal_sqrt, \
@@ -274,6 +274,19 @@ class TestConfig:
         ("layer", "s = 1,1e160"),
         ("pml", "sigma0 = 1e307"),
         ("layer", "n_values = 8,1e160"),
+        # the source lives on a time interval (0, T) in a ball of radius
+        # > 0: T = 0 ended in a traceback, T = -1 and a negative radius
+        # ran, radius = 0 wrote an all-zero solution
+        ("source", "T = 0"),
+        ("source", "T = -1"),
+        ("source", "radius = 0"),
+        ("source", "radius = -0.06"),
+        # build_mesh's column and row counts, period / mesh_size and
+        # h / mesh_size, overflow (a traceback)
+        ("geom", "period = 1e308"),
+        ("geom", "h = 1e308"),
+        # the frequency grid's width 2 s2_max overflows (an `error:` line)
+        ("parseval", "s2_max = 1e308"),
     ])
     def test_rejected_at_load(self, tmp_path, section, line):
         # each of these used to load and then fail, or be ignored, at
@@ -311,19 +324,34 @@ class TestConfig:
 
     def test_readme_schema_names_every_key(self):
         # the README's INI block documents exactly the sections and keys
-        # load_config accepts
+        # load_config accepts, with their defaults
         text = (Path(__file__).parents[1] / "README.md").read_text()
         block = text.split("## Config schema (INI)", 1)[1] \
             .split("```ini\n", 1)[1].split("```", 1)[0]
-        documented, section = {}, None
-        for line in block.splitlines():
-            if line.startswith("["):
-                section = line.strip("[]")
-                documented[section] = set()
-            elif line.strip() and not line[0].isspace():
-                documented[section].add(line.split("=", 1)[0].strip())
-        assert documented == {sec: set(keys)
-                              for sec, keys in DEFAULTS.items()}
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        cp.optionxform = str
+        cp.read_string(block)
+        assert {sec: dict(cp[sec]) for sec in cp.sections()} == \
+            {sec: {key: default for key, (default, _) in keys.items()}
+             for sec, keys in SCHEMA.items()}
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in SCHEMA.items() for key in keys])
+    def test_every_key_rejects_garbage_and_non_finite(self, tmp_path, capsys,
+                                                      section, key):
+        # a parse failure names the key: one `configuration error:` line,
+        # exit 2 and no manifest, whatever the key's parser
+        out = tmp_path / "out"
+        for value in ("x", "nan", "inf", "-inf"):
+            path = tmp_path / "bad.ini"
+            path.write_text(with_setting(BASE_CONFIG, section,
+                                         f"{key} = {value}"))
+            assert main(["freq-solve", "--config", str(path),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") \
+                and err.count("\n") == 1 and f"{section}.{key}" in err, err
+            assert not (out / "manifest.txt").exists()
 
     def test_keys_case_insensitive(self, tmp_path):
         path = tmp_path / "k.ini"
@@ -653,6 +681,10 @@ class TestSubcommands:
          "sweep.L_values"),
         ("convergence", [("sweep", "L_values = 0.02,0.1,0.2")],
          "sweep.L_values"),
+        ("td-run", [("pml", "L = 1e308")], "pml.L"),
+        ("convergence", [("numerics", "route = time"),
+                         ("sweep", "L_values = 0.25,0.5,1"),
+                         ("sweep", "L_ref = 1e308")], "sweep.L_ref"),
         ("convergence", [("numerics", "route = time"),
                          ("sweep", "L_values = 0.25,0.5,1"),
                          ("sweep", "L_ref = 0.5")], "sweep.L_ref"),
@@ -662,7 +694,8 @@ class TestSubcommands:
     ], ids=["probe-in-inclusion", "probe-above-strip", "probe-below-surface",
             "td-L-below-mesh-size", "td-L-at-mesh-size",
             "freq-L-at-mesh-size", "sweep-L-at-mesh-size",
-            "sweep-L-below-mesh-size", "L_ref-inside-sweep",
+            "sweep-L-below-mesh-size", "td-L-row-count-overflows",
+            "L_ref-row-count-overflows", "L_ref-inside-sweep",
             "L_ref-at-sweep-end"])
     def test_rejected_before_solving(self, tmp_path, capsys, command,
                                      lines, message):
@@ -728,12 +761,15 @@ class TestSubcommands:
 
 
 # a tiny strip for the contract fuzz: the inclusion 0.4-0.6 x 0.15-0.35
-# of BASE_CONFIG, few steps, one or two frequencies, short signals
+# of BASE_CONFIG, few steps, one or two frequencies, short signals, a
+# small audit grid
 FUZZ_MESH = 0.125
 FUZZ_CONFIG = BASE_CONFIG.replace("mesh_size = 0.08",
                                   f"mesh_size = {FUZZ_MESH}") \
     .replace("n_steps = 40", "n_steps = 4") \
-    .replace("n_modes = 16", "n_modes = 4") + "[parseval]\ns2_max = 10\n"
+    .replace("n_modes = 16", "n_modes = 4") \
+    + "[parseval]\ns2_max = 10\nn_freq = 11\nhorizon = 0.5\nn_time = 40\n" \
+    + "[audit]\ns2_range = -5,5,3\nxi_points = 5\n"
 AROUND_MESH = [FUZZ_MESH - 1e-3, FUZZ_MESH, FUZZ_MESH + 1e-3, 0.3]
 # [layer] values around sqrt(max double / 3) = 7.74e153, where
 # layer-check's system overflows for BASE_CONFIG's layer
@@ -741,13 +777,133 @@ AROUND_LAYER_BOUND = [0.0, 1e150, 7.7e153, 7.8e153, 1e154, 1e160]
 # s^4 overflows above max double ** (1/4) = 1.158e77, where freq-solve
 # draws s1 = 1.15e77 and 1.16e77
 QUARTIC_BOUND = np.finfo(float).max ** 0.25
+RECTANGLE = "0.4,0.15; 0.6,0.15; 0.6,0.35; 0.4,0.35"
+# (section, key): (a subcommand that reads the key, values at and around
+# its documented bound, whether a rule rejects the value).  FUZZ_CONFIG
+# has a flat surface at 0, h = 0.5, the inclusion RECTANGLE, the source
+# ball at 0.2,0.25 of radius 0.06, mu = lambda = 1, T = 1, s1 = 1 and
+# L = 0.4; pml.L and the source center and radius decide whether the
+# strip fits around it.
+KEY_BOUNDS = {
+    ("media", "c"): ("freq-solve", [-1.0, 0.0, 0.5, 2.0],
+                     lambda v: v <= 0),
+    ("media", "rho0"): ("freq-solve", [-1.0, 0.0, 1e-3, 2.0],
+                        lambda v: v <= 0),
+    ("media", "rho_e"): ("td-run", [-1.0, 0.0, 1e-3, 2.0],
+                         lambda v: v <= 0),
+    ("media", "lambda"): ("freq-solve", [-1.0, -0.7, -0.6, 0.0],
+                          lambda v: 3 * v + 2 < 0),
+    ("media", "mu"): ("td-run", [-0.5, 0.0, 1e-3, 2.0], lambda v: v < 0),
+    # the inclusion's right side is at x1 = 0.6; 1e308 / mesh_size
+    # overflows build_mesh's column count
+    ("geom", "period"): ("freq-solve", [-1.0, 0.0, 0.6, 0.7, 2.0, 1e308],
+                         lambda v: v <= 0.6 or v == 1e308),
+    # the inclusion's top is at x3 = 0.35
+    ("geom", "h"): ("freq-solve", [0.3, 0.35, 0.36, 0.5, 1e308],
+                    lambda v: v <= 0.35 or v == 1e308),
+    # the inclusion's bottom is at 0.15, the source ball's at 0.19
+    ("geom", "surface"): ("freq-solve", ["flat", "flat:0.1", "flat:0.15",
+                                         "cosine:0.05,1", "cosine:0.05",
+                                         "spline:1,2"],
+                          lambda v: v not in ("flat", "flat:0.1",
+                                              "cosine:0.05,1")),
+    ("geom", "obstacle"): ("freq-solve", [
+        "", RECTANGLE, "0.4,0.15; 0.6,0.2; 0.6,0.35; 0.4,0.35",
+        "0.1,0.15; 0.3,0.15; 0.3,0.35; 0.1,0.35",   # holds the source
+        "0.4,0.15; 0.6,0.15; 0.6,0.5; 0.4,0.5",     # reaches h
+        "0.4,0.15; 0.6,0.15; 0.6,0.35"], lambda v: v not in ("", RECTANGLE)),
+    ("pml", "sigma0"): ("td-run", [-1.0, 0.0, 0.5, 2.0], lambda v: v < 0),
+    ("pml", "m"): ("td-run", [0, 1, 2], lambda v: v < 1),
+    ("pml", "L"): ("td-run", AROUND_MESH + [1e308],
+                   lambda v: v <= FUZZ_MESH or v == 1e308),
+    # the ball's support must clear the surface 0, h = 0.5 and the
+    # inclusion
+    ("source", "center"): ("freq-solve", ["0.2,0.25", "0.2,0.07", "0.2,0.06",
+                                          "0.2,0.43", "0.2,0.44",
+                                          "0.35,0.25", "0.2"],
+                           lambda v: v not in ("0.2,0.25", "0.2,0.07",
+                                               "0.2,0.43")),
+    ("source", "radius"): ("freq-solve", [-0.06, 0.0, 0.06, 0.15, 0.25],
+                           lambda v: not 0 < v < 0.25),
+    ("source", "T"): ("td-run", [-1.0, 0.0, 1e-3, 1.0, 4.0],
+                      lambda v: v <= 0),
+    # (s + a -+ i omega0)^4 must be a finite double
+    ("source", "a"): ("freq-solve", [0.0, 4.0, 1e76, 1.2e77, 1e78],
+                      lambda v: v > QUARTIC_BOUND),
+    ("source", "omega0"): ("freq-solve", [0.0, 8.0, 1e76, 1.2e77, 1e78],
+                           lambda v: v > QUARTIC_BOUND),
+    ("numerics", "mesh_size"): ("freq-solve", [-0.1, 0.0, 0.125, 0.45, 0.5],
+                                lambda v: not 0 < v < 0.5),
+    ("numerics", "s1"): ("freq-solve", [-1.0, 0.0, 1e-160, 1e-150, 1.0, 1e78],
+                         lambda v: not 1e-154 < v < QUARTIC_BOUND),
+    ("numerics", "n_steps"): ("td-run", [-1, 0, 1, 4], lambda v: v < 1),
+    ("numerics", "n_modes"): ("freq-solve", [-1, 0, 4, 1000],
+                              lambda v: v < 0),
+    ("numerics", "route"): ("convergence", ["freq", "time", "Freq"],
+                            lambda v: v not in ("freq", "time")),
+    ("numerics", "variant"): ("freq-solve", ["exact_dtn", "pml_dtn",
+                                             "pml_layer", "pml"],
+                              lambda v: v == "pml"),
+    ("freq", "s2_values"): ("freq-solve", ["", "0", "0,5", "5,5.0000001",
+                                           "0,1e200"],
+                            lambda v: v in ("5,5.0000001", "0,1e200")),
+    # T = 1 in four steps of 0.25
+    ("td", "snapshot_times"): ("td-run", ["", "0,1", "0.5,0.51", "-0.1",
+                                          "1.1"],
+                               lambda v: v in ("0.5,0.51", "-0.1", "1.1")),
+    ("sweep", "L_values"): ("convergence", ["0.25,0.5,1", "0.125,0.5,1",
+                                            "0.126,0.5,1", "0.25,0.5",
+                                            "0.5,0.25,1"],
+                            lambda v: v not in ("0.25,0.5,1",
+                                                "0.126,0.5,1")),
+    ("sweep", "sigma0_values"): ("convergence", ["", "0", "1,2", "-1", "2,1"],
+                                 lambda v: v in ("-1", "2,1")),
+    # the frequency route does not read L_ref
+    ("sweep", "L_ref"): ("convergence", [0.5, 3.0, 1e308], lambda v: False),
+    ("audit", "s1_values"): ("symbol-audit", ["1", "0.1,1", "0", "-1",
+                                              "1,1e-170", "1,1e160"],
+                             lambda v: v not in ("1", "0.1,1")),
+    ("audit", "s2_range"): ("symbol-audit", ["-5,5,3", "-5,5,1", "-5,5,0",
+                                             "-5,5,2.5", "-5,5"],
+                            lambda v: v not in ("-5,5,3", "-5,5,1")),
+    ("audit", "xi_points"): ("symbol-audit", [0, 1, 5], lambda v: v < 1),
+    ("audit", "sigma0_values"): ("symbol-audit", ["1", "0", "-1", "2,2"],
+                                 lambda v: v != "1"),
+    ("audit", "L_values"): ("symbol-audit", ["1", "0", "1e-15",
+                                             "1,1.0000001"],
+                            lambda v: v != "1"),
+    ("audit", "m"): ("symbol-audit", [0, 1, 3], lambda v: v < 1),
+    ("layer", "xi_values"): ("layer-check", ["0", "", "6.2831853,6.28318531",
+                                             "1e154"], lambda v: v != "0"),
+    ("layer", "s"): ("layer-check", ["1,0", "0,1", "-1,0", "1", "1e160,0"],
+                     lambda v: v != "1,0"),
+    ("layer", "n_values"): ("layer-check", ["8,16", "4,8", "16,8", "32",
+                                            "8,16.5"], lambda v: v != "8,16"),
+    # off the inclusion, between the surface and the layer top 0.9
+    ("probes", "points"): ("td-run", ["0.25,0.3", "0.5,0.9", "0.5,0.25",
+                                      "0.5,0.95", "0.5,-0.01", "0.25"],
+                           lambda v: v not in ("0.25,0.3", "0.5,0.9")),
+    ("parseval", "s1"): ("parseval", [-1.0, 0.0, 0.5], lambda v: v <= 0),
+    ("parseval", "s2_max"): ("parseval", [-400.0, 0.0, 10.0, 1e308],
+                             lambda v: v <= 0 or v == 1e308),
+    ("parseval", "n_freq"): ("parseval", [0, 1, 11], lambda v: v < 1),
+    ("parseval", "horizon"): ("parseval", [-1.0, 0.0, 0.5],
+                              lambda v: v <= 0),
+    ("parseval", "n_time"): ("parseval", [1, 3, 4, 40], lambda v: v < 4),
+}
 
 
 @st.composite
 def contract_cases(draw):
     """(command, lines, rejected): values at and around the bounds of
     the rules checked where td-run, freq-solve, convergence, parseval
-    and layer-check read them, and whether a rule rejects them."""
+    and layer-check read them, or at and around one key's documented
+    bound, and whether a rule rejects them."""
+    if draw(st.booleans()):
+        section, key = draw(st.sampled_from(sorted(KEY_BOUNDS)))
+        command, values, rejected = KEY_BOUNDS[section, key]
+        value = draw(st.sampled_from(values))
+        return command, [(section, f"{key} = {value}")], rejected(value)
     command = draw(st.sampled_from(["td-run", "freq-solve", "convergence",
                                     "parseval", "layer-check"]))
     if command == "layer-check":
@@ -809,31 +965,48 @@ def contract_cases(draw):
         or (0.4 < x1 < 0.6 and 0.15 < x3 < 0.35)
 
 
+def check_exit_contract(command, lines, rejected):
+    """Exit 2 exactly when a rule rejects the values, with one
+    `configuration error:` line and no manifest; exit 1 only through a
+    gate the manifest records; never an `error:` line."""
+    text = FUZZ_CONFIG
+    for section, line in lines:
+        text = with_setting(text, section, line)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "f.ini"), os.path.join(tmp, "out")
+        Path(path).write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", out])
+        manifest = os.path.join(out, "manifest.txt")
+        assert "error: " not in err.getvalue().replace(
+            "configuration error: ", "")
+        assert (code == 2) == rejected, (code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().count("\n") == 1
+            assert not os.path.exists(manifest)
+        elif code == 1:
+            gates = Path(manifest).read_text()
+            assert "fit_rejected=" in gates or "pass=0" in gates
+
+
 class TestExitContract:
     @settings(max_examples=60, deadline=None)
     @given(case=contract_cases())
     def test_exits_0_2_or_a_documented_gate(self, case):
-        # exit 2 exactly when a rule rejects the values; exit 1 only
-        # through a gate the manifest records; never an `error:` line
-        command, lines, rejected = case
-        text = FUZZ_CONFIG
-        for section, line in lines:
-            text = with_setting(text, section, line)
-        with tempfile.TemporaryDirectory() as tmp:
-            path, out = os.path.join(tmp, "f.ini"), os.path.join(tmp, "out")
-            Path(path).write_text(text)
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([command, "--config", path, "--out", out])
-            manifest = os.path.join(out, "manifest.txt")
-            assert "error: " not in err.getvalue().replace(
-                "configuration error: ", "")
-            assert (code == 2) == rejected, (code, err.getvalue())
-            if code == 2:
-                assert not os.path.exists(manifest)
-            elif code == 1:
-                gates = Path(manifest).read_text()
-                assert "fit_rejected=" in gates or "pass=0" in gates
+        check_exit_contract(*case)
+
+    @pytest.mark.parametrize("section, key, value", [
+        (section, key, value) for (section, key), (_, values, _) in
+        KEY_BOUNDS.items() for value in values])
+    def test_each_documented_bound(self, section, key, value):
+        command, _, rejected = KEY_BOUNDS[section, key]
+        check_exit_contract(command, [(section, f"{key} = {value}")],
+                            rejected(value))
+
+    def test_bounds_cover_every_key(self):
+        assert set(KEY_BOUNDS) == {(section, key) for section, keys in
+                                   SCHEMA.items() for key in keys}
 
 
 def serial_freq_solve(cfg, out):

@@ -12,8 +12,9 @@ equal paths.  Prints each run's exit code, then one `sha256  path` line
 per output file and one for the contour trace's bytes, sorted.
 
 Two checkouts write byte-identical outputs when the script prints the
-same lines with PYTHONPATH set to each one's src directory.  Standard
-library and the package only.
+same lines with PYTHONPATH set to each one's src directory.
+tests/test_output_digests.py compares the lines with those recorded in
+tools/output_digests.txt.  Standard library and the package only.
 """
 
 import contextlib
