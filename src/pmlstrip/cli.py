@@ -13,7 +13,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,7 +187,16 @@ plt.savefig("symbol_audit.png", dpi=150)
 # subcommands
 # ---------------------------------------------------------------------------
 
-def run_symbol_audit(cfg: RunConfig, out: str) -> int:
+# each run_* writes its files to `out` and returns (ok, manifest extras)
+
+def _blocks(cfg: RunConfig, pml: PmlProfile | None):
+    """Blocks on the configured strip and mesh size, topped by `pml`."""
+    return build_blocks(build_mesh(cfg.geometry, pml,
+                                   cfg.numerics["mesh_size"]),
+                        cfg.numerics["n_modes"])
+
+
+def run_symbol_audit(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     """One CSV per (sigma0, L), written block by block: per s, one
     symbol evaluation over every profile, the cells shared by all files
     (s1, s2, xi, beta) formatted once, then each file's gap cells and
@@ -197,7 +206,7 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> int:
              for L in a["L_values"]]
     paths = [os.path.join(out, f"audit_sigma{sigma0:g}_L{L:g}.csv")
              for sigma0, L in files]
-    profiles = {v: [PmlProfile(sigma0=sigma0, m=a["m"], L=L, s1=v)
+    profiles = {v: [replace(cfg.pml, sigma0=sigma0, m=a["m"], L=L, s1=v)
                     for sigma0, L in files] for v in a["s1_values"]}
     s1 = np.repeat(a["s1_values"], a["s2_grid"].size)
     s2 = np.tile(a["s2_grid"], len(a["s1_values"]))
@@ -229,12 +238,10 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> int:
                 cells[2::3] = [ends[k] for k in ok.tolist()]
                 fh.write(_format_rows("%s" + CELL + "%s", cells, n))
     emit_plots(paths[0], os.path.join(out, "plot_audit.py"), "audit")
-    write_manifest(out, cfg, "symbol-audit",
-                   {"pass": "1" if all_pass else "0"})
-    return 0 if all_pass else 1
+    return all_pass, {"pass": int(all_pass)}
 
 
-def run_layer_check(cfg: RunConfig, out: str) -> int:
+def run_layer_check(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     lay, c, pml = cfg.layer, cfg.media.c, cfg.pml
     ok, summary = True, []
     for xi in lay["xi_values"]:
@@ -248,8 +255,9 @@ def run_layer_check(cfg: RunConfig, out: str) -> int:
             dtn = numeric_dtn_at_h(sol)
             summary.append((xi, n, errs[-1], dtn.real, dtn.imag,
                             sym.real, sym.imag))
-        order = np.polyfit(np.log(lay["n_values"]), np.log(errs), 1)[0]
-        ok &= bool(-2.3 <= order <= -1.7)
+        # errors of exactly 0 (the mode underflows on every grid) fit no order
+        ok &= min(errs) > 0 and bool(-2.3 <= np.polyfit(
+            np.log(lay["n_values"]), np.log(errs), 1)[0] <= -1.7)
         # dump the finest grid profile per mode
         write_csv(os.path.join(out, f"layer_mode_xi{xi:g}.csv"),
                   ["x3", "v_re", "v_im", "analytic_re", "analytic_im"],
@@ -258,8 +266,7 @@ def run_layer_check(cfg: RunConfig, out: str) -> int:
     write_csv(os.path.join(out, "layer_summary.csv"),
               ["xi", "n", "max_err", "dtn_re", "dtn_im",
                "symbol_re", "symbol_im"], summary)
-    write_manifest(out, cfg, "layer-check", {"pass": "1" if ok else "0"})
-    return 0 if ok else 1
+    return ok, {"pass": int(ok)}
 
 
 def _above_mesh_size(what: str, L_values, cfg: RunConfig) -> None:
@@ -273,17 +280,15 @@ def _above_mesh_size(what: str, L_values, cfg: RunConfig) -> None:
                           f"{mesh_size:g}, by a finite ratio")
 
 
-def run_freq_solve(cfg: RunConfig, out: str) -> int:
+def run_freq_solve(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     variant = cfg.numerics["variant"]
     with_layer = variant == "pml_layer"
     if with_layer:
         _above_mesh_size("pml.L", [cfg.pml.L], cfg)
-    mesh = build_mesh(cfg.geometry, cfg.pml if with_layer else None,
-                      cfg.numerics["mesh_size"])
-    blk = build_blocks(mesh, cfg.numerics["n_modes"])
-    export_mesh(mesh, os.path.join(out, "mesh.txt"))
+    blk = _blocks(cfg, cfg.pml if with_layer else None)
+    export_mesh(blk.mesh, os.path.join(out, "mesh.txt"))
     chi = source_l2_norm(blk, cfg.source.spatial)
-    s1 = cfg.numerics["s1"]
+    s1 = cfg.pml.s1
     s2_values = cfg.numerics["freq_s2_values"]
 
     def solve(s2):
@@ -305,23 +310,20 @@ def run_freq_solve(cfg: RunConfig, out: str) -> int:
     write_csv(os.path.join(out, "freq_summary.csv"),
               ["s1", "s2", "fluid_lhs", "solid_lhs", "fluid_ratio",
                "solid_ratio", "residual"], rows)
-    write_manifest(out, cfg, "freq-solve",
-                   {"n_modes_effective": blk.n_modes_effective})
-    return 0
+    return True, {"n_modes_effective": blk.n_modes_effective}
 
 
-def run_td(cfg: RunConfig, out: str) -> int:
+def run_td(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     _above_mesh_size("pml.L", [cfg.pml.L], cfg)
     # the inclusion carries no pressure: a probe there would read 0
     ob = cfg.geometry.obstacle
     if ob is not None and np.any(ob.contains(*cfg.probes.T)):
         raise ConfigError("probes.points must lie off the inclusion")
-    mesh = build_mesh(cfg.geometry, cfg.pml, cfg.numerics["mesh_size"])
+    blk = _blocks(cfg, cfg.pml)
     try:
-        probes = locate_probes(mesh, cfg.probes)
+        probes = locate_probes(blk.mesh, cfg.probes)
     except ProbeError as exc:
         raise ConfigError(f"probes.points: {exc}") from exc
-    blk = build_blocks(mesh, cfg.numerics["n_modes"])
     traj = newmark_run(blk, cfg.media, cfg.source, cfg.source.T,
                        cfg.numerics["n_steps"], probes=probes,
                        snapshot_times=cfg.numerics["snapshot_times"],
@@ -337,19 +339,16 @@ def run_td(cfg: RunConfig, out: str) -> int:
     ratios = energy_trace(traj, blk, cfg.media, cfg.source)
     write_csv(os.path.join(out, "energy_ratios.csv"),
               sorted(ratios), [[ratios[k] for k in sorted(ratios)]])
-    write_manifest(out, cfg, "td-run",
-                   {"n_modes_effective": blk.n_modes_effective})
-    return 0
+    return True, {"n_modes_effective": blk.n_modes_effective}
 
 
 def _freq_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     """Squared H-norm gaps between the transparent-boundary reference
     and the layer solutions, summed over the configured frequencies,
     and the reference's effective boundary-map mode count."""
-    mesh_ref = build_mesh(cfg.geometry, None, cfg.numerics["mesh_size"])
-    blk_ref = build_blocks(mesh_ref, cfg.numerics["n_modes"])
-    s1 = cfg.numerics["s1"]
-    s_list = [complex(s1, s2) for s2 in cfg.numerics["freq_s2_values"]]
+    blk_ref = _blocks(cfg, None)
+    s_list = [complex(cfg.pml.s1, s2)
+              for s2 in cfg.numerics["freq_s2_values"]]
 
     def solve_all(blk, variant):
         return map_solves(lambda s: solve_frequency(assemble(
@@ -359,9 +358,7 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     refs = solve_all(blk_ref, "exact_dtn")
     errors = []
     for L in L_values:
-        pml = PmlProfile(sigma0=cfg.pml.sigma0, m=cfg.pml.m, L=L, s1=s1)
-        mesh_L = build_mesh(cfg.geometry, pml, cfg.numerics["mesh_size"])
-        blk_L = build_blocks(mesh_L, cfg.numerics["n_modes"])
+        blk_L = _blocks(cfg, replace(cfg.pml, L=L))
         shared = shared_dofs(blk_ref, blk_L)
         errors.append(sum(h_norm_sq(blk_ref, sol.x[shared] - ref.x)
                           for sol, ref in zip(solve_all(blk_L, "pml_layer"),
@@ -374,19 +371,14 @@ def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     run, restricted to the sub-layer mesh (the layer meshes extend it:
     fem.shared_dofs), and the sub-layer blocks' effective boundary-map
     mode count."""
-    s1 = cfg.numerics["s1"]
     n_steps = cfg.numerics["n_steps"]
     T = cfg.source.T
     sigma_ref = max([cfg.pml.sigma0] + cfg.sweep["sigma0_values"])
-
-    mesh_sub = build_mesh(cfg.geometry, None, cfg.numerics["mesh_size"])
-    blk_sub = build_blocks(mesh_sub, cfg.numerics["n_modes"])
+    blk_sub = _blocks(cfg, None)
 
     def history(L, sigma0):
         """Sub-layer dof vectors of one run, one column per step."""
-        pml = PmlProfile(sigma0=sigma0, m=cfg.pml.m, L=L, s1=s1)
-        mesh = build_mesh(cfg.geometry, pml, cfg.numerics["mesh_size"])
-        blk = build_blocks(mesh, cfg.numerics["n_modes"])
+        blk = _blocks(cfg, replace(cfg.pml, L=L, sigma0=sigma0))
         return newmark_run(blk, cfg.media, cfg.source, T, n_steps,
                            store_dofs=shared_dofs(blk_sub, blk)).history
 
@@ -399,7 +391,7 @@ def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     return errors, blk_sub.n_modes_effective
 
 
-def run_convergence(cfg: RunConfig, out: str) -> int:
+def run_convergence(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     L_values = cfg.sweep["L_values"]
     if len(L_values) < 3:
         raise ConfigError("convergence sweep needs at least 3 L values")
@@ -421,21 +413,18 @@ def run_convergence(cfg: RunConfig, out: str) -> int:
     extra = {"rate_theory_lbar": f"{rate_lbar:.12g}",
              "rate_theory_printed": f"{rate_printed:.12g}",
              "n_modes_effective": n_modes_effective}
-    code = 0
     try:
         fit = fit_rate(L_values, np.sqrt(np.asarray(errors)))
         extra["fitted_exponent"] = f"{fit.exponent:.12g}"
         extra["fit_residual"] = f"{fit.residual:.12g}"
     except FitError as exc:
         extra["fit_rejected"] = str(exc)
-        code = 1
     emit_plots(csv_path, os.path.join(out, "plot_convergence.py"),
                "convergence", (rate_lbar, rate_printed))
-    write_manifest(out, cfg, "convergence", extra)
-    return code
+    return "fit_rejected" not in extra, extra
 
 
-def run_parseval(cfg: RunConfig, out: str) -> int:
+def run_parseval(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     par = cfg.parseval
     s1 = par["s1"]
     horizon, n_time = par["horizon"], par["n_time"]
@@ -470,8 +459,7 @@ def run_parseval(cfg: RunConfig, out: str) -> int:
           / max(ref, 1e-300), 1e-5)
     write_csv(os.path.join(out, "parseval.csv"),
               ["case", "residual", "tolerance", "pass"], rows)
-    write_manifest(out, cfg, "parseval", {"pass": "1" if ok else "0"})
-    return 0 if ok else 1
+    return ok, {"pass": int(ok)}
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +490,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out)
+        ok, extras = _COMMANDS[args.command](cfg, args.out)
+        write_manifest(args.out, cfg, args.command, extras)
+        return 0 if ok else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -211,19 +211,24 @@ def _finite_pulse_transform(pulse: Pulse, s1: float, s2_values) -> None:
 
 
 def _finite_layer_system(layer: dict, pml: PmlProfile, c: float) -> None:
-    """Reject [layer] values that overflow fd_layer_solve's system: its
-    largest entry is below 2 (n/L)^2 + |k2| sigma_max, where
-    |k2| = |s^2/c^2 + xi^2| <= |s|^2/c^2 + xi^2 and the damping peaks at
-    sigma_max = 1 + sigma0/s1 on the layer top."""
+    """Reject [layer] and pml.L values that overflow layer-check:
+    fd_layer_solve's largest entry is below 2 (n/L)^2 + |k2| sigma_max,
+    where |k2| = |s^2/c^2 + xi^2| <= |s|^2/c^2 + xi^2 and the damping
+    peaks at sigma_max = 1 + sigma0/s1 on the layer top; it squares its
+    widest grid step L/n; and the layer symbol takes exp(-2 beta L~),
+    with |beta| <= sqrt(|s|^2/c^2 + xi^2)."""
     s, xi = layer["s"], np.max(np.abs(layer["xi_values"]))
     with np.errstate(over="ignore"):
         k = np.hypot(np.hypot(s.real, s.imag) / c, xi)
         bound = 2.0 * (np.float64(max(layer["n_values"])) / pml.L) ** 2 \
             + k * k * (1.0 + np.float64(pml.sigma0) / pml.s1)
-    if not np.isfinite(bound):
-        raise ConfigError("layer: the finite-difference system overflows: "
-                          "(|s|^2/c^2 + xi^2)(1 + sigma0/s1) + 2 (n/L)^2 "
-                          "is not a finite double")
+        step = pml.L / np.float64(min(layer["n_values"]))
+        finite = np.isfinite([bound, step * step, 2.0 * k * pml.L_tilde])
+    if not finite.all():
+        raise ConfigError("layer: layer-check overflows: (|s|^2/c^2 + xi^2)"
+                          "(1 + sigma0/s1) + 2 (n/L)^2, (L/n)^2 and "
+                          "2 sqrt(|s|^2/c^2 + xi^2) L~ must be finite "
+                          "doubles")
 
 
 def load_config(path: str) -> RunConfig:
@@ -269,7 +274,8 @@ def load_config(path: str) -> RunConfig:
         T = src["T"]
         if not (T > 0 and src["radius"] > 0):
             raise ConfigError("source needs T > 0 and radius > 0")
-        s1 = 1.0 / T if p["numerics"]["s1"] is None else p["numerics"]["s1"]
+        s1 = p["numerics"].pop("s1")   # kept once, as pml.s1
+        s1 = 1.0 / T if s1 is None else s1
         pml = PmlProfile(s1=s1, **p["pml"])
         _normal_square("numerics.s1", s1, media.c)
 
@@ -277,7 +283,7 @@ def load_config(path: str) -> RunConfig:
                             pulse=Pulse(a=src["a"], omega0=src["omega0"]))
         check_source(source, geometry)
 
-        numerics = {**p["numerics"], "s1": s1,
+        numerics = {**p["numerics"],
                     "freq_s2_values": p["freq"]["s2_values"],
                     "snapshot_times": p["td"]["snapshot_times"]}
         _distinct_names("freq.s2_values", [f"{v:g}" for v in

@@ -561,11 +561,22 @@ def assemble(blk: FemBlocks, media: MediaParams, s: complex,
     return FrequencySystem(matrix=form.matrix(data), rhs=rhs)
 
 
+def _ldexp(v: np.ndarray, e: int) -> np.ndarray:
+    """v times 2^e, real and imaginary parts apart: exact while they
+    stay normal doubles."""
+    v = np.ascontiguousarray(v)
+    return np.ldexp(v.view(float), e).view(v.dtype)
+
+
 def solve_frequency(system: FrequencySystem,
                     rhs: np.ndarray | None = None) -> FrequencySolution:
     """Sparse direct solve with a residual check and one step of
-    iterative refinement if needed."""
+    iterative refinement if needed, on the load scaled by the power of
+    two 2^-e that puts max|b| in [0.5, 1), where neither norm underflows
+    nor overflows; x is scaled back by 2^e."""
     b = system.rhs if rhs is None else rhs
+    e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    b = _ldexp(b, -e)
     lu = factorize(system.matrix)
     x = lu.solve(b)
     norm_b = np.linalg.norm(b)
@@ -580,7 +591,7 @@ def solve_frequency(system: FrequencySystem,
         res = float(np.linalg.norm(r) / norm_b)
     else:
         res = 0.0
-    return FrequencySolution(x=x, residual=res, lu_nnz=lu.nnz)
+    return FrequencySolution(x=_ldexp(x, e), residual=res, lu_nnz=lu.nnz)
 
 
 # ---------------------------------------------------------------------------

@@ -57,44 +57,31 @@ class StripMesh:
 
 
 def _level_rows(geom: Geometry, pml: PmlProfile | None, target: float):
-    """Return (levels, row_of_h, rows_b) where levels is a list of
-    callables x1 -> x3 and rows_b the row indices of the obstacle
+    """Return (t, z, row_h, rows_b): grid row r lies at
+    x3 = (1 - t[r]) f(x1) + t[r] z[r] over the bottom profile f, so rows
+    with t = 1 are flat; rows_b are the row indices of the obstacle
     bottom/top (or None)."""
-    f = geom.surface
-    h = geom.h
-    levels: list = []
+    f, h, ob = geom.surface, geom.h, geom.obstacle
+    # rows blending from the bottom to the first flat level
+    top = h if ob is None else ob.x3a
+    n = max(2, round((top - 0.5 * (f.f_minus + f.f_plus)) / target))
+    t, z = [np.arange(n + 1) / n], [np.full(n + 1, top)]
     rows_b = None
 
-    def blend(lo_func, hi_value, n):
-        for j in range(0 if not levels else 1, n + 1):
-            t = j / n
-            levels.append(lambda x, t=t: (1.0 - t) * lo_func(x) + t * hi_value)
+    def flat(lo, width, n):
+        """Flat rows at lo + j/n width, j = 1..n."""
+        t.append(np.ones(n))
+        z.append(lo + np.arange(1, n + 1) / n * width)
 
-    if geom.obstacle is None:
-        n3 = max(2, round((h - 0.5 * (f.f_minus + f.f_plus)) / target))
-        blend(f, h, n3)
-    else:
-        ob = geom.obstacle
-        nA = max(2, round((ob.x3a - 0.5 * (f.f_minus + f.f_plus)) / target))
+    if ob is not None:
         nB = max(1, round((ob.x3b - ob.x3a) / target))
-        nC = max(1, round((h - ob.x3b) / target))
-        blend(f, ob.x3a, nA)
-        rb1 = len(levels) - 1
-        for j in range(1, nB + 1):
-            z = ob.x3a + j / nB * (ob.x3b - ob.x3a)
-            levels.append(lambda x, z=z: np.full_like(x, z, dtype=float))
-        rb2 = len(levels) - 1
-        for j in range(1, nC + 1):
-            z = ob.x3b + j / nC * (h - ob.x3b)
-            levels.append(lambda x, z=z: np.full_like(x, z, dtype=float))
-        rows_b = (rb1, rb2)
-    row_h = len(levels) - 1
+        flat(ob.x3a, ob.x3b - ob.x3a, nB)
+        flat(ob.x3b, h - ob.x3b, max(1, round((h - ob.x3b) / target)))
+        rows_b = (n, n + nB)
+    row_h = sum(map(len, t)) - 1
     if pml is not None:
-        nP = max(2, round(pml.L / target))
-        for j in range(1, nP + 1):
-            z = h + j / nP * pml.L
-            levels.append(lambda x, z=z: np.full_like(x, z, dtype=float))
-    return levels, row_h, rows_b
+        flat(h, pml.L, max(2, round(pml.L / target)))
+    return np.concatenate(t), np.concatenate(z), row_h, rows_b
 
 
 def build_mesh(geom: Geometry, pml: PmlProfile | None,
@@ -126,14 +113,13 @@ def build_mesh(geom: Geometry, pml: PmlProfile | None,
                                 "size")
         cols_ob = (ia, ib)
 
-    levels, row_h, rows_b = _level_rows(geom, pml, target_h)
-    n_rows = len(levels)
+    t, z, row_h, rows_b = _level_rows(geom, pml, target_h)
+    n_rows = t.size
 
-    verts = np.empty((n_rows * (n1 + 1), 2))
-    for r, lv in enumerate(levels):
-        sl = slice(r * (n1 + 1), (r + 1) * (n1 + 1))
-        verts[sl, 0] = x1
-        verts[sl, 1] = lv(x1)
+    verts = np.empty((n_rows, n1 + 1, 2))
+    verts[..., 0] = x1
+    verts[..., 1] = (1.0 - t)[:, None] * f(x1) + t[:, None] * z[:, None]
+    verts = verts.reshape(-1, 2)
 
     def vid(r, c):
         return r * (n1 + 1) + c

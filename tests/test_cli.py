@@ -8,6 +8,7 @@ import os
 import sys
 import tempfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,7 @@ class TestConfig:
         assert cfg.media.c == 1.0
         assert cfg.geometry.obstacle is not None
         assert cfg.pml.s1 == 1.0
+        assert "s1" not in cfg.numerics     # pml.s1 is the one copy
         assert len(cfg.digest) == 64
         assert cfg.numerics["route"] == "freq"
         # digest is stable
@@ -269,11 +271,14 @@ class TestConfig:
         ("numerics", "s1 = 1e120"),
         ("freq", "s2_values = 0,1e200"),
         # layer-check's system overflows (a traceback or `error:` line)
-        # through xi, s, the damping 1 + sigma0/s1 or the grid's (n/L)^2
+        # through xi, s, the damping 1 + sigma0/s1, the grid's (n/L)^2 or
+        # its squared step (L/n)^2
         ("layer", "xi_values = 1e154"),
         ("layer", "s = 1,1e160"),
         ("pml", "sigma0 = 1e307"),
         ("layer", "n_values = 8,1e160"),
+        ("pml", "L = 1e160"),
+        ("pml", "L = 1e308"),
         # the source lives on a time interval (0, T) in a ball of radius
         # > 0: T = 0 ended in a traceback, T = -1 and a negative radius
         # ran, radius = 0 wrote an all-zero solution
@@ -295,7 +300,8 @@ class TestConfig:
         path.write_text(with_setting(BASE_CONFIG, section, line))
         with pytest.raises(ConfigError):
             load_config(str(path))
-        command = "layer-check" if section == "layer" else "symbol-audit"
+        command = "layer-check" if section in ("layer", "pml") \
+            else "symbol-audit"
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) \
             == 2
@@ -614,7 +620,9 @@ class TestSubcommands:
         # s1 = 1e60 and 1e55 load; the solid envelope g_norm / (s1 min(1,
         # s1)) underflows to 0, which used to end in a ZeroDivisionError,
         # and so does the solution: 0 over a zero envelope reads 0, as
-        # under a zero load (it read inf)
+        # under a zero load (it read inf).  The residual is measured on
+        # the load scaled to max|b| in [0.5, 1), where its norm no longer
+        # underflows (it read 0)
         cases = [[("numerics", "s1 = 1e60"), ("numerics", "mesh_size = 0.1"),
                   ("freq", "s2_values = 0,5")]] + [
             [("numerics", "s1 = 1e55"), ("numerics", "mesh_size = 0.125"),
@@ -630,8 +638,10 @@ class TestSubcommands:
             assert main(["freq-solve", "--config", str(path),
                          "--out", str(out)]) == 0
             rows = (out / "freq_summary.csv").read_text().splitlines()[1:]
-            assert [row.split(",", 2)[2] for row in rows] \
-                == ["0,0,0,0,0"] * len(rows)
+            assert [row.split(",")[2:6] for row in rows] \
+                == [["0"] * 4] * len(rows)
+            assert all(0 < float(row.split(",")[6]) <= 1e-10
+                       for row in rows)
 
     def test_td_run(self, config_path, tmp_path):
         out = str(tmp_path / "td")
@@ -681,7 +691,9 @@ class TestSubcommands:
          "sweep.L_values"),
         ("convergence", [("sweep", "L_values = 0.02,0.1,0.2")],
          "sweep.L_values"),
-        ("td-run", [("pml", "L = 1e308")], "pml.L"),
+        # L / mesh_size overflows while layer-check's (L/n)^2 stays finite
+        ("td-run", [("numerics", "mesh_size = 1e-300"), ("pml", "L = 1e10")],
+         "pml.L"),
         ("convergence", [("numerics", "route = time"),
                          ("sweep", "L_values = 0.25,0.5,1"),
                          ("sweep", "L_ref = 1e308")], "sweep.L_ref"),
@@ -908,19 +920,25 @@ def contract_cases(draw):
                                     "parseval", "layer-check"]))
     if command == "layer-check":
         # the layer system holds (s^2/c^2 + xi^2) times the damping, which
-        # peaks at 1 + sigma0/s1 = 3: 3 (|s|^2 + xi^2) must stay finite
+        # peaks at 1 + sigma0/s1 = 3: 3 (|s|^2 + xi^2) must stay finite;
+        # so must the squared step (L/8)^2 and the layer symbol's exponent
+        # 2 |beta| L~ <= 4 sqrt(|s|^2 + xi^2) L (L~ = 2 L)
         xi = draw(st.sampled_from(AROUND_LAYER_BOUND))
         s1, s2 = draw(st.sampled_from([(1.0, 0.0), (1.0, 7.7e153),
                                        (7.7e153, 0.0), (1.0, 7.8e153),
                                        (7.8e153, 1.0), (1e160, 0.0),
                                        (1.0, 1e160)]))
+        L = draw(st.sampled_from([0.4, 1e155, 1e156, 1e308]))
         with np.errstate(over="ignore"):
             entry = 3.0 * (np.float64(xi) ** 2 + np.float64(s1) ** 2
                            + np.float64(s2) ** 2)
+            k = np.hypot(np.hypot(s1, s2), xi)
+            finite = np.isfinite([entry, (np.float64(L) / 8) ** 2,
+                                  4.0 * k * L])
         return command, [("layer", f"xi_values = {xi!r}"),
                          ("layer", f"s = {s1!r},{s2!r}"),
-                         ("layer", "n_values = 8,16")], \
-            not np.isfinite(entry)
+                         ("layer", "n_values = 8,16"),
+                         ("pml", f"L = {L!r}")], not finite.all()
     if command == "parseval":
         s1, horizon = draw(st.sampled_from([-1.0, 0.0, 0.5])), \
             draw(st.sampled_from([-1.0, 0.0, 0.5]))
@@ -1004,6 +1022,24 @@ class TestExitContract:
         check_exit_contract(command, [(section, f"{key} = {value}")],
                             rejected(value))
 
+    @pytest.mark.parametrize("lines", [
+        [("pml", "L = 1e155")],
+        # every error is exactly 0, the mode underflowing on both grids:
+        # no order to fit (log 0 raised a RuntimeWarning)
+        [("pml", "L = 1e155"), ("layer", "xi_values = 1e150"),
+         ("layer", "n_values = 8,16")]], ids=["default-layer", "zero-errors"])
+    def test_layer_check_thickest_layer_fails_its_gate(self, tmp_path,
+                                                       lines):
+        # (L/n)^2 is finite up to L = 1e155 for n >= 8: layer-check runs
+        text = BASE_CONFIG
+        for section, line in lines:
+            text = with_setting(text, section, line)
+        path, out = tmp_path / "thick.ini", tmp_path / "out"
+        path.write_text(text)
+        assert main(["layer-check", "--config", str(path),
+                     "--out", str(out)]) == 1
+        assert "pass=0" in (out / "manifest.txt").read_text()
+
     def test_bounds_cover_every_key(self):
         assert set(KEY_BOUNDS) == {(section, key) for section, keys in
                                    SCHEMA.items() for key in keys}
@@ -1019,7 +1055,7 @@ def serial_freq_solve(cfg, out):
     chi = source_l2_norm(blk, cfg.source.spatial)
     rows = []
     for s2 in num["freq_s2_values"]:
-        s = complex(num["s1"], s2)
+        s = complex(cfg.pml.s1, s2)
         scale = complex(cfg.source.pulse.laplace(s))
         sol = solve_frequency(assemble(blk, cfg.media, s, cfg.source.spatial,
                                        scale, variant, cfg.pml))
@@ -1029,7 +1065,7 @@ def serial_freq_solve(cfg, out):
                               p_hat)
         reference_write_field(os.path.join(out, f"u_hat_s2_{s2:g}.txt"),
                               u_hat)
-        rows.append((num["s1"], s2, ratios["fluid_lhs"], ratios["solid_lhs"],
+        rows.append((cfg.pml.s1, s2, ratios["fluid_lhs"], ratios["solid_lhs"],
                      ratios["fluid_ratio"], ratios["solid_ratio"],
                      sol.residual))
     reference_write_csv(os.path.join(out, "freq_summary.csv"),
@@ -1054,7 +1090,7 @@ def serial_freq_route_errors(cfg, L_values):
     blk_ref = build_blocks(build_mesh(cfg.geometry, None, num["mesh_size"]),
                            num["n_modes"])
     nv = blk_ref.mesh.n_vertices
-    s_list = [complex(num["s1"], s2) for s2 in num["freq_s2_values"]]
+    s_list = [complex(cfg.pml.s1, s2) for s2 in num["freq_s2_values"]]
 
     def solve(blk, s, variant):
         return solve_frequency(assemble(blk, cfg.media, s, chi, complex(
@@ -1062,7 +1098,7 @@ def serial_freq_route_errors(cfg, L_values):
     refs = [solve(blk_ref, s, "exact_dtn") for s in s_list]
     errors = []
     for L in L_values:
-        pml = PmlProfile(sigma0=cfg.pml.sigma0, m=cfg.pml.m, L=L, s1=num["s1"])
+        pml = replace(cfg.pml, L=L)
         blk = build_blocks(build_mesh(cfg.geometry, pml, num["mesh_size"]),
                            num["n_modes"])
         err_sq = 0.0

@@ -389,6 +389,28 @@ class TestFrequencySolve:
         p_hat = dofs_to_nodal(blk, sol.x)[0]
         assert np.allclose(p_hat[left], p_hat[right])
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_load_scaled_by_a_power_of_two(self, data):
+        # the solve works on the load scaled to max|b| in [0.5, 1), so a
+        # load 2^k b gives 2^k x bitwise and the same residual for every k
+        # that keeps the entries of b and x normal, down to the k where
+        # norm(2^k b) underflows to 0 (the residual check was skipped and
+        # read 0 there)
+        blk = make_blocks(target=0.125, n_modes=4)
+        src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=2.0)
+        system = assemble(blk, MEDIA, 2.0 + 3.0j, src.spatial, 1.0,
+                          "exact_dtn")
+        base = solve_frequency(system)
+        b, x = system.rhs.view(float), base.x.view(float)
+        e = np.frexp(np.abs(np.concatenate([b[b != 0], x[x != 0]])))[1]
+        lo, hi = -1021 - e.min(), 1024 - e.max()
+        assert np.linalg.norm(np.ldexp(b, lo)) == 0.0
+        k = data.draw(st.one_of(st.just(lo), st.integers(lo, hi)))
+        sol = solve_frequency(system, rhs=np.ldexp(b, k).view(complex))
+        assert np.array_equal(sol.x.view(float), np.ldexp(x, k))
+        assert sol.residual == base.residual > 0.0
+
     def test_pml_layer_matches_exact_dtn(self):
         # generous layer: the two routes agree in the physical region
         pml = PmlProfile(sigma0=3.0, m=1, L=1.0, s1=1.0)

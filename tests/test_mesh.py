@@ -173,6 +173,60 @@ class TestLayerPrefix:
             assert np.array_equal(mesh.tri_region[:nt], base.tri_region)
 
 
+def looped_rows(geom, pml, target):
+    """The grid rows as one closure x1 -> x3 per row, with the surface
+    row of the layer and the inclusion's bottom and top rows, as the mesh
+    was first built: the reference for its row arrays."""
+    f, h, ob = geom.surface, geom.h, geom.obstacle
+    levels, rows_b = [], None
+
+    def blend(hi, n):
+        for j in range(n + 1):
+            levels.append(lambda x, t=j / n: (1.0 - t) * f(x) + t * hi)
+
+    def flat(lo, width, n):
+        for j in range(1, n + 1):
+            z = lo + j / n * width
+            levels.append(lambda x, z=z: np.full_like(x, z, dtype=float))
+
+    mid = 0.5 * (f.f_minus + f.f_plus)
+    if ob is None:
+        blend(h, max(2, round((h - mid) / target)))
+    else:
+        blend(ob.x3a, max(2, round((ob.x3a - mid) / target)))
+        rb1 = len(levels) - 1
+        flat(ob.x3a, ob.x3b - ob.x3a, max(1, round((ob.x3b - ob.x3a)
+                                                   / target)))
+        rows_b = (rb1, len(levels) - 1)
+        flat(ob.x3b, h - ob.x3b, max(1, round((h - ob.x3b) / target)))
+    row_h = len(levels) - 1
+    if pml is not None:
+        flat(h, pml.L, max(2, round(pml.L / target)))
+    return levels, row_h, rows_b
+
+
+class TestRows:
+    @pytest.mark.parametrize("surface", [SurfaceProfile.flat(-0.05),
+                                         SurfaceProfile.cosine(0.1, 1.0)])
+    @pytest.mark.parametrize("obstacle", [None, Rectangle(0.4, 0.6, 0.3 - 0.1,
+                                                          0.4)])
+    @pytest.mark.parametrize("L", [None, 0.4, 1.0 / 3.0])
+    def test_matches_row_closures(self, surface, obstacle, L):
+        # the row arrays place every vertex bit for bit where the
+        # closures did
+        geom = Geometry(period=1.0, surface=surface, h=0.5,
+                        obstacle=obstacle)
+        pml = None if L is None else PmlProfile(sigma0=2.0, m=1, L=L,
+                                                 s1=1.0)
+        mesh = build_mesh(geom, pml, 0.07)
+        levels, row_h, rows_b = looped_rows(geom, pml, 0.07)
+        x1 = mesh.vertices[:mesh.meta["n1"] + 1, 0]
+        ref = np.concatenate([np.column_stack((x1, lv(x1)))
+                              for lv in levels])
+        assert mesh.vertices.tobytes() == ref.tobytes()
+        assert (mesh.meta["row_h"], mesh.meta["rows_b"]) == (row_h, rows_b)
+
+
 class TestValidation:
     def test_target_size_limits(self):
         with pytest.raises(GeometryError):
