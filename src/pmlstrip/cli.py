@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -24,8 +23,8 @@ from .fem import build_blocks, assemble, dofs_to_nodal, h_norm_sq, \
     stability_ratios
 from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
-from .mesh import build_mesh, export_mesh
-from .model import PmlProfile
+from .mesh import build_mesh, check_grid, export_mesh
+from .model import GeometryError, PmlProfile
 from .symbols import default_xi_grid, dtn_symbol_grid, symbol_gap_sup
 from .timedomain import ProbeError, energy_trace, locate_probes, \
     newmark_run
@@ -270,14 +269,13 @@ def run_layer_check(cfg: RunConfig, out: str) -> tuple[bool, dict]:
 
 
 def _above_mesh_size(what: str, L_values, cfg: RunConfig) -> None:
-    """Reject layers a mesh of the configured size cannot resolve or
-    count: build_mesh needs each thickness above mesh_size, and rounds
-    thickness / mesh_size to the layer's row count."""
-    mesh_size = cfg.numerics["mesh_size"]
-    if not all(mesh_size < L and math.isfinite(L / mesh_size)
-               for L in L_values):
-        raise ConfigError(f"{what} must be above numerics.mesh_size = "
-                          f"{mesh_size:g}, by a finite ratio")
+    """Reject layers build_mesh cannot grid at the configured mesh size
+    (mesh.check_grid), before anything is solved."""
+    for L in L_values:
+        try:
+            check_grid(cfg.geometry, L, cfg.numerics["mesh_size"])
+        except GeometryError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
 
 
 def run_freq_solve(cfg: RunConfig, out: str) -> tuple[bool, dict]:

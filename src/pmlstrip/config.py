@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import VARIANTS
+from .mesh import check_grid
 from .model import Geometry, MediaParams, PmlProfile, Pulse, Rectangle, \
     SourceSpec, SurfaceProfile, check_source, validate_media
 from .symbols import DEGENERATE_DENOMINATOR, layer_denominator_floor
@@ -267,8 +268,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("inadmissible media: " + ", ".join(bad))
 
         make_surface, surface_bytes = geo["surface"]
-        surface = make_surface(geo["period"])
-        geometry = Geometry(period=geo["period"], surface=surface,
+        geometry = Geometry(period=geo["period"],
+                            surface=make_surface(geo["period"]),
                             h=geo["h"], obstacle=geo["obstacle"])
 
         T = src["T"]
@@ -290,16 +291,9 @@ def load_config(path: str) -> RunConfig:
                                            numerics["freq_s2_values"]])
         _finite_pulse_transform(source.pulse, s1,
                                 numerics["freq_s2_values"])
-        mesh_size = numerics["mesh_size"]
-        if not 0 < mesh_size < geometry.h - surface.f_plus \
-                or numerics["n_steps"] < 1 or numerics["n_modes"] < 0:
-            raise ConfigError("numerics needs 0 < mesh_size < h - f_plus, "
-                              "n_steps >= 1 and n_modes >= 0")
-        # build_mesh rounds these to its column count and row counts
-        if not math.isfinite(max(geometry.period, geometry.h
-                                 - float(surface.f_minus)) / mesh_size):
-            raise ConfigError("geom.period / mesh_size and (h - f_minus) / "
-                              "mesh_size must be finite doubles")
+        check_grid(geometry, None, numerics["mesh_size"])
+        if numerics["n_steps"] < 1 or numerics["n_modes"] < 0:
+            raise ConfigError("numerics needs n_steps >= 1 and n_modes >= 0")
         # Newmark snaps each time to its nearest step of dt = T / n_steps
         snap, dt = numerics["snapshot_times"], T / numerics["n_steps"]
         if not all(0 <= ts <= T for ts in snap) \

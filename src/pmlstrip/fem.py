@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -95,8 +95,8 @@ def map_solves(solve, items) -> list:
     CPU (_cpu_count): SuperLU and the sparse kernels release the GIL.
 
     The first item runs in the calling thread, so whatever the solves
-    build lazily (FemBlocks cache entries and blocks assembled on first
-    read) is built there, before the rest fan out and only read it.
+    build lazily (the FemBlocks term table, load rule and blocks) is
+    built there, before the rest fan out and only read it.
     Results come back in input order; the exception of the first
     failing item is re-raised and the items not yet started are
     dropped.  Each result equals the serial loop's bit for bit, as long
@@ -209,11 +209,10 @@ def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
 class FemBlocks:
     """All s-independent matrices of the strip problem on one mesh.
 
-    ``cache`` holds the midpoint load rules, built on first use.  The
-    term table (form), the fluid pair, the isotropic pair and
-    K_solid_h1 are built on their first read: on a layer mesh only the
-    norms read the pairs and K_solid_h1.  The blocks are not to be
-    modified once the table or a load rule exists.
+    The term table (form), the fluid load rule, the fluid pair, the
+    isotropic pair and K_solid_h1 are built on their first read: on a
+    layer mesh only the norms read the pairs and K_solid_h1.  The
+    blocks are not to be modified once the table or the rule exists.
     """
 
     mesh: StripMesh
@@ -231,7 +230,6 @@ class FemBlocks:
     modal_E: np.ndarray = None           # (2N+1, n_h) analysis matrix
     modal_xi: np.ndarray = None
     n_modes_effective: int = 0           # n_modes clamped to (n_h - 1) // 2
-    cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def _fluid_pair(self):
@@ -263,6 +261,11 @@ class FemBlocks:
     def form(self) -> AffineForm:
         """The mesh's term table."""
         return _affine_form(self)
+
+    @cached_property
+    def fluid_rule(self):
+        """The fluid region's load rule (_load_rule)."""
+        return _load_rule(self, FLUID, 0)
 
 
 def _assemble_scalar(mesh, dof, which, pml=None):
@@ -486,44 +489,33 @@ def term_weights(media: MediaParams) -> tuple[np.ndarray, np.ndarray]:
 
 def load_vector(blk: FemBlocks, spatial):
     """Nodal load int_{Omega_h} chi(x) phi_i dx (fluid region only; the
-    source is supported below x3 = h)."""
-    return _midpoint_load(blk, spatial)
+    source is supported below x3 = h), by the fluid load rule."""
+    x1, x3, _, op = blk.fluid_rule
+    return op @ np.broadcast_to(spatial(x1, x3), x1.shape).ravel()
 
 
 def source_l2_norm(blk: FemBlocks, spatial) -> float:
     """||chi||_{L2(Omega_h)} by the load rule's edge-midpoint quadrature
     (a wall node's basis function has no load row, so the load of chi^2
     does not sum to its integral)."""
-    x1, x3, weights, _ = _load_rule(blk, FLUID, 0)
+    x1, x3, weights, _ = blk.fluid_rule
     chi = np.broadcast_to(spatial(x1, x3), x1.shape)
     return float(np.sqrt(np.sum(weights * chi ** 2)))
 
 
 def _load_rule(blk: FemBlocks, region, col):
-    """Edge-midpoint quadrature of a region, built on first use: the
-    points (x1, x3), their weights, and the load operator onto the dofs
-    in column col of node_dof, one column per point."""
-    if ("load", region, col) not in blk.cache:
-        which = np.flatnonzero(blk.mesh.tri_region == region)
-        tris, c, area, g, mid = _tri_geometry(blk.mesh, which)
-        w = (area / 3.0)[:, None, None] * _PHI_MID        # (t, q, i)
-        rows = np.broadcast_to(blk.dof.node_dof[tris, col][:, None, :],
-                               w.shape)
-        cols = np.broadcast_to(
-            np.arange(w.shape[0] * 3).reshape(-1, 3, 1), w.shape)
-        op = _scatter(rows, cols, w, (blk.dof.size, w.shape[0] * 3))
-        blk.cache["load", region, col] = (
-            mid[:, :, 0], mid[:, :, 1],
+    """Edge-midpoint quadrature of a region: the points (x1, x3), their
+    weights, and the load operator onto the dofs in column col of
+    node_dof, one column per point."""
+    which = np.flatnonzero(blk.mesh.tri_region == region)
+    tris, c, area, g, mid = _tri_geometry(blk.mesh, which)
+    w = (area / 3.0)[:, None, None] * _PHI_MID        # (t, q, i)
+    rows = np.broadcast_to(blk.dof.node_dof[tris, col][:, None, :], w.shape)
+    cols = np.broadcast_to(np.arange(w.shape[0] * 3).reshape(-1, 3, 1),
+                           w.shape)
+    op = _scatter(rows, cols, w, (blk.dof.size, w.shape[0] * 3))
+    return (mid[:, :, 0], mid[:, :, 1],
             np.broadcast_to((area / 3.0)[:, None], mid.shape[:2]), op)
-    return blk.cache["load", region, col]
-
-
-def _midpoint_load(blk: FemBlocks, func, region=FLUID, col=0) -> np.ndarray:
-    """int_region func phi_i by edge-midpoint quadrature, onto the dofs
-    in column col of node_dof: one sparse product with the region's
-    load operator."""
-    x1, x3, _, op = _load_rule(blk, region, col)
-    return op @ np.broadcast_to(func(x1, x3), x1.shape).ravel()
 
 
 def assemble(blk: FemBlocks, media: MediaParams, s: complex,
@@ -568,13 +560,12 @@ def _ldexp(v: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(v.view(float), e).view(v.dtype)
 
 
-def solve_frequency(system: FrequencySystem,
-                    rhs: np.ndarray | None = None) -> FrequencySolution:
-    """Sparse direct solve with a residual check and one step of
-    iterative refinement if needed, on the load scaled by the power of
-    two 2^-e that puts max|b| in [0.5, 1), where neither norm underflows
-    nor overflows; x is scaled back by 2^e."""
-    b = system.rhs if rhs is None else rhs
+def solve_frequency(system: FrequencySystem) -> FrequencySolution:
+    """Sparse direct solve of the system's load with a residual check
+    and one step of iterative refinement if needed, on the load scaled
+    by the power of two 2^-e that puts max|b| in [0.5, 1), where neither
+    norm underflows nor overflows; x is scaled back by 2^e."""
+    b = system.rhs
     e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
     b = _ldexp(b, -e)
     lu = factorize(system.matrix)

@@ -24,6 +24,10 @@ MARKER_GAMMA = "Gamma"
 MARKER_GAMMA_H = "GammaH"
 MARKER_GAMMA_HL = "GammaHL"
 
+# the most vertices build_mesh is asked for: about 100 times the 41,409
+# of the finest acceptance mesh
+MAX_VERTICES = 2 ** 22
+
 
 @dataclass
 class StripMesh:
@@ -84,19 +88,32 @@ def _level_rows(geom: Geometry, pml: PmlProfile | None, target: float):
     return np.concatenate(t), np.concatenate(z), row_h, rows_b
 
 
+def check_grid(geom: Geometry, L: float | None, mesh_size: float) -> None:
+    """Reject a mesh size build_mesh cannot grid the strip with, topped
+    by a layer of thickness L (None: no layer): it must lie in
+    (0, h - f_plus) and below L, and the grid must have at most
+    MAX_VERTICES vertices.  The count is bounded without building
+    anything, by (period / mesh_size + 5) (depth / mesh_size + 10) with
+    depth = h - f_minus + L; an inf or nan bound fails too."""
+    if not 0 < mesh_size < geom.h - geom.surface.f_plus:
+        raise GeometryError(f"mesh_size = {mesh_size:g} must lie in "
+                            "(0, h - f_plus)")
+    if L is not None and not mesh_size < L:
+        raise GeometryError(f"mesh_size = {mesh_size:g} must be below the "
+                            f"layer thickness {L:g}")
+    depth = geom.h - float(geom.surface.f_minus) + (0.0 if L is None else L)
+    if not (geom.period / mesh_size + 5.0) \
+            * (depth / mesh_size + 10.0) <= MAX_VERTICES:
+        raise GeometryError(f"the grid at mesh_size = {mesh_size:g} would "
+                            f"have more than {MAX_VERTICES} vertices")
+
+
 def build_mesh(geom: Geometry, pml: PmlProfile | None,
                target_h: float) -> StripMesh:
     """Triangulate one period of the strip (plus the absorbing layer if
     a profile is given) at roughly the requested edge length."""
+    check_grid(geom, None if pml is None else pml.L, target_h)
     f = geom.surface
-    gap = geom.h - f.f_plus
-    if target_h <= 0 or target_h >= gap:
-        raise GeometryError("target mesh size must lie in (0, h - f_plus)")
-    if pml is not None and target_h >= pml.L:
-        raise GeometryError("target mesh size must be below the layer "
-                            "thickness")
-    if abs(float(f(0.0)) - float(f(geom.period))) > 1e-12:
-        raise GeometryError("surface profile is not periodic")
 
     # lateral grid, snapped to the obstacle's vertical sides
     n1 = max(4, round(geom.period / target_h))

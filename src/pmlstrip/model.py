@@ -226,6 +226,8 @@ class Geometry:
     def __post_init__(self):
         if self.period <= 0:
             raise GeometryError("period must be positive")
+        if abs(self.surface(0.0) - self.surface(self.period)) > 1e-12:
+            raise GeometryError("surface profile is not periodic")
         if self.surface.f_plus >= self.h:
             raise GeometryError("surface reaches the truncation plane "
                                 "(f_plus >= h)")

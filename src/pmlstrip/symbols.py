@@ -4,8 +4,8 @@ Everything here works per Fourier mode xi on the plane x3 = h.  The
 vertical wavenumber ``beta = sqrt(s^2/c^2 + |xi|^2)`` (positive real
 part) determines both the exact boundary symbol ``-beta`` and the
 layer-truncated symbol ``-beta * coth(beta * L_tilde)``; their gap is
-controlled by the closed-form envelope :func:`cu_bound`.  Every symbol,
-gap and audit is one broadcast evaluation over s and |xi|.
+controlled by the closed-form envelope :func:`cu_bound`.  Symbols and
+gaps broadcast over s and |xi|, an audit over profiles and |xi| at one s.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import PmlProfile
 
 
 class BranchError(ValueError):
@@ -113,8 +111,8 @@ def default_xi_grid(s: complex, c: float, n: int = 401) -> np.ndarray:
 
 @dataclass
 class SymbolAudit:
-    """Per-mode beta, weighted gap and passivity, with the envelope per s
-    (a trailing length-1 axis, so it broadcasts against the modes)."""
+    """Per-mode beta, weighted gap and passivity, with the envelope per
+    profile (a trailing length-1 axis, to broadcast against the modes)."""
 
     beta_vals: np.ndarray
     gap: np.ndarray
@@ -131,21 +129,14 @@ class SymbolAudit:
         return bool(np.all(self.ok))
 
 
-def symbol_gap_sup(s, c: float, pml, xi_grid) -> SymbolAudit:
-    """Weighted gap against the envelope, and modal passivity, in one
-    broadcast: s is one value or a 1-D array, pml one profile or one per
-    s, xi_grid one |xi| grid or, for an array of s, one row per s.
-
-    One s with a list of profiles audits every profile at once: beta and
-    passivity, which do not depend on the layer, are computed once, with
-    shape (n_xi,), while gap, bound and ok gain a leading profile axis."""
+def symbol_gap_sup(s: complex, c: float, profiles, xi_grid) -> SymbolAudit:
+    """Weighted gap against the envelope, and modal passivity, at one s
+    for every profile at once: beta and passivity, which do not depend
+    on the layer, are computed once, with shape (n_xi,), while gap,
+    bound and ok have a leading profile axis."""
     if np.size(xi_grid) == 0:
         raise ValueError("xi grid must be nonempty")
-    s = np.asarray(s, dtype=complex)[..., None]
-    if isinstance(pml, PmlProfile):
-        Lt, Lb = pml.L_tilde, pml.L_bar
-    else:       # one profile per s
-        Lt, Lb = np.array([(p.L_tilde, p.L_bar) for p in pml]).T[:, :, None]
+    Lt, Lb = np.array([(p.L_tilde, p.L_bar) for p in profiles]).T[:, :, None]
     b, _, _, gap = _layer_modes(xi_grid, s, c, Lt)
     return SymbolAudit(beta_vals=b, gap=gap, bound=cu_bound(s, c, Lb),
                        passive=(b / s).real >= -1e-14)

@@ -67,18 +67,13 @@ def locate_probes(mesh, points) -> ProbeSet:
     return ProbeSet(points=points, tri=tri_idx, bary=bary)
 
 
-def _interpolate(probes: ProbeSet, corners: np.ndarray) -> np.ndarray:
-    """Barycentric combination of the values at the corners of each
-    probe's triangle, corners (..., n_probes, 3)."""
-    return np.einsum("...nk,nk->...n", corners, probes.bary)
-
-
 def _probe_reader(blk: FemBlocks, probes: ProbeSet):
     """The probe pressures of a dof vector padded with one zero: the
     pressure dofs at the corners of each probe's triangle (the sentinel
     dof.size, which reads the 0, where a corner has none), interpolated."""
     corners = blk.dof.node_dof[blk.mesh.triangles[probes.tri], 0]
-    return lambda padded: _interpolate(probes, padded[corners])
+    return lambda padded: np.einsum("...nk,nk->...n", padded[corners],
+                                    probes.bary)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +239,13 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
                       f"reconstruction error {err:.2e}",
                       TruncationWarning, stacklevel=2)
 
-    # the source load does not depend on s: assemble it once at scale 1
-    rhs0 = load_vector(blk, source.spatial) / media.c ** 2
     read_probes = _probe_reader(blk, probes)
 
     def solve(w):
         s = cfg.s1 + 1j * w
-        sol = solve_frequency(assemble(blk, media, s, None, 0.0, variant),
-                              rhs=complex(source.pulse.laplace(s)) * rhs0)
+        sol = solve_frequency(assemble(blk, media, s, source.spatial,
+                                       complex(source.pulse.laplace(s)),
+                                       variant))
         return read_probes(pad_dofs(sol.x)), sol.residual
 
     rows, residuals = zip(*map_solves(solve, half))

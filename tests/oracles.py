@@ -7,8 +7,8 @@ needs them, so they live with the tests; sympy is a test dependency.
 import numpy as np
 import sympy as sym
 
-from pmlstrip.fem import AssemblyError, FemBlocks, _midpoint_load, \
-    _sqrt_form
+from pmlstrip.fem import AssemblyError, FemBlocks, _load_rule, _sqrt_form, \
+    load_vector
 from pmlstrip.mesh import MARKER_GAMMA, MARKER_GAMMA_F, SOLID
 from pmlstrip.model import MediaParams
 from pmlstrip.symbols import _layer_modes
@@ -68,7 +68,7 @@ def manufactured_residual(blk: FemBlocks, media: MediaParams, s: complex,
     f_fluid = sym.lambdify((x1, x3), F_f, "numpy")
 
     mesh, dof = blk.mesh, blk.dof
-    rhs = _midpoint_load(blk, f_fluid).astype(complex)
+    rhs = load_vector(blk, f_fluid).astype(complex)
 
     grad_p = [sym.lambdify((x1, x3), sym.diff(p_expr, v), "numpy")
               for v in (x1, x3)]
@@ -91,7 +91,8 @@ def manufactured_residual(blk: FemBlocks, media: MediaParams, s: complex,
         fs = [sym.lambdify((x1, x3), e, "numpy") for e in (Fs1, Fs2)]
 
         for comp in (0, 1):
-            rhs += _midpoint_load(blk, fs[comp], SOLID, 1 + comp)
+            q1, q3, _, op = _load_rule(blk, SOLID, 1 + comp)
+            rhs += op @ np.broadcast_to(fs[comp](q1, q3), q1.shape).ravel()
 
         sig_num = [sym.lambdify((x1, x3), e, "numpy")
                    for e in (sig11, sig12, sig22)]

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import sympy
 
-from pmlstrip import (ContourConfig, Geometry, LayerMode, MediaParams,
-                      PmlProfile, Pulse, Rectangle, SampledSignal,
+from pmlstrip import (ContourConfig, FrequencySystem, Geometry, LayerMode,
+                      MediaParams, PmlProfile, Pulse, Rectangle, SampledSignal,
                       SourceSpec, SurfaceProfile, analytic_layer_solution,
                       assemble, build_blocks, build_mesh,
                       contour_synthesize, cu_bound, energy_trace,
@@ -54,7 +54,7 @@ def test_criterion_01_symbol_bound_certification():
                 Lb = pml.L_bar
                 for s2 in s2_vals:
                     s = complex(s1, s2)
-                    gaps = symbol_gap_sup(s, MEDIA.c, pml, xi).gap
+                    gaps = symbol_gap_sup(s, MEDIA.c, [pml], xi).gap
                     bound = cu_bound(s, MEDIA.c, Lb)
                     ratio = float(gaps.max() / bound)
                     worst = max(worst, ratio)
@@ -162,7 +162,7 @@ def _manufactured_order(surface, with_obstacle):
         blk = build_blocks(build_mesh(geom, None, target), n_modes=16)
         rhs, x_ex = manufactured_residual(blk, MEDIA, s, p_expr, u_expr)
         system = assemble(blk, MEDIA, s, None, 0.0, "exact_dtn")
-        sol = solve_frequency(system, rhs=rhs)
+        sol = solve_frequency(FrequencySystem(system.matrix, rhs))
         l2, _ = fluid_error_norms(blk, sol.x, x_ex)
         errs.append(l2)
         sizes.append(target)

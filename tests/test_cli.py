@@ -287,9 +287,13 @@ class TestConfig:
         ("source", "radius = 0"),
         ("source", "radius = -0.06"),
         # build_mesh's column and row counts, period / mesh_size and
-        # h / mesh_size, overflow (a traceback)
+        # h / mesh_size, overflow (a traceback), or its grid exceeds
+        # mesh.MAX_VERTICES (an `error:` line)
         ("geom", "period = 1e308"),
         ("geom", "h = 1e308"),
+        ("geom", "period = 1e200"),
+        # f(0) = 0.05, f(period) = -0.05 (an `error:` line)
+        ("geom", "surface = cosine:0.05,1.5"),
         # the frequency grid's width 2 s2_max overflows (an `error:` line)
         ("parseval", "s2_max = 1e308"),
     ])
@@ -490,27 +494,27 @@ class TestWriters:
 class TestGridAudit:
     @pytest.mark.parametrize("c", [1.0, 1.3])
     def test_matches_per_s_reference_bitwise(self, c):
-        # 2 s1 x 41 s2 in one broadcast call against the per-s audit;
-        # complex products and |s| in NumPy would move the last bit of
-        # some beta, gap and bound values
+        # 2 s1 x 41 s2, each s with its profiles in one broadcast call,
+        # against the per-profile audit; complex products and |s| in
+        # NumPy would move the last bit of some beta, gap and bound values
         s1 = np.repeat([1.0, 0.1], 41)
         s2 = np.tile(np.linspace(-50.0, 50.0, 41), 2)
-        s = s1 + 1j * s2
-        xi = np.array([default_xi_grid(v, c) for v in s])
-        pmls = [PmlProfile(sigma0=2.0, m=1, L=0.5, s1=v) for v in s1]
-        audit = symbol_gap_sup(s, c, pmls, xi)
-        assert audit.gap.shape == (82, 401)
-        for k in range(s.size):
-            sk = complex(s1[k], s2[k])
-            assert np.array_equal(xi[k], reference_default_xi_grid(sk, c))
-            betas, gaps, bound = reference_symbol_gap_sup(sk, c, pmls[k],
-                                                          xi[k])
-            passive, _ = reference_modal_passivity_check(sk, c, xi[k])
-            ok = (gaps <= bound * (1.0 + 1e-10)) & passive
-            assert np.array_equal(audit.beta_vals[k], betas)
-            assert np.array_equal(audit.gap[k], gaps)
-            assert np.array_equal(audit.bound[k], [bound])
-            assert np.array_equal(audit.ok[k], ok)
+        for s1_k, s2_k, v in zip(s1, s2, s1 + 1j * s2):
+            sk = complex(s1_k, s2_k)
+            xi = default_xi_grid(v, c)
+            assert np.array_equal(xi, reference_default_xi_grid(sk, c))
+            pmls = [PmlProfile(sigma0=sigma0, m=1, L=0.5, s1=s1_k)
+                    for sigma0 in (1.0, 2.0)]
+            audit = symbol_gap_sup(v, c, pmls, xi)
+            assert audit.gap.shape == (2, 401)
+            passive, _ = reference_modal_passivity_check(sk, c, xi)
+            for k, pml in enumerate(pmls):
+                betas, gaps, bound = reference_symbol_gap_sup(sk, c, pml, xi)
+                ok = (gaps <= bound * (1.0 + 1e-10)) & passive
+                assert np.array_equal(audit.beta_vals, betas)
+                assert np.array_equal(audit.gap[k], gaps)
+                assert np.array_equal(audit.bound[k], [bound])
+                assert np.array_equal(audit.ok[k], ok)
 
 
 def read_csv(path):
@@ -691,9 +695,9 @@ class TestSubcommands:
          "sweep.L_values"),
         ("convergence", [("sweep", "L_values = 0.02,0.1,0.2")],
          "sweep.L_values"),
-        # L / mesh_size overflows while layer-check's (L/n)^2 stays finite
-        ("td-run", [("numerics", "mesh_size = 1e-300"), ("pml", "L = 1e10")],
-         "pml.L"),
+        # a layer that loads (layer-check's (L/n)^2 stays finite) and
+        # gives a grid of about 1e157 vertices (an `error:` line)
+        ("td-run", [("pml", "L = 1e155")], "pml.L"),
         ("convergence", [("numerics", "route = time"),
                          ("sweep", "L_values = 0.25,0.5,1"),
                          ("sweep", "L_ref = 1e308")], "sweep.L_ref"),
@@ -806,17 +810,19 @@ KEY_BOUNDS = {
     ("media", "lambda"): ("freq-solve", [-1.0, -0.7, -0.6, 0.0],
                           lambda v: 3 * v + 2 < 0),
     ("media", "mu"): ("td-run", [-0.5, 0.0, 1e-3, 2.0], lambda v: v < 0),
-    # the inclusion's right side is at x1 = 0.6; 1e308 / mesh_size
-    # overflows build_mesh's column count
-    ("geom", "period"): ("freq-solve", [-1.0, 0.0, 0.6, 0.7, 2.0, 1e308],
-                         lambda v: v <= 0.6 or v == 1e308),
+    # the inclusion's right side is at x1 = 0.6; from 1e200 the grid
+    # exceeds mesh.MAX_VERTICES
+    ("geom", "period"): ("freq-solve", [-1.0, 0.0, 0.6, 0.7, 2.0, 1e200,
+                                        1e308],
+                         lambda v: v <= 0.6 or v >= 1e200),
     # the inclusion's top is at x3 = 0.35
     ("geom", "h"): ("freq-solve", [0.3, 0.35, 0.36, 0.5, 1e308],
                     lambda v: v <= 0.35 or v == 1e308),
-    # the inclusion's bottom is at 0.15, the source ball's at 0.19
+    # the inclusion's bottom is at 0.15, the source ball's at 0.19;
+    # cosine:0.05,1.5 is not periodic
     ("geom", "surface"): ("freq-solve", ["flat", "flat:0.1", "flat:0.15",
                                          "cosine:0.05,1", "cosine:0.05",
-                                         "spline:1,2"],
+                                         "cosine:0.05,1.5", "spline:1,2"],
                           lambda v: v not in ("flat", "flat:0.1",
                                               "cosine:0.05,1")),
     ("geom", "obstacle"): ("freq-solve", [
@@ -826,8 +832,9 @@ KEY_BOUNDS = {
         "0.4,0.15; 0.6,0.15; 0.6,0.35"], lambda v: v not in ("", RECTANGLE)),
     ("pml", "sigma0"): ("td-run", [-1.0, 0.0, 0.5, 2.0], lambda v: v < 0),
     ("pml", "m"): ("td-run", [0, 1, 2], lambda v: v < 1),
-    ("pml", "L"): ("td-run", AROUND_MESH + [1e308],
-                   lambda v: v <= FUZZ_MESH or v == 1e308),
+    # from 1e155 the grid exceeds mesh.MAX_VERTICES
+    ("pml", "L"): ("td-run", AROUND_MESH + [1e155, 1e308],
+                   lambda v: v <= FUZZ_MESH or v >= 1e155),
     # the ball's support must clear the surface 0, h = 0.5 and the
     # inclusion
     ("source", "center"): ("freq-solve", ["0.2,0.25", "0.2,0.07", "0.2,0.06",

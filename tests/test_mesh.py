@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmlstrip import (Geometry, GeometryError, PmlProfile, Rectangle,
                       StripMesh, SurfaceProfile, build_mesh, export_mesh)
-from pmlstrip.mesh import FLUID, PML, SOLID
+from pmlstrip.mesh import FLUID, PML, SOLID, check_grid
 
 
 def flat_geometry(obstacle=None):
@@ -237,9 +239,36 @@ class TestValidation:
 
     def test_nonperiodic_surface_rejected(self):
         bad = SurfaceProfile(lambda x: 0.1 * x, 0.0, 0.1)
-        geom = Geometry(period=1.0, surface=bad, h=0.5)
-        with pytest.raises(GeometryError):
-            build_mesh(geom, None, 0.1)
+        with pytest.raises(GeometryError, match="not periodic"):
+            Geometry(period=1.0, surface=bad, h=0.5)
+
+    @pytest.mark.parametrize("period, L, mesh_size", [
+        (1e200, None, 0.05), (1.0, 1e155, 0.125), (1e6, None, 0.05),
+        (1.0, 1e308, 1e-300)])
+    def test_grid_above_the_vertex_cap_rejected(self, period, L, mesh_size):
+        geom = Geometry(period=period, surface=SurfaceProfile.flat(0.0),
+                        h=0.5)
+        with pytest.raises(GeometryError, match="vertices"):
+            check_grid(geom, L, mesh_size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cosine=st.one_of(st.none(), st.tuples(st.floats(-0.1, 0.1),
+                                                 st.integers(1, 3))),
+           inclusion=st.booleans(),
+           L=st.one_of(st.none(), st.floats(0.31, 2.0)),
+           mesh_size=st.floats(0.05, 0.3))
+    def test_vertex_bound_holds(self, cosine, inclusion, L, mesh_size):
+        # check_grid caps (period / mesh_size + 5) (depth / mesh_size + 10),
+        # depth = h - f_minus + L, which must bound build_mesh's count
+        surface = SurfaceProfile.flat(0.0) if cosine is None \
+            else SurfaceProfile.cosine(*cosine)
+        geom = Geometry(period=1.0, surface=surface, h=0.5,
+                        obstacle=Rectangle(0.4, 0.6, 0.15, 0.35)
+                        if inclusion else None)
+        pml = None if L is None else PmlProfile(L=L)
+        depth = geom.h - surface.f_minus + (0.0 if L is None else L)
+        bound = (geom.period / mesh_size + 5.0) * (depth / mesh_size + 10.0)
+        assert build_mesh(geom, pml, mesh_size).n_vertices <= bound
 
 
 class TestExport:

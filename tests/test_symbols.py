@@ -139,7 +139,7 @@ class TestSymbols:
             pml = PmlProfile(sigma0=rng.uniform(0.5, 4.0), m=1,
                              L=rng.uniform(0.3, 2.0), s1=s.real)
             xi = default_xi_grid(s, 1.0, 101)
-            g = symbol_gap_sup(s, 1.0, pml, xi).gap
+            g = symbol_gap_sup(s, 1.0, [pml], xi).gap
             assert np.all(g <= cu_bound(s, 1.0, pml.L_bar) * (1 + 1e-10))
 
 
@@ -147,24 +147,25 @@ class TestAudits:
     def test_symbol_gap_sup(self):
         s = 1.0 + 5.0j
         pml = PmlProfile(sigma0=2.0, m=1, L=1.0, s1=1.0)
-        audit = symbol_gap_sup(s, 1.0, pml, default_xi_grid(s, 1.0))
+        audit = symbol_gap_sup(s, 1.0, [pml], default_xi_grid(s, 1.0))
         assert audit.passed
-        assert 0.0 < audit.gap.max() <= audit.bound
-        # one profile for several s: one row of modes per s
-        grid = symbol_gap_sup(np.array([s, 0.5 - 2.0j]), 1.0, pml,
-                              default_xi_grid(s, 1.0))
-        assert grid.gap.shape == (2, 401) and grid.bound.shape == (2, 1)
-        assert grid.passed and np.array_equal(grid.gap[0], audit.gap)
+        assert 0.0 < audit.gap.max() <= audit.bound[0, 0]
+        # several profiles: beta once, one row of gaps per profile
+        thin = PmlProfile(sigma0=2.0, m=1, L=0.5, s1=1.0)
+        both = symbol_gap_sup(s, 1.0, [pml, thin], default_xi_grid(s, 1.0))
+        assert both.gap.shape == (2, 401) and both.bound.shape == (2, 1)
+        assert both.beta_vals.shape == (401,)
+        assert both.passed and np.array_equal(both.gap[0], audit.gap[0])
 
     def test_empty_grid_rejected(self):
         pml = PmlProfile()
         with pytest.raises(ValueError):
-            symbol_gap_sup(1.0 + 0.0j, 1.0, pml, np.zeros(0))
+            symbol_gap_sup(1.0 + 0.0j, 1.0, [pml], np.zeros(0))
 
     def test_modal_passivity(self):
         s = 1.0 + 10.0j
         xi = default_xi_grid(s, 1.0)
-        audit = symbol_gap_sup(s, 1.0, PmlProfile(), xi)
+        audit = symbol_gap_sup(s, 1.0, [PmlProfile()], xi)
         assert np.all(audit.passive)
         # empirical constant of |beta| <= C |s| (1 + xi^2)^(1/2)
         c_emp = np.max(np.abs(audit.beta_vals)

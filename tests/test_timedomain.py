@@ -1,13 +1,16 @@
 """Newmark integration, probes, and contour synthesis."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import norm as sparse_norm
 
-from pmlstrip import (ContourConfig, Geometry, MediaParams, PmlProfile,
-                      Pulse, Rectangle, SourceSpec, SurfaceProfile,
+from pmlstrip import (ContourConfig, FrequencySystem, Geometry,
+                      MediaParams, PmlProfile, Pulse, Rectangle, SourceSpec,
+                      SurfaceProfile,
                       assemble, build_blocks, build_mesh,
                       contour_synthesize, dofs_to_nodal, energy_trace,
                       inverse_laplace_grid, load_vector,
@@ -294,9 +297,8 @@ class TestTrapezoidalIdentity:
             delta = 2.0 / dt * (1.0 - z) / (1.0 + z)
             r = np.where(pressure, 1.0 / delta,
                          ODD_MEDIA.rho0 * np.conj(delta))
-            sol = solve_frequency(
-                assemble(blk, ODD_MEDIA, delta, None, 0.0, "pml_layer"),
-                rhs=r * F)
+            sol = solve_frequency(FrequencySystem(assemble(
+                blk, ODD_MEDIA, delta, None, 0.0, "pml_layer").matrix, r * F))
             assert np.linalg.norm(D - sol.x) <= 1e-12 * scale
             # the probe series transform equally, through the readout
             P = traj.probe_p @ z ** n
@@ -422,12 +424,12 @@ class TestContour:
 def serial_contour(blk, media, source, cfg, probes, variant):
     """Probe traces and solve residuals of contour_synthesize's loop as
     one serial pass over the frequencies."""
-    rhs0 = load_vector(blk, source.spatial) / media.c ** 2
     rows, residuals = [], []
     for w in cfg.half_grid():
         s = cfg.s1 + 1j * w
-        sol = solve_frequency(assemble(blk, media, s, None, 0.0, variant),
-                              rhs=complex(source.pulse.laplace(s)) * rhs0)
+        sol = solve_frequency(assemble(blk, media, s, source.spatial,
+                                       complex(source.pulse.laplace(s)),
+                                       variant))
         rows.append(probe_values(blk.mesh, probes,
                                  dofs_to_nodal(blk, sol.x)[0]))
         residuals.append(sol.residual)
@@ -449,10 +451,19 @@ class TestConcurrentContour:
         return blk, locate_probes(blk.mesh, [[0.3, 0.4], [0.8, 0.2]])
 
     @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
-    def test_equals_serial_loop_bitwise(self, cpus, variant):
+    def test_equals_serial_loop_bitwise(self, cpus, variant, monkeypatch):
         blk, probes = self.setup_blocks(variant)
+        # every solve reads the fluid load rule, which the first solve
+        # builds in the calling thread
+        rule, builders = pmlstrip.fem._load_rule, []
+
+        def counted(*args):
+            builders.append(threading.current_thread())
+            return rule(*args)
+        monkeypatch.setattr(pmlstrip.fem, "_load_rule", counted)
         traj = contour_synthesize(blk, ODD_MEDIA, self.SRC, self.CFG, probes,
                                   variant)
+        assert builders == [threading.current_thread()]
         ref, residuals = serial_contour(blk, ODD_MEDIA, self.SRC, self.CFG,
                                         probes, variant)
         assert np.abs(ref).max() > 0
