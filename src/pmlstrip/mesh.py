@@ -11,6 +11,7 @@ assembly routines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,9 @@ MARKER_GAMMA_HL = "GammaHL"
 # the most vertices build_mesh is asked for: about 100 times the 41,409
 # of the finest acceptance mesh
 MAX_VERTICES = 2 ** 22
+# _count's relative margin: a ratio this close to a half counts as that
+# half, so values a few ulps apart (0.2 and 0.3 - 0.1) give one grid
+COUNT_EPS = 1e-9
 
 
 @dataclass
@@ -60,6 +64,14 @@ class StripMesh:
         return np.unique(self.node_master[np.asarray(nodes)])
 
 
+def _count(ratio: float) -> int:
+    """round(ratio), halves to even, where a ratio within COUNT_EPS
+    (relative) of a half is that half.  Every row and column count of
+    the grid goes through it."""
+    half = math.floor(ratio) + 0.5
+    return round(half if abs(ratio - half) <= COUNT_EPS * half else ratio)
+
+
 def _level_rows(geom: Geometry, pml: PmlProfile | None, target: float):
     """Return (t, z, row_h, rows_b): grid row r lies at
     x3 = (1 - t[r]) f(x1) + t[r] z[r] over the bottom profile f, so rows
@@ -68,7 +80,7 @@ def _level_rows(geom: Geometry, pml: PmlProfile | None, target: float):
     f, h, ob = geom.surface, geom.h, geom.obstacle
     # rows blending from the bottom to the first flat level
     top = h if ob is None else ob.x3a
-    n = max(2, round((top - 0.5 * (f.f_minus + f.f_plus)) / target))
+    n = max(2, _count((top - 0.5 * (f.f_minus + f.f_plus)) / target))
     t, z = [np.arange(n + 1) / n], [np.full(n + 1, top)]
     rows_b = None
 
@@ -78,13 +90,13 @@ def _level_rows(geom: Geometry, pml: PmlProfile | None, target: float):
         z.append(lo + np.arange(1, n + 1) / n * width)
 
     if ob is not None:
-        nB = max(1, round((ob.x3b - ob.x3a) / target))
+        nB = max(1, _count((ob.x3b - ob.x3a) / target))
         flat(ob.x3a, ob.x3b - ob.x3a, nB)
-        flat(ob.x3b, h - ob.x3b, max(1, round((h - ob.x3b) / target)))
+        flat(ob.x3b, h - ob.x3b, max(1, _count((h - ob.x3b) / target)))
         rows_b = (n, n + nB)
     row_h = sum(map(len, t)) - 1
     if pml is not None:
-        flat(h, pml.L, max(2, round(pml.L / target)))
+        flat(h, pml.L, max(2, _count(pml.L / target)))
     return np.concatenate(t), np.concatenate(z), row_h, rows_b
 
 
@@ -116,13 +128,13 @@ def build_mesh(geom: Geometry, pml: PmlProfile | None,
     f = geom.surface
 
     # lateral grid, snapped to the obstacle's vertical sides
-    n1 = max(4, round(geom.period / target_h))
+    n1 = max(4, _count(geom.period / target_h))
     x1 = np.linspace(0.0, geom.period, n1 + 1)
     cols_ob = None
     if geom.obstacle is not None:
         ob = geom.obstacle
-        ia = int(np.clip(round(ob.x1a / geom.period * n1), 1, n1 - 2))
-        ib = int(np.clip(round(ob.x1b / geom.period * n1), ia + 1, n1 - 1))
+        ia = int(np.clip(_count(ob.x1a / geom.period * n1), 1, n1 - 2))
+        ib = int(np.clip(_count(ob.x1b / geom.period * n1), ia + 1, n1 - 1))
         x1 = x1.copy()
         x1[ia], x1[ib] = ob.x1a, ob.x1b
         if not (np.all(np.diff(x1) > 0)):

@@ -150,9 +150,7 @@ def _manufactured_order(surface, with_obstacle):
     u_expr = None
     obstacle = None
     if with_obstacle:
-        # bottom 0.3 - 0.1 = 0.19999999999999998: the meshes the printed
-        # orders were measured on (a bottom of 0.2 snaps other rows)
-        obstacle = Rectangle(0.4, 0.6, 0.3 - 0.1, 0.4)
+        obstacle = Rectangle(0.4, 0.6, 0.2, 0.4)
         u_expr = (sympy.sin(sympy.pi * x1) * x3,
                   sympy.cos(sympy.pi * x1) * x3 ** 2)
     geom = Geometry(period=1.0, surface=prof, h=0.5, obstacle=obstacle)

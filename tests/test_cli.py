@@ -263,6 +263,10 @@ class TestConfig:
         ("audit", "s1_values = 1,1e-170"),
         ("layer", "s = 1e-300,0"),
         ("numerics", "s1 = 1e160"),
+        # s1 below 1e-5 max(sigma0, c / mesh_size): the s2 = 0 system is
+        # singular to working precision and solved by chance (at mesh
+        # 0.125: an `error:` line, `Factor is exactly singular`)
+        ("numerics", "s1 = 1e-150"),
         ("audit", "s1_values = 1,1e160"),
         ("layer", "s = 1e160,0"),
         # the pulse transform's (s + a +- i omega0)^4 overflows at
@@ -647,6 +651,22 @@ class TestSubcommands:
             assert all(0 < float(row.split(",")[6]) <= 1e-10
                        for row in rows)
 
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
+    def test_freq_solve_smallest_abscissa(self, tmp_path, variant):
+        # just above the floor 1e-5 max(sigma0, c / mesh_size) = 8e-5, at
+        # s2 = 0, the inclusion strip solves to the residual check's bound
+        text = FUZZ_CONFIG
+        for section, line in [("numerics", "s1 = 9e-5"),
+                              ("numerics", f"variant = {variant}"),
+                              ("freq", "s2_values = 0")]:
+            text = with_setting(text, section, line)
+        path, out = tmp_path / "small.ini", tmp_path / "small"
+        path.write_text(text)
+        assert main(["freq-solve", "--config", str(path),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "freq_summary.csv")
+        assert [float(r["residual"]) <= 1e-10 for r in rows] == [True]
+
     def test_td_run(self, config_path, tmp_path):
         out = str(tmp_path / "td")
         assert main(["td-run", "--config", config_path, "--out", out]) == 0
@@ -793,6 +813,9 @@ AROUND_LAYER_BOUND = [0.0, 1e150, 7.7e153, 7.8e153, 1e154, 1e160]
 # s^4 overflows above max double ** (1/4) = 1.158e77, where freq-solve
 # draws s1 = 1.15e77 and 1.16e77
 QUARTIC_BOUND = np.finfo(float).max ** 0.25
+# numerics.s1 below 1e-5 max(sigma0, c / mesh_size) = 1e-5 / FUZZ_MESH
+# is rejected (sigma0 = 2, c = 1); pml.sigma0 above 1e5 s1 = 1e5 too
+S1_FLOOR = 1e-5 / FUZZ_MESH
 RECTANGLE = "0.4,0.15; 0.6,0.15; 0.6,0.35; 0.4,0.35"
 # (section, key): (a subcommand that reads the key, values at and around
 # its documented bound, whether a rule rejects the value).  FUZZ_CONFIG
@@ -830,7 +853,8 @@ KEY_BOUNDS = {
         "0.1,0.15; 0.3,0.15; 0.3,0.35; 0.1,0.35",   # holds the source
         "0.4,0.15; 0.6,0.15; 0.6,0.5; 0.4,0.5",     # reaches h
         "0.4,0.15; 0.6,0.15; 0.6,0.35"], lambda v: v not in ("", RECTANGLE)),
-    ("pml", "sigma0"): ("td-run", [-1.0, 0.0, 0.5, 2.0], lambda v: v < 0),
+    ("pml", "sigma0"): ("td-run", [-1.0, 0.0, 0.5, 2.0, 2e5],
+                        lambda v: v < 0 or v > 1e5),
     ("pml", "m"): ("td-run", [0, 1, 2], lambda v: v < 1),
     # from 1e155 the grid exceeds mesh.MAX_VERTICES
     ("pml", "L"): ("td-run", AROUND_MESH + [1e155, 1e308],
@@ -853,8 +877,9 @@ KEY_BOUNDS = {
                            lambda v: v > QUARTIC_BOUND),
     ("numerics", "mesh_size"): ("freq-solve", [-0.1, 0.0, 0.125, 0.45, 0.5],
                                 lambda v: not 0 < v < 0.5),
-    ("numerics", "s1"): ("freq-solve", [-1.0, 0.0, 1e-160, 1e-150, 1.0, 1e78],
-                         lambda v: not 1e-154 < v < QUARTIC_BOUND),
+    ("numerics", "s1"): ("freq-solve", [-1.0, 0.0, 1e-160, 1e-150, 7e-5,
+                                        9e-5, 1.0, 1e78],
+                         lambda v: not S1_FLOOR < v < QUARTIC_BOUND),
     ("numerics", "n_steps"): ("td-run", [-1, 0, 1, 4], lambda v: v < 1),
     ("numerics", "n_modes"): ("freq-solve", [-1, 0, 4, 1000],
                               lambda v: v < 0),
@@ -973,15 +998,16 @@ def contract_cases(draw):
     L = draw(st.sampled_from(AROUND_MESH))
     lines = [("pml", f"L = {L!r}")]
     if command == "freq-solve":
-        # (s1/c)^2 must be a normal double (c = 1), and the pulse
-        # transform's (s + a +- i omega0)^4, about s1^4, a finite one
+        # s1 must clear S1_FLOOR, and the pulse transform's (s + a +- i
+        # omega0)^4, about s1^4, must be a finite double
         variant = draw(st.sampled_from(["pml_layer", "exact_dtn"]))
-        s1 = draw(st.sampled_from([1.0, 1e-150, 1e-160, 1e-300, 1e60,
+        s1 = draw(st.sampled_from([1.0, 9e-5, 7e-5, 1e-150, 1e-300, 1e60,
                                    1.15e77, 1.16e77, 1e78]))
+        s2 = draw(st.sampled_from([0, 3]))
         lines += [("numerics", f"variant = {variant}"),
-                  ("numerics", f"s1 = {s1!r}"), ("freq", "s2_values = 3")]
+                  ("numerics", f"s1 = {s1!r}"), ("freq", f"s2_values = {s2}")]
         return command, lines, (variant == "pml_layer" and L <= FUZZ_MESH) \
-            or s1 * s1 < np.finfo(float).tiny or s1 > QUARTIC_BOUND
+            or s1 < S1_FLOOR or s1 > QUARTIC_BOUND
     x1 = draw(st.sampled_from([0.0, 0.3, 0.4, 0.5, 0.6, 1.0]))
     x3 = draw(st.sampled_from([-0.01, 0.0, 0.15, 0.25, 0.35, 0.5, 0.5 + L,
                                0.51 + L]))

@@ -412,6 +412,14 @@ class TestFrequencySolve:
         assert np.array_equal(sol.x.view(float), np.ldexp(x, k))
         assert sol.residual == base.residual > 0.0
 
+    def test_nan_residual_is_an_error(self):
+        # a subnormal pivot: x overflows and the residual is NaN, which
+        # compares false with every bound (it was written as residual nan)
+        A = sp.csc_matrix(np.array([[1e-310, 0.0], [1.0, 1.0]],
+                                   dtype=complex))
+        with pytest.raises(SingularSystemError, match="residual nan"):
+            solve_frequency(FrequencySystem(A, np.ones(2, dtype=complex)))
+
     def test_pml_layer_matches_exact_dtn(self):
         # generous layer: the two routes agree in the physical region
         pml = PmlProfile(sigma0=3.0, m=1, L=1.0, s1=1.0)

@@ -229,6 +229,71 @@ class TestRows:
         assert (mesh.meta["row_h"], mesh.meta["rows_b"]) == (row_h, rows_b)
 
 
+@st.composite
+def decimal_geometries(draw):
+    """Values as written in a config (two decimals; the mesh size a
+    multiple of 0.005): period, h, cosine amplitude, inclusion corners,
+    layer thickness and mesh size, each nudged by up to 3 ulps or not."""
+    def cents(lo, hi):
+        return draw(st.integers(lo, hi)) / 100
+
+    period, h, amp = cents(50, 200), cents(30, 80), cents(0, 10)
+    x1a = cents(1, int(period * 100) - 30)
+    x1b = cents(int(x1a * 100) + 20, int(period * 100) - 1)
+    x3a = cents(int(amp * 100) + 1, int(h * 100) - 15)
+    x3b = cents(int(x3a * 100) + 5, int(h * 100) - 1)
+    values = [period, h, amp, x1a, x1b, x3a, x3b, cents(15, 100),
+              draw(st.integers(4, 20)) / 200]
+
+    def nudge(v):
+        k = draw(st.integers(-3, 3))
+        for _ in range(abs(k)):
+            v = np.nextafter(v, np.copysign(np.inf, k))
+        return float(v)
+    return values, [nudge(v) for v in values]
+
+
+def decimal_mesh(period, h, amp, x1a, x1b, x3a, x3b, L, mesh_size):
+    geom = Geometry(period=period,
+                    surface=SurfaceProfile.cosine(amp, 1.0, period),
+                    h=h, obstacle=Rectangle(x1a, x1b, x3a, x3b))
+    return build_mesh(geom, PmlProfile(sigma0=2.0, m=1, L=L, s1=1.0),
+                      mesh_size)
+
+
+class TestRowCounts:
+    def test_inclusion_bottom_a_few_ulps_apart(self):
+        # with round() a bottom of 0.2 meshed to 78 vertices, one of
+        # 0.3 - 0.1 = 0.19999999999999998 to 91
+        meshes = [build_mesh(flat_geometry(Rectangle(0.4, 0.6, x3a, 0.4)),
+                             None, 0.08) for x3a in (0.2, 0.3 - 0.1)]
+        assert [m.n_vertices for m in meshes] == [78, 78]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=decimal_geometries())
+    def test_few_ulps_leave_the_grid(self, case):
+        # every row and column count goes through mesh._count: nudging
+        # any geometry value or the mesh size by a few ulps leaves the
+        # vertex count and the topology (triangles, regions, boundary
+        # edges, rows and columns of the layer and the inclusion)
+        # unchanged
+        try:
+            base = decimal_mesh(*case[0])
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                decimal_mesh(*case[1])
+            return
+        mesh = decimal_mesh(*case[1])
+        assert mesh.n_vertices == base.n_vertices
+        assert np.array_equal(mesh.triangles, base.triangles)
+        assert np.array_equal(mesh.tri_region, base.tri_region)
+        assert mesh.boundary_edges.keys() == base.boundary_edges.keys()
+        assert all(np.array_equal(mesh.boundary_edges[k], edges)
+                   for k, edges in base.boundary_edges.items())
+        assert {k: v for k, v in mesh.meta.items() if k != "target_h"} \
+            == {k: v for k, v in base.meta.items() if k != "target_h"}
+
+
 class TestValidation:
     def test_target_size_limits(self):
         with pytest.raises(GeometryError):

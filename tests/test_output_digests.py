@@ -34,4 +34,21 @@ def test_outputs_match_recorded_digests():
     run = subprocess.run([sys.executable, str(ROOT / "tools" /
                                               "output_digests.py")],
                          capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.splitlines() == recorded[1:]
+    running_lines = run.stdout.splitlines()
+    exits, digests = _split(running_lines)
+    recorded_exits, recorded_digests = _split(recorded[1:])
+    assert exits == recorded_exits
+    changed = sorted(path for path in digests.keys() & recorded_digests.keys()
+                     if digests[path] != recorded_digests[path])
+    appeared = sorted(digests.keys() - recorded_digests.keys())
+    vanished = sorted(recorded_digests.keys() - digests.keys())
+    assert not (changed or appeared or vanished), \
+        f"changed: {changed}; appeared: {appeared}; vanished: {vanished}"
+    assert running_lines == recorded[1:]
+
+
+def _split(lines):
+    """The exit-code lines, and the digest of each output path."""
+    exits = [line for line in lines if "  " not in line]
+    digests = dict(line.split("  ")[::-1] for line in lines if "  " in line)
+    return exits, digests

@@ -324,6 +324,38 @@ class TestFactorization:
         assert factorize(A).nnz \
             < spla.splu(A, diag_pivot_thresh=DIAG_PIVOT_THRESH).nnz
 
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer",
+                                         "newmark"])
+    def test_fill_below_relaxed_supernodes(self, variant):
+        # without SuperLU's relaxed supernodes (relax=1) a factor holds
+        # fewer nonzeros than with its default relaxation, at the same
+        # ordering and threshold: the frequency systems of the contour
+        # workload's strip at mesh 0.025 (913 dofs without the layer,
+        # 1,513 with it) and the Newmark step matrix of its layer strip
+        geom = Geometry(period=1.0, surface=SurfaceProfile.cosine(0.1, 1.0),
+                        h=0.5, obstacle=Rectangle(0.4, 0.6, 0.2, 0.4))
+        pml = None if variant == "exact_dtn" else PML
+        blk = build_blocks(build_mesh(geom, pml, 0.025), n_modes=32)
+        assert blk.dof.size == (913 if pml is None else 1513)
+
+        def relaxed(A):
+            return spla.splu(A, permc_spec=LU_ORDERING,
+                             diag_pivot_thresh=DIAG_PIVOT_THRESH).nnz
+        if variant == "newmark":
+            T, n_steps = 0.5, 2
+            traj = newmark_run(blk, MEDIA, AT_REST, T, n_steps)
+            w_M, w_K = term_weights(MEDIA)
+            dt = T / n_steps
+            A_eff = blk.form.matrix((w_M + 0.25 * dt * dt * w_K)
+                                    @ blk.form.terms)
+            assert traj.meta["lu_nnz"] < relaxed(A_eff)
+            return
+        source = SourceSpec(center=(0.2, 0.3), radius=0.05, T=2.0)
+        for s in (0.5, 0.5 + 40.0j):
+            system = assemble(blk, MEDIA, s, source.spatial, 1.0, variant,
+                              pml)
+            assert solve_frequency(system).lu_nnz < relaxed(system.matrix)
+
     def test_ordering_and_fill_reported(self):
         # every factorization orders by LU_ORDERING; both routes report
         # the fill

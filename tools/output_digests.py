@@ -9,7 +9,8 @@ convergence on both routes, layer-check, symbol-audit and parseval,
 and one small contour_synthesize call.  Each run writes into a fresh
 temporary directory with a relative --out, so the plot scripts embed
 equal paths.  Prints each run's exit code, then one `sha256  path` line
-per output file and one for the contour trace's bytes, sorted.
+per output file and one for the contour trace's bytes, sorted by path,
+so that a changed output changes one line in place.
 
 Two checkouts write byte-identical outputs when the script prints the
 same lines with PYTHONPATH set to each one's src directory.
@@ -130,4 +131,4 @@ if __name__ == "__main__":
     for name, command, lines in RUNS:
         print(f"{name}: exit {run_cli(name, command, lines, digests)}")
     digests.append(f"{sha256(contour_trace())}  contour/probe_p")
-    print("\n".join(sorted(digests)))
+    print("\n".join(sorted(digests, key=lambda line: line.split("  ")[1])))
