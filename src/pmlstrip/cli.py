@@ -207,8 +207,8 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> tuple[bool, dict]:
              for sigma0, L in files]
     profiles = {v: [replace(cfg.pml, sigma0=sigma0, m=a["m"], L=L, s1=v)
                     for sigma0, L in files] for v in a["s1_values"]}
-    s1 = np.repeat(a["s1_values"], a["s2_grid"].size)
-    s2 = np.tile(a["s2_grid"], len(a["s1_values"]))
+    s1, s2 = (g.ravel() for g in np.meshgrid(
+        a["s1_values"], np.linspace(*a["s2_range"]), indexing="ij"))
     shared = ",".join([CELL] * 5) + ","
     all_pass = True
     with contextlib.ExitStack() as stack:

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import VARIANTS
+from .fem import VARIANTS, frequency_weights, term_weights
 from .mesh import check_grid
 from .model import Geometry, MediaParams, PmlProfile, Pulse, Rectangle, \
     SourceSpec, SurfaceProfile, check_source, validate_media
 from .symbols import DEGENERATE_DENOMINATOR, layer_denominator_floor
+from .timedomain import NEWMARK_BETA
 
 
 class ConfigError(ValueError):
@@ -173,85 +173,22 @@ def _distinct_names(what: str, names: list[str]) -> None:
         raise ConfigError(f"{what} give two output files the same name")
 
 
-def _resolvable_layer(what: str, pml: PmlProfile, s1: float,
-                      c: float) -> None:
-    """Reject a layer too thin for its symbol at Re s = s1: the floor of
-    the symbol's denominator must clear the degeneracy guard twice over,
-    so that rounding in the symbol cannot trip the guard."""
-    if not layer_denominator_floor(s1, c, pml.L_tilde) \
-            >= 2.0 * DEGENERATE_DENOMINATOR:
-        raise ConfigError(f"{what}: layer L = {pml.L:g} is too thin for "
-                          f"its boundary symbol at s1 = {s1:g}")
-
-
-def _normal_square(what: str, s1: float, c: float) -> None:
-    """Reject a Laplace abscissa whose square is not a normal double: the
-    symbols take the root of s^2/c^2 + xi^2, which at s = s1, xi = 0
-    lands on the branch cut once (s1/c)^2 underflows and is lost once it
-    overflows."""
-    r = s1 / c     # r * r overflows to inf, where r ** 2 would raise
-    if not np.finfo(float).tiny <= r * r < np.inf:
-        raise ConfigError(f"{what} = {s1:g} is out of range: (s1/c)^2 "
-                          "is not a normal double")
+def _in_range(keys: str, what: str, numbers, floor: float = 0.0) -> None:
+    """The one numeric-range rule: a ConfigError naming keys unless every
+    number v listed by numbers() (warnings off) has floor <= |v| < inf."""
+    try:
+        with np.errstate(all="ignore"):
+            v = np.abs(np.concatenate([np.ravel(x) for x in numbers()]))
+    except ArithmeticError:     # a Python float power overflows, or x / 0
+        v = np.inf
+    if not np.all((floor <= v) & (v < np.inf)):
+        raise ConfigError(f"{keys}: {what}")
 
 
 # numerics.s1 over the faster of the layer's damping rate sigma0 and a
 # wave's rate c / mesh_size across one mesh cell: the least ratio the
-# frequency systems resolve (_resolved_abscissa)
+# frequency systems resolve
 ABSCISSA_FLOOR = 1e-5
-
-
-def _resolved_abscissa(s1: float, sigma0: float, c: float,
-                       mesh_size: float) -> None:
-    """Reject a Laplace abscissa far below the strip's rates, where the
-    frequency systems at s2 = 0 lose their slowest modes to rounding.  A
-    layer's relative residual grows like 1e-16 sigma0/s1 (flat and
-    inclusion strips, meshes 0.125 to 0.05, c = 0.1 to 10: 2e-10 at
-    sigma0/s1 = 2e6, failing the residual check from about 1e8), and an
-    inclusion without a layer failed its check at s1 = 1e-10 (mesh
-    0.125); at s1 = 1e-150 its mass terms underflow."""
-    floor = ABSCISSA_FLOOR * max(sigma0, c / mesh_size)
-    if not s1 >= floor:
-        raise ConfigError(f"numerics.s1 = {s1:g} is below "
-                          f"{ABSCISSA_FLOOR:g} max(sigma0, c / mesh_size) "
-                          f"= {floor:g}")
-
-
-def _finite_pulse_transform(pulse: Pulse, s1: float, s2_values) -> None:
-    """Reject a Laplace frequency s = s1 + i s2 at which the pulse
-    transform's denominators (s + a -+ i omega0)^4, computed as
-    Pulse.laplace computes them, are not finite doubles: the transform
-    then reads 0 or nan, and the weights theta(s) of the frequency
-    system, which grow like |s|^3, overflow soon after."""
-    s = np.array([complex(s1, s2) for s2 in s2_values], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite((s + pulse.a - 1j * pulse.omega0) ** 4) \
-            & np.isfinite((s + pulse.a + 1j * pulse.omega0) ** 4)
-    if not finite.all():
-        raise ConfigError("numerics.s1 with freq.s2_values: (s + a +- i "
-                          "omega0)^4 is not a finite double at s = "
-                          f"{s[~finite][0]:g}")
-
-
-def _finite_layer_system(layer: dict, pml: PmlProfile, c: float) -> None:
-    """Reject [layer] and pml.L values that overflow layer-check:
-    fd_layer_solve's largest entry is below 2 (n/L)^2 + |k2| sigma_max,
-    where |k2| = |s^2/c^2 + xi^2| <= |s|^2/c^2 + xi^2 and the damping
-    peaks at sigma_max = 1 + sigma0/s1 on the layer top; it squares its
-    widest grid step L/n; and the layer symbol takes exp(-2 beta L~),
-    with |beta| <= sqrt(|s|^2/c^2 + xi^2)."""
-    s, xi = layer["s"], np.max(np.abs(layer["xi_values"]))
-    with np.errstate(over="ignore"):
-        k = np.hypot(np.hypot(s.real, s.imag) / c, xi)
-        bound = 2.0 * (np.float64(max(layer["n_values"])) / pml.L) ** 2 \
-            + k * k * (1.0 + np.float64(pml.sigma0) / pml.s1)
-        step = pml.L / np.float64(min(layer["n_values"]))
-        finite = np.isfinite([bound, step * step, 2.0 * k * pml.L_tilde])
-    if not finite.all():
-        raise ConfigError("layer: layer-check overflows: (|s|^2/c^2 + xi^2)"
-                          "(1 + sigma0/s1) + 2 (n/L)^2, (L/n)^2 and "
-                          "2 sqrt(|s|^2/c^2 + xi^2) L~ must be finite "
-                          "doubles")
 
 
 def load_config(path: str) -> RunConfig:
@@ -295,12 +232,12 @@ def load_config(path: str) -> RunConfig:
                             h=geo["h"], obstacle=geo["obstacle"])
 
         T = src["T"]
-        if not (T > 0 and src["radius"] > 0):
-            raise ConfigError("source needs T > 0 and radius > 0")
+        # for a < 0 the pulse grows, and has no transform at Re s <= -a
+        if not (T > 0 and src["radius"] > 0 and src["a"] >= 0):
+            raise ConfigError("source needs T > 0, radius > 0 and a >= 0")
         s1 = p["numerics"].pop("s1")   # kept once, as pml.s1
         s1 = 1.0 / T if s1 is None else s1
         pml = PmlProfile(s1=s1, **p["pml"])
-        _normal_square("numerics.s1", s1, media.c)
 
         source = SourceSpec(center=src["center"], radius=src["radius"], T=T,
                             pulse=Pulse(a=src["a"], omega0=src["omega0"]))
@@ -311,10 +248,7 @@ def load_config(path: str) -> RunConfig:
                     "snapshot_times": p["td"]["snapshot_times"]}
         _distinct_names("freq.s2_values", [f"{v:g}" for v in
                                            numerics["freq_s2_values"]])
-        _finite_pulse_transform(source.pulse, s1,
-                                numerics["freq_s2_values"])
         check_grid(geometry, None, numerics["mesh_size"])
-        _resolved_abscissa(s1, pml.sigma0, media.c, numerics["mesh_size"])
         if numerics["n_steps"] < 1 or numerics["n_modes"] < 0:
             raise ConfigError("numerics needs n_steps >= 1 and n_modes >= 0")
         # Newmark snaps each time to its nearest step of dt = T / n_steps
@@ -334,23 +268,18 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("sweep.sigma0_values must be >= 0")
 
         audit = p["audit"]
-        rng = audit.pop("s2_range")
+        rng = audit["s2_range"]
         if len(rng) != 3 or not rng[2].is_integer() or rng[2] < 1:
             raise ConfigError("audit.s2_range must be min,max,count with "
                               "a positive integer count")
-        audit["s2_grid"] = np.linspace(rng[0], rng[1], int(rng[2]))
+        # run_symbol_audit builds the grid: nothing here is sized by a value
+        audit["s2_range"] = (rng[0], rng[1], int(rng[2]))
         for key in ("s1_values", "sigma0_values", "L_values"):
             if not audit[key] or not all(v > 0 for v in audit[key]):
                 raise ConfigError(f"audit.{key} must be nonempty and "
                                   "positive")
-        for s1_a in audit["s1_values"]:
-            _normal_square("audit.s1_values entry", s1_a, media.c)
         if audit["m"] < 1 or audit["xi_points"] < 1:
             raise ConfigError("audit.m and audit.xi_points must be >= 1")
-        for s1_a, sigma0, L in itertools.product(
-                audit["s1_values"], audit["sigma0_values"], audit["L_values"]):
-            _resolvable_layer("audit", PmlProfile(sigma0=sigma0, m=audit["m"],
-                                                  L=L, s1=s1_a), s1_a, media.c)
         _distinct_names("audit (sigma0, L) pairs",
                         [f"sigma{sigma0:g}_L{L:g}"
                          for sigma0 in audit["sigma0_values"]
@@ -359,7 +288,6 @@ def load_config(path: str) -> RunConfig:
         s_pair, n_values = p["layer"]["s"], p["layer"]["n_values"]
         if not s_pair[0] > 0:
             raise ConfigError("layer.s must be s1,s2 with s1 > 0")
-        _normal_square("layer.s real part", s_pair[0], media.c)
         if len(n_values) < 2 or not all(v.is_integer() and v >= 8
                                         for v in n_values) \
                 or not np.all(np.diff(n_values) > 0):
@@ -372,20 +300,72 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("layer.xi_values must be nonempty")
         _distinct_names("layer.xi_values",
                         [f"{v:g}" for v in layer["xi_values"]])
-        # the boundary-map solves run at Re s = s1, layer-check at layer.s
-        _resolvable_layer("pml", pml, min(s1, s_pair[0]), media.c)
-        _finite_layer_system(layer, pml, media.c)
 
         parseval = p["parseval"]
-        # n_time + 1 samples: the end-corrected time rule reads five; the
-        # frequency grid spans [-s2_max, s2_max]
+        # n_time + 1 samples: the end-corrected time rule reads five
         if not (parseval["s1"] > 0 and parseval["horizon"] > 0
                 and parseval["s2_max"] > 0 and parseval["n_time"] >= 4
-                and parseval["n_freq"] >= 1
-                and math.isfinite(2.0 * parseval["s2_max"])):
+                and parseval["n_freq"] >= 1):
             raise ConfigError("parseval needs s1 > 0, horizon > 0, "
-                              "0 < s2_max < max double / 2, n_time >= 4 "
-                              "and n_freq >= 1")
+                              "s2_max > 0, n_time >= 4 and n_freq >= 1")
+
+        # The numbers the runs derive, each a double in range.  The
+        # symbols take the root of s^2/c^2 + xi^2, which lands on the
+        # branch cut once (s1/c)^2 underflows and is lost once it overflows
+        c, abscissas = media.c, [s1, *audit["s1_values"], s_pair[0]]
+        _in_range("numerics.s1, audit.s1_values or layer.s, over media.c",
+                  "(s1/c)^2 is not a normal double",
+                  lambda: [(v / c) ** 2 for v in abscissas],
+                  np.finfo(float).tiny)
+        # Below this floor the frequency systems at s2 = 0 lose their
+        # slowest modes to rounding.  A layer's relative residual grows
+        # like 1e-16 sigma0/s1 (flat and inclusion strips, meshes 0.125 to
+        # 0.05, c = 0.1 to 10: 2e-10 at sigma0/s1 = 2e6, failing the
+        # residual check from about 1e8), and an inclusion without a layer
+        # failed its check at s1 = 1e-10 (mesh 0.125); at s1 = 1e-150 its
+        # mass terms underflow
+        floor = ABSCISSA_FLOOR * max(pml.sigma0, c / numerics["mesh_size"])
+        _in_range("numerics.s1", f"below {ABSCISSA_FLOOR:g} max(sigma0, "
+                  f"c / mesh_size) = {floor:g}", lambda: [s1], floor)
+        # the frequency systems at each s = s1 + i s2: the weights theta(s)
+        # grow like |s|^3, and past a finite (s + a -+ i omega0)^4 the
+        # pulse transform reads 0 or nan
+        s = s1 + 1j * np.array(numerics["freq_s2_values"])
+        _in_range("media, source, numerics.s1 and freq.s2_values",
+                  "the frequency system overflows",
+                  lambda: [frequency_weights(media, s[:, None]),
+                           *source.pulse.laplace_denominators(s)])
+        w_M, w_K = term_weights(media)
+        _in_range("media, source.T and numerics.n_steps",
+                  "the Newmark step matrix overflows",
+                  lambda: [w_M + NEWMARK_BETA * dt * dt * w_K])
+        # The floor of a layer symbol's denominator at Re s = s1 must
+        # clear the degeneracy guard twice over, so that rounding in the
+        # symbol cannot trip the guard.  The boundary-map solves run at
+        # Re s = s1, layer-check at layer.s
+        layers = [(min(s1, s_pair[0]), pml)] + [
+            (v, PmlProfile(sigma0=sigma0, m=audit["m"], L=L, s1=v))
+            for v in audit["s1_values"] for sigma0 in audit["sigma0_values"]
+            for L in audit["L_values"]]
+        _in_range("pml or audit", "a layer is too thin for its boundary "
+                  "symbol", lambda: [layer_denominator_floor(v, c, lay.L_tilde)
+                                     for v, lay in layers],
+                  2.0 * DEGENERATE_DENOMINATOR)
+        # layer-check: fd_layer_solve's largest entry is below 2 (n/L)^2 +
+        # k^2 sigma_max, with k^2 = |s|^2/c^2 + xi^2 >= |s^2/c^2 + xi^2|
+        # and the damping peaking at sigma_max = 1 + sigma0/s1 on the
+        # layer top; it squares its widest grid step L/n; and the layer
+        # symbol takes exp(-2 beta L~), with |beta| <= k
+        def layer_check():
+            n, k = layer["n_values"], np.hypot(
+                np.abs(layer["s"]) / c, np.max(np.abs(layer["xi_values"])))
+            return [2.0 * (max(n) / pml.L) ** 2
+                    + k * k * (1.0 + pml.sigma0 / s1),
+                    (pml.L / min(n)) ** 2, 2.0 * k * pml.L_tilde]
+        _in_range("layer with pml", "layer-check overflows", layer_check)
+        # parseval's frequency grid spans [-s2_max, s2_max]
+        _in_range("parseval.s2_max", "2 s2_max overflows",
+                  lambda: [2.0 * parseval["s2_max"]])
     except ConfigError:
         raise
     except ValueError as exc:

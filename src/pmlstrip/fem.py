@@ -494,6 +494,13 @@ def term_weights(media: MediaParams) -> tuple[np.ndarray, np.ndarray]:
             np.array([1.0, 0.0, media.lam, media.mu, 0.0, 0.0, 1.0]))
 
 
+def frequency_weights(media: MediaParams, s: complex) -> np.ndarray:
+    """Each term's theta(s) = r(s) (w_K + s^2 w_M) (module docstring)."""
+    w_M, w_K = term_weights(media)
+    return np.where(_PRESSURE_ROWS, 1.0 / s, media.rho0 * np.conj(s)) \
+        * (w_K + s * s * w_M)
+
+
 def load_vector(blk: FemBlocks, spatial):
     """Nodal load int_{Omega_h} chi(x) phi_i dx (fluid region only; the
     source is supported below x3 = h), by the fluid load rule."""
@@ -545,9 +552,7 @@ def assemble(blk: FemBlocks, media: MediaParams, s: complex,
     if variant == "pml_dtn" and pml is None:
         raise AssemblyError("pml_dtn variant needs a layer profile")
     form = blk.form
-    w_M, w_K = term_weights(media)
-    theta = np.where(_PRESSURE_ROWS, 1.0 / s, media.rho0 * np.conj(s)) \
-        * (w_K + s * s * w_M)
+    theta = frequency_weights(media, s)
     data = theta.real @ form.terms + 1j * (theta.imag @ form.terms)
     if form.gamma_slots.size:
         L_tilde = pml.L_tilde if variant == "pml_dtn" else None

@@ -249,21 +249,26 @@ class Geometry:
 class Pulse:
     """Temporal profile w(t) = t^3 * exp(-a t) * sin(omega0 t).
 
-    The cubic ramp makes w, w' and w'' vanish identically at t = 0.
+    The cubic ramp makes w, w' and w'' vanish identically at t = 0.  Past
+    the decay, where exp(-a t) underflows to 0, w and w' read 0 (t^3 may
+    overflow there, and 0 * inf is nan).
     """
 
     a: float = 4.0
     omega0: float = 8.0
 
-    def __call__(self, t):
+    def _decaying(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.where(t > 0, t ** 3 * np.exp(-self.a * t)
-                       * np.sin(self.omega0 * t), 0.0)
+        e = np.exp(-self.a * t)
+        return e, np.where(e > 0, t, 0.0)
+
+    def __call__(self, t):
+        e, t = self._decaying(t)
+        out = np.where(t > 0, t ** 3 * e * np.sin(self.omega0 * t), 0.0)
         return out if out.ndim else float(out)
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        e = np.exp(-self.a * t)
+        e, t = self._decaying(t)
         w = np.sin(self.omega0 * t)
         dw = self.omega0 * np.cos(self.omega0 * t)
         out = np.where(t > 0,
@@ -271,13 +276,16 @@ class Pulse:
                             + t ** 3 * dw), 0.0)
         return out if out.ndim else float(out)
 
+    def laplace_denominators(self, s):
+        """(s + a - i omega0)^4 and (s + a + i omega0)^4."""
+        s = np.asarray(s, dtype=complex) + self.a
+        return (s - 1j * self.omega0) ** 4, (s + 1j * self.omega0) ** 4
+
     def laplace(self, s):
         """Closed-form Laplace transform, valid for complex s with
         Re(s) > -a."""
-        s = np.asarray(s, dtype=complex)
-        lo = 6.0 / (s + self.a - 1j * self.omega0) ** 4
-        hi = 6.0 / (s + self.a + 1j * self.omega0) ** 4
-        out = (lo - hi) / 2j
+        lo, hi = self.laplace_denominators(s)
+        out = (6.0 / lo - 6.0 / hi) / 2j
         return out if out.ndim else complex(out)
 
 

@@ -80,6 +80,10 @@ def _probe_reader(blk: FemBlocks, probes: ProbeSet):
 # Newmark time integration
 # ---------------------------------------------------------------------------
 
+# the step matrix is w_M + NEWMARK_BETA dt^2 w_K (average acceleration)
+NEWMARK_BETA = 0.25
+
+
 @dataclass
 class TimeTrajectory:
     """Probe series and per-step diagnostics of one transient run."""
@@ -108,7 +112,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams, source: SourceSpec,
     if blk.mesh.pml is None:
         raise ValueError("Newmark integration needs a layer mesh")
     dt = T / n_steps
-    beta_n, gamma_n = 0.25, 0.5
+    beta_n, gamma_n = NEWMARK_BETA, 0.5
     t_grid = np.linspace(0.0, T, n_steps + 1)
     g_t = source.pulse.derivative(t_grid)
     if g_t[0] != 0:
@@ -164,6 +168,8 @@ def newmark_run(blk: FemBlocks, media: MediaParams, source: SourceSpec,
         d = d_star + beta_n * dt * dt * a
         v = v_star + gamma_n * dt * a
         record(step)
+    if not np.isfinite(d).all():
+        raise RuntimeError("the Newmark state is not finite")
     return traj
 
 

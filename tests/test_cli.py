@@ -157,7 +157,7 @@ def reference_audit_rows(cfg, sigma0, L, cu_bound=reference_cu_bound):
     rows = []
     for s1 in a["s1_values"]:
         pml = PmlProfile(sigma0=sigma0, m=a["m"], L=L, s1=s1)
-        for s2 in a["s2_grid"]:
+        for s2 in np.linspace(*a["s2_range"]):
             s = complex(s1, s2)
             xi = reference_default_xi_grid(s, c, a["xi_points"])
             betas, gaps, bound = reference_symbol_gap_sup(s, c, pml, xi,
@@ -300,6 +300,16 @@ class TestConfig:
         ("geom", "surface = cosine:0.05,1.5"),
         # the frequency grid's width 2 s2_max overflows (an `error:` line)
         ("parseval", "s2_max = 1e308"),
+        # Newmark's step weight dt^2 overflows (td-run: `Factor is exactly
+        # singular`)
+        ("source", "T = 1e160"),
+        ("source", "T = 1e308"),
+        # the frequency weights theta(s) overflow at s2 = 5 and 10
+        # (freq-solve: `Factor is exactly singular`)
+        ("media", "mu = 1e308"),
+        # a growing pulse, with no transform at Re s <= -a (freq-solve
+        # exited 0 on the closed form, which does not hold there)
+        ("source", "a = -1"),
     ])
     def test_rejected_at_load(self, tmp_path, section, line):
         # each of these used to load and then fail, or be ignored, at
@@ -667,6 +677,42 @@ class TestSubcommands:
         rows = read_csv(out / "freq_summary.csv")
         assert [float(r["residual"]) <= 1e-10 for r in rows] == [True]
 
+    @pytest.mark.parametrize("line", ["lambda = 1e200", "rho0 = 1e200"])
+    def test_td_run_non_finite_state_fails(self, tmp_path, capsys, line):
+        # the weights load, and the Newmark state overflows to nan: this
+        # wrote nan probe rows with exit 0
+        path, out = tmp_path / "big.ini", tmp_path / "out"
+        path.write_text(with_setting(FUZZ_CONFIG, "media", line))
+        assert main(["td-run", "--config", str(path), "--out", str(out)]) \
+            == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (out / "probes.csv").exists()
+        assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("command, section, line, name, code", [
+        ("td-run", "source", "T = 5e102", "probes.csv", 0),
+        # parseval's coarse grid fails its gate
+        ("parseval", "parseval", "horizon = 1e103", "parseval.csv", 1)])
+    def test_no_nan_past_the_pulse_decay(self, tmp_path, command, section,
+                                         line, name, code):
+        # the pulse and its derivative read 0 where exp(-a t) underflows to
+        # 0; they read 0 * inf = nan there, and these runs wrote nan rows
+        path, out = tmp_path / "long.ini", tmp_path / "out"
+        path.write_text(with_setting(FUZZ_CONFIG, section, line))
+        assert main([command, "--config", str(path), "--out", str(out)]) \
+            == code
+        assert "nan" not in (out / name).read_text()
+
+    def test_parseval_ignores_audit_grid_size(self, tmp_path):
+        # load_config keeps the audit grid as (min, max, count): a count of
+        # 1e15 used to be allocated at load, by every subcommand
+        path, out = tmp_path / "p.ini", tmp_path / "out"
+        path.write_text(with_setting(BASE_CONFIG, "audit",
+                                     "s2_range = -5,5,1e15"))
+        assert main(["parseval", "--config", str(path), "--out", str(out)]) \
+            == 0
+
     def test_td_run(self, config_path, tmp_path):
         out = str(tmp_path / "td")
         assert main(["td-run", "--config", config_path, "--out", out]) == 0
@@ -832,7 +878,9 @@ KEY_BOUNDS = {
                          lambda v: v <= 0),
     ("media", "lambda"): ("freq-solve", [-1.0, -0.7, -0.6, 0.0],
                           lambda v: 3 * v + 2 < 0),
-    ("media", "mu"): ("td-run", [-0.5, 0.0, 1e-3, 2.0], lambda v: v < 0),
+    # from 1e308 the frequency weights overflow at s2 = 5 and 10
+    ("media", "mu"): ("td-run", [-0.5, 0.0, 1e-3, 2.0, 1e308],
+                      lambda v: v < 0 or v == 1e308),
     # the inclusion's right side is at x1 = 0.6; from 1e200 the grid
     # exceeds mesh.MAX_VERTICES
     ("geom", "period"): ("freq-solve", [-1.0, 0.0, 0.6, 0.7, 2.0, 1e200,
@@ -868,11 +916,13 @@ KEY_BOUNDS = {
                                                "0.2,0.43")),
     ("source", "radius"): ("freq-solve", [-0.06, 0.0, 0.06, 0.15, 0.25],
                            lambda v: not 0 < v < 0.25),
-    ("source", "T"): ("td-run", [-1.0, 0.0, 1e-3, 1.0, 4.0],
-                      lambda v: v <= 0),
-    # (s + a -+ i omega0)^4 must be a finite double
-    ("source", "a"): ("freq-solve", [0.0, 4.0, 1e76, 1.2e77, 1e78],
-                      lambda v: v > QUARTIC_BOUND),
+    # at 5e102 the pulse has decayed to 0 at every step; from 1e160
+    # Newmark's dt^2 overflows
+    ("source", "T"): ("td-run", [-1.0, 0.0, 1e-3, 1.0, 4.0, 5e102, 1e160],
+                      lambda v: v <= 0 or v == 1e160),
+    # a >= 0, and (s + a -+ i omega0)^4 must be a finite double
+    ("source", "a"): ("freq-solve", [-1.0, 0.0, 4.0, 1e76, 1.2e77, 1e78],
+                      lambda v: v < 0 or v > QUARTIC_BOUND),
     ("source", "omega0"): ("freq-solve", [0.0, 8.0, 1e76, 1.2e77, 1e78],
                            lambda v: v > QUARTIC_BOUND),
     ("numerics", "mesh_size"): ("freq-solve", [-0.1, 0.0, 0.125, 0.45, 0.5],

@@ -162,6 +162,18 @@ class TestPulse:
         fd = (p(t + eps) - p(t - eps)) / (2 * eps)
         assert np.allclose(p.derivative(t), fd, atol=1e-6)
 
+    def test_zero_past_the_decay(self):
+        # at a = 4, exp(-a t) underflows to 0 from t ~ 186, and a t^3
+        # overflows from t ~ 3.5e102, where 0 * inf read nan
+        p = Pulse()
+        t = np.array([1.0, 150.0, 200.0, 5e102, 1e103, 1e300])
+        with np.errstate(over="raise", invalid="raise"):
+            w, dw = p(t), p.derivative(t)
+        assert np.all(w[2:] == 0.0) and np.all(dw[2:] == 0.0)
+        # the closed form where it is finite
+        assert np.array_equal(w[:2], t[:2] ** 3 * np.exp(-4.0 * t[:2])
+                              * np.sin(8.0 * t[:2]))
+
     def test_laplace_matches_quadrature(self):
         p = Pulse()
         sig = SampledSignal.sample(p, 10.0, 20000)
