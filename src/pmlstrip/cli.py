@@ -42,6 +42,12 @@ class FitError(RuntimeError):
 
 CELL = "%.12g"      # every number in a CSV; bools print as 1/0
 EOL = "\r\n"         # every CSV line end
+# the most rows a symbol-audit file may have: 13 times the default
+# grid's 161,202 (2^20 rows of one s in nine files peaked at 733 MB)
+MAX_AUDIT_ROWS = 2 ** 21
+# the most values a time-route history may hold: about 50 times
+# criterion 7's 401 steps of 3,553 sub-layer dofs (a sweep holds three)
+MAX_HISTORY = 2 ** 26
 
 
 def _format_rows(pattern: str, cells, n_rows: int) -> str:
@@ -201,6 +207,10 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     (s1, s2, xi, beta) formatted once, then each file's gap cells and
     its block's `,bound,pass` endings."""
     a, c = cfg.audit, cfg.media.c
+    rows = len(a["s1_values"]) * a["s2_range"][2] * a["xi_points"]
+    if rows > MAX_AUDIT_ROWS:
+        raise ConfigError(f"audit.s1_values, s2_range and xi_points give "
+                          f"{rows} rows per file, above {MAX_AUDIT_ROWS}")
     files = [(sigma0, L) for sigma0 in a["sigma0_values"]
              for L in a["L_values"]]
     paths = [os.path.join(out, f"audit_sigma{sigma0:g}_L{L:g}.csv")
@@ -373,6 +383,10 @@ def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     T = cfg.source.T
     sigma_ref = max([cfg.pml.sigma0] + cfg.sweep["sigma0_values"])
     blk_sub = _blocks(cfg, None)
+    if (n_steps + 1) * blk_sub.dof.size > MAX_HISTORY:
+        raise ConfigError(f"numerics.n_steps and mesh_size: a history of "
+                          f"{n_steps + 1} steps of {blk_sub.dof.size} dofs "
+                          f"is above {MAX_HISTORY} values")
 
     def history(L, sigma0):
         """Sub-layer dof vectors of one run, one column per step."""
@@ -392,7 +406,7 @@ def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
 def run_convergence(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     L_values = cfg.sweep["L_values"]
     if len(L_values) < 3:
-        raise ConfigError("convergence sweep needs at least 3 L values")
+        raise ConfigError("sweep.L_values: convergence needs at least 3")
     _above_mesh_size("every sweep.L_values entry", L_values, cfg)
     time_route = cfg.numerics["route"] == "time"
     if time_route and not cfg.sweep["L_ref"] > L_values[-1]:

@@ -1,10 +1,6 @@
-"""Configuration files for the command line harness.
-
-Plain INI files parsed with configparser.  Sections mirror the
-documented key groups: [media], [geom], [pml], [source], plus harness
-controls in [numerics], [sweep], [audit], [layer] and [probes].  See
-the README for the full schema.
-"""
+"""Configuration files for the command line harness: INI files read
+with configparser against SCHEMA, one row per key holding its default
+and a parser that enforces the key's own rule.  See the README."""
 
 from __future__ import annotations
 
@@ -40,11 +36,18 @@ def _floats(text: str) -> list[float]:
             if tok.strip()]
 
 
-def _pair(text: str) -> tuple[float, float]:
-    xy = _floats(text)
-    if len(xy) != 2:
-        raise ConfigError(f"expected two numbers: {text!r}")
-    return xy[0], xy[1]
+def _rule(parse, ok, message: str, make=None):
+    """One key's own rule: parse, then a ConfigError `message` (the parse
+    loop names the key) unless ok(value); returns value or make(value)."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(message)
+        return value if make is None else make(value)
+    return check
+
+
+_pair = _rule(_floats, lambda v: len(v) == 2, "expected two numbers", tuple)
 
 
 def _points(text: str) -> np.ndarray:
@@ -54,12 +57,41 @@ def _points(text: str) -> np.ndarray:
 
 
 def _choice(*names: str):
-    def parse(text: str) -> str:
-        if text not in names:
-            raise ConfigError(f"must be {', '.join(names[:-1])} or "
-                              f"{names[-1]}")
-        return text
-    return parse
+    return _rule(str, names.__contains__,
+                 f"must be {', '.join(names[:-1])} or {names[-1]}")
+
+
+def _at_least(low: float, parse=_finite):
+    return _rule(parse, lambda v: v >= low, f"must be >= {low:g}")
+
+
+# the most samples a size key may ask for (n_time, n_freq, n_steps, each
+# n_values grid): about 130 times the 16,000 time samples of criterion 9
+MAX_SAMPLES = 2 ** 21
+
+
+def _size(low: int):
+    return _rule(int, lambda v: low <= v <= MAX_SAMPLES,
+                 f"must be an integer from {low} to {MAX_SAMPLES}")
+
+
+def _distinct_names(values) -> bool:
+    """Whether values print apart in the `:g` format, which names files."""
+    names = [f"{v:g}" for v in values]
+    return len(set(names)) == len(names)
+
+
+def _named(parse):
+    """Values that each name an output file."""
+    return _rule(parse, _distinct_names,
+                 "two values give one output file name (values in :g)")
+
+
+_positive = _rule(_finite, lambda v: v > 0, "must be > 0")
+_increasing = _rule(_floats, lambda v: all(a < b for a, b in zip(v, v[1:])),
+                    "must be strictly increasing")
+_positives = _rule(_floats, lambda v: v and min(v) > 0,
+                   "must be a nonempty list of numbers > 0")
 
 
 def _surface(spec: str):
@@ -70,9 +102,8 @@ def _surface(spec: str):
         level = _finite(arg) if sep else 0.0
         return lambda period: SurfaceProfile.flat(level), b""
     if kind == "cosine":
-        vals = _floats(arg)
-        if len(vals) != 2:
-            raise ConfigError("cosine surface needs amplitude,frequency")
+        vals = _rule(_floats, lambda v: len(v) == 2,
+                     "cosine surface needs amplitude,frequency")(arg)
         return lambda period: SurfaceProfile.cosine(*vals, period), b""
     if kind == "file":
         path = arg.strip()
@@ -121,30 +152,51 @@ SCHEMA = {
              "surface": ("flat", _surface), "obstacle": ("", _obstacle)},
     "pml": {"sigma0": ("2.0", _finite), "m": ("1", int),
             "L": ("1.0", _finite)},
-    "source": {"center": ("0.5,0.25", _pair), "radius": ("0.08", _finite),
-               "T": ("2.0", _finite), "a": ("4.0", _finite),
+    # for a < 0 the pulse grows, and has no transform at Re s <= -a
+    "source": {"center": ("0.5,0.25", _pair), "radius": ("0.08", _positive),
+               "T": ("2.0", _positive), "a": ("4.0", _at_least(0)),
                "omega0": ("8.0", _finite)},
     "numerics": {"mesh_size": ("0.05", _finite),
                  "s1": ("", lambda text: _finite(text) if text else None),
-                 "n_steps": ("400", int), "n_modes": ("64", int),
+                 "n_steps": ("400", _size(1)),
+                 "n_modes": ("64", _at_least(0, int)),
                  "route": ("freq", _choice("freq", "time")),
                  "variant": ("exact_dtn", _choice(*VARIANTS))},
-    "freq": {"s2_values": ("0,5,10", _floats)},
+    "freq": {"s2_values": ("0,5,10", _named(_floats))},
     "td": {"snapshot_times": ("", _floats)},
-    "sweep": {"L_values": ("0.25,0.5,1.0", _floats),
-              "sigma0_values": ("", _floats), "L_ref": ("3.0", _finite)},
-    "audit": {"s1_values": ("1.0,0.1", _floats),
-              "s2_range": ("-50,50,201", _floats),
-              "xi_points": ("401", int),
-              "sigma0_values": ("1,2,4", _floats),
-              "L_values": ("0.5,1,2", _floats), "m": ("1", int)},
-    "layer": {"xi_values": ("0.0,6.283185307179586", _floats),
-              "s": ("1.0,0.0", _pair),
-              "n_values": ("32,64,128,256", _floats)},
+    "sweep": {"L_values": ("0.25,0.5,1.0", _increasing),
+              "sigma0_values": ("", _rule(_increasing, lambda v: min(
+                  v, default=0) >= 0, "must be >= 0")),
+              "L_ref": ("3.0", _finite)},
+    # one file per (sigma0, L), named after both; run_symbol_audit sizes
+    # the grid, so nothing here is allocated by a value
+    "audit": {"s1_values": ("1.0,0.1", _positives),
+              "s2_range": ("-50,50,201", _rule(
+                  _floats, lambda v: len(v) == 3 and v[2].is_integer()
+                  and v[2] >= 1, "must be min,max,count with a positive "
+                  "integer count", lambda v: (v[0], v[1], int(v[2])))),
+              "xi_points": ("401", _at_least(1, int)),
+              "sigma0_values": ("1,2,4", _named(_positives)),
+              "L_values": ("0.5,1,2", _named(_positives)),
+              "m": ("1", _at_least(1, int))},
+    "layer": {"xi_values": ("0.0,6.283185307179586", _named(_rule(
+                  _floats, bool, "must be nonempty"))),
+              "s": ("1.0,0.0", _rule(_pair, lambda v: v[0] > 0, "must be "
+                                     "s1,s2 with s1 > 0",
+                                     lambda v: complex(*v))),
+              "n_values": ("32,64,128,256", _rule(
+                  _increasing, lambda v: len(v) >= 2 and all(
+                      x.is_integer() and 8 <= x <= MAX_SAMPLES for x in v),
+                  f"must be two or more integers from 8 to {MAX_SAMPLES}",
+                  lambda v: [int(x) for x in v]))},
     "probes": {"points": ("0.25,0.3; 0.5,0.35; 0.75,0.3", _points)},
-    "parseval": {"s1": ("1.0", _finite), "s2_max": ("400.0", _finite),
-                 "n_freq": ("8001", int), "horizon": ("40.0", _finite),
-                 "n_time": ("16000", int)},
+    # n_time + 1 samples: the end-corrected time rule reads five; the
+    # frequency grid spans [-s2_max, s2_max]
+    "parseval": {"s1": ("1.0", _positive),
+                 "s2_max": ("400.0", _rule(_positive, lambda v: 2.0 * v
+                                           < math.inf, "2 s2_max overflows")),
+                 "n_freq": ("8001", _size(1)), "horizon": ("40.0", _positive),
+                 "n_time": ("16000", _size(4))},
 }
 
 
@@ -163,14 +215,6 @@ class RunConfig:
     probes: np.ndarray
     parseval: dict
     digest: str = ""
-
-
-def _distinct_names(what: str, names: list[str]) -> None:
-    """Reject values that would share an output file: files are named
-    after their values in the `:g` format, so distinct values can
-    collide."""
-    if len(set(names)) < len(names):
-        raise ConfigError(f"{what} give two output files the same name")
 
 
 def _in_range(keys: str, what: str, numbers, floor: float = 0.0) -> None:
@@ -232,9 +276,6 @@ def load_config(path: str) -> RunConfig:
                             h=geo["h"], obstacle=geo["obstacle"])
 
         T = src["T"]
-        # for a < 0 the pulse grows, and has no transform at Re s <= -a
-        if not (T > 0 and src["radius"] > 0 and src["a"] >= 0):
-            raise ConfigError("source needs T > 0, radius > 0 and a >= 0")
         s1 = p["numerics"].pop("s1")   # kept once, as pml.s1
         s1 = 1.0 / T if s1 is None else s1
         pml = PmlProfile(s1=s1, **p["pml"])
@@ -246,73 +287,21 @@ def load_config(path: str) -> RunConfig:
         numerics = {**p["numerics"],
                     "freq_s2_values": p["freq"]["s2_values"],
                     "snapshot_times": p["td"]["snapshot_times"]}
-        _distinct_names("freq.s2_values", [f"{v:g}" for v in
-                                           numerics["freq_s2_values"]])
         check_grid(geometry, None, numerics["mesh_size"])
-        if numerics["n_steps"] < 1 or numerics["n_modes"] < 0:
-            raise ConfigError("numerics needs n_steps >= 1 and n_modes >= 0")
         # Newmark snaps each time to its nearest step of dt = T / n_steps
+        # and names the snapshot file after that step's time
         snap, dt = numerics["snapshot_times"], T / numerics["n_steps"]
-        if not all(0 <= ts <= T for ts in snap) \
-                or len({round(ts / dt) for ts in snap}) < len(snap):
+        if snap and not (all(0 <= ts <= T for ts in snap) and _distinct_names(
+                np.linspace(0.0, T, numerics["n_steps"] + 1)[
+                    [round(ts / dt) for ts in snap]])):
             raise ConfigError("td.snapshot_times must lie in [0, T], on "
-                              "distinct time steps")
+                              "time steps with distinct file names")
 
-        sweep = p["sweep"]
-        for key in ("L_values", "sigma0_values"):
-            vals = sweep[key]
-            if vals and not np.all(np.diff(vals) > 0):
-                raise ConfigError(f"sweep.{key} must be strictly "
-                                  "increasing")
-        if any(v < 0 for v in sweep["sigma0_values"]):
-            raise ConfigError("sweep.sigma0_values must be >= 0")
-
-        audit = p["audit"]
-        rng = audit["s2_range"]
-        if len(rng) != 3 or not rng[2].is_integer() or rng[2] < 1:
-            raise ConfigError("audit.s2_range must be min,max,count with "
-                              "a positive integer count")
-        # run_symbol_audit builds the grid: nothing here is sized by a value
-        audit["s2_range"] = (rng[0], rng[1], int(rng[2]))
-        for key in ("s1_values", "sigma0_values", "L_values"):
-            if not audit[key] or not all(v > 0 for v in audit[key]):
-                raise ConfigError(f"audit.{key} must be nonempty and "
-                                  "positive")
-        if audit["m"] < 1 or audit["xi_points"] < 1:
-            raise ConfigError("audit.m and audit.xi_points must be >= 1")
-        _distinct_names("audit (sigma0, L) pairs",
-                        [f"sigma{sigma0:g}_L{L:g}"
-                         for sigma0 in audit["sigma0_values"]
-                         for L in audit["L_values"]])
-
-        s_pair, n_values = p["layer"]["s"], p["layer"]["n_values"]
-        if not s_pair[0] > 0:
-            raise ConfigError("layer.s must be s1,s2 with s1 > 0")
-        if len(n_values) < 2 or not all(v.is_integer() and v >= 8
-                                        for v in n_values) \
-                or not np.all(np.diff(n_values) > 0):
-            raise ConfigError("layer.n_values must be two or more "
-                              "increasing integers >= 8")
-        layer = {"xi_values": p["layer"]["xi_values"],
-                 "s": complex(*s_pair),
-                 "n_values": [int(v) for v in n_values]}
-        if not layer["xi_values"]:
-            raise ConfigError("layer.xi_values must be nonempty")
-        _distinct_names("layer.xi_values",
-                        [f"{v:g}" for v in layer["xi_values"]])
-
-        parseval = p["parseval"]
-        # n_time + 1 samples: the end-corrected time rule reads five
-        if not (parseval["s1"] > 0 and parseval["horizon"] > 0
-                and parseval["s2_max"] > 0 and parseval["n_time"] >= 4
-                and parseval["n_freq"] >= 1):
-            raise ConfigError("parseval needs s1 > 0, horizon > 0, "
-                              "s2_max > 0, n_time >= 4 and n_freq >= 1")
-
+        audit, layer, parseval = p["audit"], p["layer"], p["parseval"]
         # The numbers the runs derive, each a double in range.  The
         # symbols take the root of s^2/c^2 + xi^2, which lands on the
         # branch cut once (s1/c)^2 underflows and is lost once it overflows
-        c, abscissas = media.c, [s1, *audit["s1_values"], s_pair[0]]
+        c, abscissas = media.c, [s1, *audit["s1_values"], layer["s"].real]
         _in_range("numerics.s1, audit.s1_values or layer.s, over media.c",
                   "(s1/c)^2 is not a normal double",
                   lambda: [(v / c) ** 2 for v in abscissas],
@@ -343,7 +332,7 @@ def load_config(path: str) -> RunConfig:
         # clear the degeneracy guard twice over, so that rounding in the
         # symbol cannot trip the guard.  The boundary-map solves run at
         # Re s = s1, layer-check at layer.s
-        layers = [(min(s1, s_pair[0]), pml)] + [
+        layers = [(min(s1, layer["s"].real), pml)] + [
             (v, PmlProfile(sigma0=sigma0, m=audit["m"], L=L, s1=v))
             for v in audit["s1_values"] for sigma0 in audit["sigma0_values"]
             for L in audit["L_values"]]
@@ -363,9 +352,6 @@ def load_config(path: str) -> RunConfig:
                     + k * k * (1.0 + pml.sigma0 / s1),
                     (pml.L / min(n)) ** 2, 2.0 * k * pml.L_tilde]
         _in_range("layer with pml", "layer-check overflows", layer_check)
-        # parseval's frequency grid spans [-s2_max, s2_max]
-        _in_range("parseval.s2_max", "2 s2_max overflows",
-                  lambda: [2.0 * parseval["s2_max"]])
     except ConfigError:
         raise
     except ValueError as exc:
@@ -377,6 +363,6 @@ def load_config(path: str) -> RunConfig:
     if surface_bytes:   # the samples file is an input too
         digest.update(hashlib.sha256(surface_bytes).digest())
     return RunConfig(media=media, geometry=geometry, pml=pml,
-                     source=source, numerics=numerics, sweep=sweep,
+                     source=source, numerics=numerics, sweep=p["sweep"],
                      audit=audit, layer=layer, probes=p["probes"]["points"],
                      parseval=parseval, digest=digest.hexdigest())

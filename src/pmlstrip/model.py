@@ -155,9 +155,9 @@ class SurfaceProfile:
                               level, level)
 
     @staticmethod
-    def cosine(amplitude: float, frequency: float, period: float = 1.0,
-               level: float = 0.0) -> "SurfaceProfile":
-        """f(x1) = level + amplitude*cos(2*pi*frequency*x1/period)."""
+    def cosine(amplitude: float, frequency: float,
+               period: float = 1.0) -> "SurfaceProfile":
+        """f(x1) = amplitude*cos(2*pi*frequency*x1/period)."""
         k = 2.0 * math.pi * frequency / period
 
         def crests(a, b):
@@ -170,9 +170,8 @@ class SurfaceProfile:
                               math.floor(b / wavelength - shift) + 1)
                     + shift) * wavelength
 
-        return SurfaceProfile(lambda x: level + amplitude * np.cos(k * x),
-                              level - abs(amplitude), level + abs(amplitude),
-                              crests)
+        return SurfaceProfile(lambda x: amplitude * np.cos(k * x),
+                              -abs(amplitude), abs(amplitude), crests)
 
     @staticmethod
     def from_samples(x1: np.ndarray, values: np.ndarray,
@@ -209,9 +208,9 @@ class Rectangle:
         if not (self.x1a < self.x1b and self.x3a < self.x3b):
             raise GeometryError("degenerate obstacle rectangle")
 
-    def contains(self, x1, x3, pad: float = 0.0):
-        return ((x1 > self.x1a - pad) & (x1 < self.x1b + pad)
-                & (x3 > self.x3a - pad) & (x3 < self.x3b + pad))
+    def contains(self, x1, x3):
+        return ((x1 > self.x1a) & (x1 < self.x1b)
+                & (x3 > self.x3a) & (x3 < self.x3b))
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ import pmlstrip.symbols
 from pmlstrip import ConfigError, PmlProfile, assemble, build_blocks, \
     build_mesh, dofs_to_nodal, h_norm_sq, load_config, solve_frequency, \
     source_l2_norm, stability_ratios
-from pmlstrip.config import SCHEMA
-from pmlstrip.cli import (FitError, emit_plots, fit_rate, main, write_csv,
-                          write_field)
+from pmlstrip.config import MAX_SAMPLES, SCHEMA
+from pmlstrip.cli import (MAX_AUDIT_ROWS, FitError, emit_plots, fit_rate,
+                          main, write_csv, write_field)
 from pmlstrip.symbols import default_xi_grid, principal_sqrt, \
     symbol_gap_sup
 
@@ -930,7 +930,10 @@ KEY_BOUNDS = {
     ("numerics", "s1"): ("freq-solve", [-1.0, 0.0, 1e-160, 1e-150, 7e-5,
                                         9e-5, 1.0, 1e78],
                          lambda v: not S1_FLOOR < v < QUARTIC_BOUND),
-    ("numerics", "n_steps"): ("td-run", [-1, 0, 1, 4], lambda v: v < 1),
+    # from MAX_SAMPLES + 1, as parseval's n_time and n_freq and each
+    # layer.n_values entry (numpy refused these arrays at once)
+    ("numerics", "n_steps"): ("td-run", [-1, 0, 1, 4, 1000000000000],
+                              lambda v: not 1 <= v <= MAX_SAMPLES),
     ("numerics", "n_modes"): ("freq-solve", [-1, 0, 4, 1000],
                               lambda v: v < 0),
     ("numerics", "route"): ("convergence", ["freq", "time", "Freq"],
@@ -957,10 +960,14 @@ KEY_BOUNDS = {
     ("audit", "s1_values"): ("symbol-audit", ["1", "0.1,1", "0", "-1",
                                               "1,1e-170", "1,1e160"],
                              lambda v: v not in ("1", "0.1,1")),
+    # FUZZ_CONFIG's audit files have 2 s1 values x count x xi_points
+    # rows, at most cli.MAX_AUDIT_ROWS
     ("audit", "s2_range"): ("symbol-audit", ["-5,5,3", "-5,5,1", "-5,5,0",
-                                             "-5,5,2.5", "-5,5"],
+                                             "-5,5,2.5", "-5,5",
+                                             "-5,5,1e15"],
                             lambda v: v not in ("-5,5,3", "-5,5,1")),
-    ("audit", "xi_points"): ("symbol-audit", [0, 1, 5], lambda v: v < 1),
+    ("audit", "xi_points"): ("symbol-audit", [0, 1, 5, 1000000000000],
+                             lambda v: not 1 <= 6 * v <= MAX_AUDIT_ROWS),
     ("audit", "sigma0_values"): ("symbol-audit", ["1", "0", "-1", "2,2"],
                                  lambda v: v != "1"),
     ("audit", "L_values"): ("symbol-audit", ["1", "0", "1e-15",
@@ -972,7 +979,8 @@ KEY_BOUNDS = {
     ("layer", "s"): ("layer-check", ["1,0", "0,1", "-1,0", "1", "1e160,0"],
                      lambda v: v != "1,0"),
     ("layer", "n_values"): ("layer-check", ["8,16", "4,8", "16,8", "32",
-                                            "8,16.5"], lambda v: v != "8,16"),
+                                            "8,16.5", "8,1000000000000"],
+                            lambda v: v != "8,16"),
     # off the inclusion, between the surface and the layer top 0.9
     ("probes", "points"): ("td-run", ["0.25,0.3", "0.5,0.9", "0.5,0.25",
                                       "0.5,0.95", "0.5,-0.01", "0.25"],
@@ -980,10 +988,37 @@ KEY_BOUNDS = {
     ("parseval", "s1"): ("parseval", [-1.0, 0.0, 0.5], lambda v: v <= 0),
     ("parseval", "s2_max"): ("parseval", [-400.0, 0.0, 10.0, 1e308],
                              lambda v: v <= 0 or v == 1e308),
-    ("parseval", "n_freq"): ("parseval", [0, 1, 11], lambda v: v < 1),
+    ("parseval", "n_freq"): ("parseval", [0, 1, 11, 1000000000001],
+                             lambda v: not 1 <= v <= MAX_SAMPLES),
     ("parseval", "horizon"): ("parseval", [-1.0, 0.0, 0.5],
                               lambda v: v <= 0),
-    ("parseval", "n_time"): ("parseval", [1, 3, 4, 40], lambda v: v < 4),
+    ("parseval", "n_time"): ("parseval", [1, 3, 4, 40, 1000000000000],
+                             lambda v: not 4 <= v <= MAX_SAMPLES),
+}
+
+
+# the keys whose own bound their schema row enforces, and KEY_BOUNDS'
+# rejected values of those keys that a rule joining keys rejects instead
+OWN_RULE_KEYS = [("source", "T"), ("source", "radius"), ("source", "a"),
+                 ("numerics", "n_steps"), ("numerics", "n_modes"),
+                 ("sweep", "L_values"), ("sweep", "sigma0_values"),
+                 ("audit", "s2_range"), ("audit", "s1_values"),
+                 ("audit", "sigma0_values"), ("audit", "L_values"),
+                 ("audit", "m"), ("audit", "xi_points"), ("layer", "s"),
+                 ("layer", "n_values"), ("layer", "xi_values"),
+                 ("parseval", "s1"), ("parseval", "horizon"),
+                 ("parseval", "s2_max"), ("parseval", "n_time"),
+                 ("parseval", "n_freq")]
+JOINT_REJECTIONS = {
+    ("source", "T", 1e160),             # Newmark's step matrix
+    ("source", "radius", 0.25),         # the ball must fit the strip
+    ("source", "a", 1.2e77), ("source", "a", 1e78),   # the pulse transform
+    ("sweep", "L_values", "0.125,0.5,1"),               # above mesh_size
+    ("audit", "s1_values", "1,1e-170"), ("audit", "s1_values", "1,1e160"),
+    ("audit", "L_values", "1e-15"),     # too thin at s1
+    # the rows of an audit file
+    ("audit", "s2_range", "-5,5,1e15"), ("audit", "xi_points", 1000000000000),
+    ("layer", "xi_values", "1e154"), ("layer", "s", "1e160,0"),
 }
 
 
@@ -1122,6 +1157,62 @@ class TestExitContract:
         assert main(["layer-check", "--config", str(path),
                      "--out", str(out)]) == 1
         assert "pass=0" in (out / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("section, key, value", [
+        (section, key, value) for section, key in OWN_RULE_KEYS
+        for value in KEY_BOUNDS[section, key][1]
+        if KEY_BOUNDS[section, key][2](value)
+        and (section, key, value) not in JOINT_REJECTIONS])
+    def test_own_rule_names_its_key(self, tmp_path, capsys, section, key,
+                                    value):
+        # one `configuration error: section.key:` line, exit 2, no manifest
+        path, out = tmp_path / "own.ini", tmp_path / "out"
+        path.write_text(with_setting(FUZZ_CONFIG, section,
+                                     f"{key} = {value}"))
+        assert main([KEY_BOUNDS[section, key][0], "--config", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {section}.{key}:") \
+            and err.count("\n") == 1, err
+        assert not (out / "manifest.txt").exists()
+
+    def test_snapshots_keep_distinct_file_names(self, tmp_path):
+        # dt = 2.5e-7: 0.1 and 0.1000002 snap to steps 400,000 and
+        # 400,001, whose times 0.1 and 0.10000025 both name p_t0.1.txt
+        text = with_setting(BASE_CONFIG, "source", "T = 0.25")
+        text = with_setting(text, "numerics", "n_steps = 1000000")
+        assert round(0.1 / 2.5e-7) != round(0.1000002 / 2.5e-7)
+        path = tmp_path / "snap.ini"
+        for times, ok in [("0.1,0.1000002", False), ("0.1,0.1000012", True)]:
+            path.write_text(with_setting(text, "td",
+                                         f"snapshot_times = {times}"))
+            with contextlib.nullcontext() if ok else \
+                    pytest.raises(ConfigError, match="td.snapshot_times"):
+                load_config(str(path))
+
+    @pytest.mark.parametrize("n_steps, bound, reaches_run", [
+        (40, 41 * 89, True), (40, 41 * 89 - 1, False),
+        (MAX_SAMPLES, None, False)])
+    def test_time_route_history_bounded_before_any_run(
+            self, tmp_path, capsys, monkeypatch, n_steps, bound, reaches_run):
+        # BASE_CONFIG's sub-layer mesh has 89 dofs: a history holds
+        # (n_steps + 1) x 89 values, checked before any Newmark run
+        def newmark_run(*args, **kwargs):
+            raise RuntimeError("run reached")
+        monkeypatch.setattr(pmlstrip.cli, "newmark_run", newmark_run)
+        if bound is not None:
+            monkeypatch.setattr(pmlstrip.cli, "MAX_HISTORY", bound)
+        path, out = tmp_path / "hist.ini", tmp_path / "out"
+        path.write_text(with_setting(with_setting(
+            BASE_CONFIG, "numerics", "route = time"), "numerics",
+            f"n_steps = {n_steps}"))
+        code = main(["convergence", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if reaches_run:
+            assert (code, err) == (1, "error: run reached\n")
+        else:
+            assert code == 2 and err.count("\n") == 1 and err.startswith(
+                "configuration error: numerics.n_steps"), err
 
     def test_bounds_cover_every_key(self):
         assert set(KEY_BOUNDS) == {(section, key) for section, keys in

@@ -76,7 +76,7 @@ class TestObstacle:
         assert solid.size > 0
         # solid triangle centroids inside the rectangle
         cent = mesh.vertices[mesh.triangles[solid]].mean(axis=1)
-        assert np.all(ob.contains(cent[:, 0], cent[:, 1], pad=1e-9))
+        assert np.all(ob.contains(cent[:, 0], cent[:, 1]))
         # interface edges on the rectangle boundary, normals outward
         edges = mesh.boundary_edges["Gamma"]
         assert edges.size > 0

@@ -88,7 +88,7 @@ class TestSurfaceAndGeometry:
     @pytest.mark.parametrize("surface", [
         SurfaceProfile.flat(0.07),
         SurfaceProfile.cosine(0.1, 10.0),
-        SurfaceProfile.cosine(-0.1, 3.0, period=2.0, level=0.02),
+        SurfaceProfile.cosine(-0.1, 3.0, period=2.0),
         SurfaceProfile.from_samples(
             np.linspace(0.0, 1.0, 13, endpoint=False),
             0.05 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 13,
