@@ -42,11 +42,16 @@ class FitError(RuntimeError):
 
 CELL = "%.12g"      # every number in a CSV; bools print as 1/0
 EOL = "\r\n"         # every CSV line end
-# the most rows a symbol-audit file may have: 13 times the default
-# grid's 161,202 (2^20 rows of one s in nine files peaked at 733 MB)
+# the most rows a symbol-audit file may have, and the most one s
+# evaluates over all files: 13 times the default grid's 161,202 per file
+# (2^20 rows of one s in nine files peaked at 733 MB)
 MAX_AUDIT_ROWS = 2 ** 21
-# the most values a time-route history may hold: about 50 times
-# criterion 7's 401 steps of 3,553 sub-layer dofs (a sweep holds three)
+# the most files a symbol audit writes, all open at once: 28 times the
+# default's 9, a quarter of the common limit of 1,024 open files
+MAX_AUDIT_FILES = 2 ** 8
+# the most values a time-route history, or td-run's snapshots, may hold:
+# about 50 times criterion 7's 401 steps of 3,553 sub-layer dofs (a
+# sweep holds three)
 MAX_HISTORY = 2 ** 26
 
 
@@ -207,10 +212,18 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     (s1, s2, xi, beta) formatted once, then each file's gap cells and
     its block's `,bound,pass` endings."""
     a, c = cfg.audit, cfg.media.c
-    rows = len(a["s1_values"]) * a["s2_range"][2] * a["xi_points"]
-    if rows > MAX_AUDIT_ROWS:
-        raise ConfigError(f"audit.s1_values, s2_range and xi_points give "
-                          f"{rows} rows per file, above {MAX_AUDIT_ROWS}")
+    per_file = len(a["s1_values"]) * a["s2_range"][2] * a["xi_points"]
+    n_files = len(a["sigma0_values"]) * len(a["L_values"])
+    # each bound before any file is opened
+    for keys, size, what, bound in [
+            ("s1_values, s2_range and xi_points", per_file, "rows per file",
+             MAX_AUDIT_ROWS),
+            ("sigma0_values and L_values", n_files, "files", MAX_AUDIT_FILES),
+            ("sigma0_values, L_values and xi_points",
+             n_files * a["xi_points"], "rows per s", MAX_AUDIT_ROWS)]:
+        if size > bound:
+            raise ConfigError(f"audit.{keys} give {size} {what}, above "
+                              f"{bound}")
     files = [(sigma0, L) for sigma0 in a["sigma0_values"]
              for L in a["L_values"]]
     paths = [os.path.join(out, f"audit_sigma{sigma0:g}_L{L:g}.csv")
@@ -328,6 +341,11 @@ def run_td(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     if ob is not None and np.any(ob.contains(*cfg.probes.T)):
         raise ConfigError("probes.points must lie off the inclusion")
     blk = _blocks(cfg, cfg.pml)
+    n_snap = len(cfg.numerics["snapshot_times"])
+    if n_snap * blk.dof.size > MAX_HISTORY:
+        raise ConfigError(f"td.snapshot_times and numerics.mesh_size: "
+                          f"{n_snap} snapshots of {blk.dof.size} dofs are "
+                          f"above {MAX_HISTORY} values")
     try:
         probes = locate_probes(blk.mesh, cfg.probes)
     except ProbeError as exc:

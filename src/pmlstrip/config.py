@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import VARIANTS, frequency_weights, term_weights
+from .fem import VARIANTS, frequency_weights
 from .mesh import check_grid
 from .model import Geometry, MediaParams, PmlProfile, Pulse, Rectangle, \
     SourceSpec, SurfaceProfile, check_source, validate_media
 from .symbols import DEGENERATE_DENOMINATOR, layer_denominator_floor
-from .timedomain import NEWMARK_BETA
+from .timedomain import nearest_steps, step_grid, step_weights
 
 
 class ConfigError(ValueError):
@@ -288,12 +288,11 @@ def load_config(path: str) -> RunConfig:
                     "freq_s2_values": p["freq"]["s2_values"],
                     "snapshot_times": p["td"]["snapshot_times"]}
         check_grid(geometry, None, numerics["mesh_size"])
-        # Newmark snaps each time to its nearest step of dt = T / n_steps
-        # and names the snapshot file after that step's time
-        snap, dt = numerics["snapshot_times"], T / numerics["n_steps"]
+        # a snapshot is written at its nearest step, named by that time
+        snap = numerics["snapshot_times"]
+        t_grid, dt = step_grid(T, numerics["n_steps"])
         if snap and not (all(0 <= ts <= T for ts in snap) and _distinct_names(
-                np.linspace(0.0, T, numerics["n_steps"] + 1)[
-                    [round(ts / dt) for ts in snap]])):
+                t_grid[nearest_steps(snap, dt)])):
             raise ConfigError("td.snapshot_times must lie in [0, T], on "
                               "time steps with distinct file names")
 
@@ -324,10 +323,9 @@ def load_config(path: str) -> RunConfig:
                   "the frequency system overflows",
                   lambda: [frequency_weights(media, s[:, None]),
                            *source.pulse.laplace_denominators(s)])
-        w_M, w_K = term_weights(media)
         _in_range("media, source.T and numerics.n_steps",
                   "the Newmark step matrix overflows",
-                  lambda: [w_M + NEWMARK_BETA * dt * dt * w_K])
+                  lambda: step_weights(media, dt))
         # The floor of a layer symbol's denominator at Re s = s1 must
         # clear the degeneracy guard twice over, so that rounding in the
         # symbol cannot trip the guard.  The boundary-map solves run at

@@ -216,10 +216,10 @@ def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
 class FemBlocks:
     """All s-independent matrices of the strip problem on one mesh.
 
-    The term table (form), the fluid load rule, the fluid pair, the
-    isotropic pair and K_solid_h1 are built on their first read: on a
-    layer mesh only the norms read the pairs and K_solid_h1.  The
-    blocks are not to be modified once the table or the rule exists.
+    The term table (form), the fluid load rule, the fluid pair and the
+    isotropic pair are built on their first read: on a layer mesh only
+    the norms read the pairs.  The blocks are not to be modified once
+    the table or the rule exists.
     """
 
     mesh: StripMesh
@@ -230,6 +230,7 @@ class FemBlocks:
     K_div: sp.csr_matrix = None          # div-div, solid
     K_eps: sp.csr_matrix = None          # 2 eps:eps, solid
     M_solid: sp.csr_matrix = None        # vector mass, solid
+    K_solid_h1: sp.csr_matrix = None     # componentwise grad-grad, solid
     C_pu: sp.csr_matrix = None           # rows: pressure tests, cols: u dofs
     C_up: sp.csr_matrix = None           # rows: u tests, cols: pressure dofs
     # modal analysis operator on the x3=h node row
@@ -258,11 +259,6 @@ class FemBlocks:
                          doc="unweighted grad-grad, fluid+pml")
     M_all_iso = property(lambda self: self._iso_pair[1],
                          doc="unweighted mass, fluid+pml")
-
-    @cached_property
-    def K_solid_h1(self):
-        """Componentwise grad-grad, solid."""
-        return _assemble_solid(self.mesh, self.dof, h1=True)
 
     @cached_property
     def form(self) -> AffineForm:
@@ -305,9 +301,8 @@ def _assemble_scalar(mesh, dof, which, pml=None):
     return Km, Mm
 
 
-def _assemble_solid(mesh, dof, h1=False):
-    """Solid blocks (K_div, K_eps, M_solid), or with h1 the
-    componentwise H1 stiffness K_solid_h1 alone."""
+def _assemble_solid(mesh, dof):
+    """Solid blocks (K_div, K_eps, M_solid, K_solid_h1)."""
     ndof = dof.size
     tris, c, area, g, mid = _tri_geometry(
         mesh, np.flatnonzero(mesh.tri_region == SOLID))
@@ -325,8 +320,6 @@ def _assemble_solid(mesh, dof, h1=False):
         return np.einsum("tij,ab->tiajb", X, np.eye(2))
 
     gdot = np.einsum("tia,tja->tij", g, g)
-    if h1:
-        return scatter(per_component(area[:, None, None] * gdot))
     # div-div: A * g_i[a] * g_j[b]
     ga = g.reshape(nt, 6)                        # (i,a) flattened
     Kdiv = area[:, None, None] * np.einsum("ti,tj->tij", ga, ga)
@@ -336,7 +329,8 @@ def _assemble_solid(mesh, dof, h1=False):
     Keps *= area[:, None, None]
     Mvec = per_component(np.einsum("t,qi,qj->tij", area / 3.0, _PHI_MID,
                                    _PHI_MID))
-    return scatter(Kdiv), scatter(Keps), scatter(Mvec)
+    Kh1 = per_component(area[:, None, None] * gdot)
+    return scatter(Kdiv), scatter(Keps), scatter(Mvec), scatter(Kh1)
 
 
 def _assemble_coupling(mesh, dof):
@@ -384,7 +378,8 @@ def build_blocks(mesh: StripMesh, n_modes: int = 64) -> FemBlocks:
     else:
         blk.K_all, blk.M_all = _assemble_scalar(
             mesh, dof, _fluid_and_layer(mesh), mesh.pml)
-    blk.K_div, blk.K_eps, blk.M_solid = _assemble_solid(mesh, dof)
+    blk.K_div, blk.K_eps, blk.M_solid, blk.K_solid_h1 = \
+        _assemble_solid(mesh, dof)
     blk.C_pu, blk.C_up = _assemble_coupling(mesh, dof)
     blk.gamma_h_dofs, blk.modal_E, blk.modal_xi, blk.n_modes_effective = \
         _modal_operator(mesh, dof, n_modes)

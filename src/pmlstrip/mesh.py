@@ -202,19 +202,19 @@ def build_mesh(geom: Geometry, pml: PmlProfile | None,
 
 def export_mesh(mesh: StripMesh, path: str) -> None:
     """Write the mesh in the plain-text format documented in the README:
-    $nodes / $elements / $markers sections."""
+    $nodes / $elements / $markers sections, each formatted as one table."""
+    def table(pattern, columns):
+        rows = np.column_stack(columns)
+        return (pattern + "\n") * len(rows) % tuple(rows.ravel().tolist())
+
+    nv, nt = mesh.n_vertices, mesh.n_triangles
     with open(path, "w") as fh:
-        fh.write("$nodes\n")
-        fh.write(f"{mesh.n_vertices}\n")
-        for i, (x, z) in enumerate(mesh.vertices):
-            fh.write(f"{i} {x:.17g} {z:.17g} {mesh.node_master[i]}\n")
-        fh.write("$elements\n")
-        fh.write(f"{mesh.n_triangles}\n")
-        for i, tri in enumerate(mesh.triangles):
-            r = mesh.tri_region[i]
-            fh.write(f"{i} {tri[0]} {tri[1]} {tri[2]} {r}\n")
+        fh.write(f"$nodes\n{nv}\n")
+        fh.write(table("%d %.17g %.17g %d", (np.arange(nv), mesh.vertices,
+                                             mesh.node_master)))
+        fh.write(f"$elements\n{nt}\n")
+        fh.write(table("%d %d %d %d %d", (np.arange(nt), mesh.triangles,
+                                          mesh.tri_region)))
         fh.write("$markers\n")
         for name, edges in mesh.boundary_edges.items():
-            fh.write(f"{name} {len(edges)}\n")
-            for a, b in edges:
-                fh.write(f"{a} {b}\n")
+            fh.write(f"{name} {len(edges)}\n" + table("%d %d", (edges,)))

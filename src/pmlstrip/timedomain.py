@@ -80,8 +80,23 @@ def _probe_reader(blk: FemBlocks, probes: ProbeSet):
 # Newmark time integration
 # ---------------------------------------------------------------------------
 
-# the step matrix is w_M + NEWMARK_BETA dt^2 w_K (average acceleration)
 NEWMARK_BETA = 0.25
+
+
+def step_grid(T: float, n_steps: int) -> tuple[np.ndarray, float]:
+    """Newmark's n_steps + 1 times from 0 to T, and its step dt."""
+    return np.linspace(0.0, T, n_steps + 1), T / n_steps
+
+
+def nearest_steps(times, dt: float) -> list[int]:
+    """The step nearest each time, where newmark_run keeps a snapshot."""
+    return [int(round(ts / dt)) for ts in times]
+
+
+def step_weights(media: MediaParams, dt: float):
+    """Each term's weight in Kr and in A_eff = w_M + NEWMARK_BETA dt^2 w_K."""
+    w_M, w_K = term_weights(media)
+    return w_K, w_M + NEWMARK_BETA * dt * dt * w_K
 
 
 @dataclass
@@ -111,9 +126,8 @@ def newmark_run(blk: FemBlocks, media: MediaParams, source: SourceSpec,
         raise ValueError("need T > 0 and n_steps >= 1")
     if blk.mesh.pml is None:
         raise ValueError("Newmark integration needs a layer mesh")
-    dt = T / n_steps
+    t_grid, dt = step_grid(T, n_steps)
     beta_n, gamma_n = NEWMARK_BETA, 0.5
-    t_grid = np.linspace(0.0, T, n_steps + 1)
     g_t = source.pulse.derivative(t_grid)
     if g_t[0] != 0:
         raise ValueError("the load dg/dt must vanish at t = 0: Newmark "
@@ -121,9 +135,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams, source: SourceSpec,
 
     form = blk.form
     n = blk.dof.size
-    w_M, w_K = term_weights(media)
-    Kr, A_eff = (form.matrix(w @ form.terms)
-                 for w in (w_K, w_M + beta_n * dt * dt * w_K))
+    Kr, A_eff = (form.matrix(w @ form.terms) for w in step_weights(media, dt))
     lu = factorize(A_eff)
     f_shape = load_vector(blk, source.spatial) / media.c ** 2
 
@@ -143,7 +155,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams, source: SourceSpec,
     if record_norms:
         for key in ("dt_p", "grad_p", "dt_u", "div_u", "grad_u"):
             traj.norms[key] = np.zeros(n_steps + 1)
-    snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
+    snap_steps = set(nearest_steps(snapshot_times, dt))
 
     def record(step):
         state[:-1] = d

@@ -23,8 +23,8 @@ from pmlstrip import ConfigError, PmlProfile, assemble, build_blocks, \
     build_mesh, dofs_to_nodal, h_norm_sq, load_config, solve_frequency, \
     source_l2_norm, stability_ratios
 from pmlstrip.config import MAX_SAMPLES, SCHEMA
-from pmlstrip.cli import (MAX_AUDIT_ROWS, FitError, emit_plots, fit_rate,
-                          main, write_csv, write_field)
+from pmlstrip.cli import (MAX_AUDIT_FILES, MAX_AUDIT_ROWS, FitError,
+                          emit_plots, fit_rate, main, write_csv, write_field)
 from pmlstrip.symbols import default_xi_grid, principal_sqrt, \
     symbol_gap_sup
 
@@ -310,6 +310,11 @@ class TestConfig:
         # a growing pulse, with no transform at Re s <= -a (freq-solve
         # exited 0 on the closed form, which does not hold there)
         ("source", "a = -1"),
+        # an inclusion 0.005 wide inside the source ball, between two of
+        # the samples (0.006 apart) that the overlap check used to test
+        # (freq-solve exited 0 and dropped the load on the solid)
+        ("geom", "obstacle = 0.2545,0.2; 0.2595,0.2; 0.2595,0.3; "
+                 "0.2545,0.3"),
     ])
     def test_rejected_at_load(self, tmp_path, section, line):
         # each of these used to load and then fail, or be ignored, at
@@ -600,6 +605,51 @@ class TestSubcommands:
         assert main(["symbol-audit", "--config", str(path),
                      "--out", str(out)]) == 1
         assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("n_sigma0, rejected", [(16, False),
+                                                    (17, True)])
+    def test_symbol_audit_file_count_bounded(self, tmp_path, capsys,
+                                             n_sigma0, rejected):
+        # n_sigma0 x 16 files, each held open: at most MAX_AUDIT_FILES
+        assert 16 * 16 == MAX_AUDIT_FILES
+        path, out = tmp_path / "a.ini", tmp_path / "audit"
+        path.write_text(BASE_CONFIG + "\n[audit]\ns1_values = 1\n"
+                        "s2_range = -5,5,1\nxi_points = 1\n"
+                        "sigma0_values = " + ",".join(
+                            str(k) for k in range(1, n_sigma0 + 1))
+                        + "\nL_values = " + ",".join(
+                            str(k) for k in range(1, 17)) + "\n")
+        code = main(["symbol-audit", "--config", str(path),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        if rejected:
+            assert code == 2 and err == (
+                "configuration error: audit.sigma0_values and L_values "
+                f"give {17 * 16} files, above {MAX_AUDIT_FILES}\n")
+            assert os.listdir(out) == []
+        else:
+            assert code in (0, 1) and err == ""
+            assert len(os.listdir(out)) == 16 * 16 + 2
+
+    @pytest.mark.parametrize("bound, rejected", [(45, False), (44, True)])
+    def test_symbol_audit_block_bounded(self, tmp_path, capsys, monkeypatch,
+                                        bound, rejected):
+        # one s evaluates all 9 default files' 5 xi rows: a block of 45,
+        # while each file has 5 rows
+        monkeypatch.setattr(pmlstrip.cli, "MAX_AUDIT_ROWS", bound)
+        path, out = tmp_path / "a.ini", tmp_path / "audit"
+        path.write_text(BASE_CONFIG + "\n[audit]\ns1_values = 1\n"
+                        "s2_range = -5,5,1\nxi_points = 5\n")
+        code = main(["symbol-audit", "--config", str(path),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        if rejected:
+            assert code == 2 and err == (
+                "configuration error: audit.sigma0_values, L_values and "
+                "xi_points give 45 rows per s, above 44\n")
+            assert os.listdir(out) == []
+        else:
+            assert code == 0 and err == ""
 
     @pytest.mark.parametrize("n_modes, expected", [(64, 5), (3, 3)])
     def test_manifest_reports_mode_clamp(self, tmp_path, n_modes, expected):
@@ -1213,6 +1263,30 @@ class TestExitContract:
         else:
             assert code == 2 and err.count("\n") == 1 and err.startswith(
                 "configuration error: numerics.n_steps"), err
+
+    @pytest.mark.parametrize("bound, reaches_run", [(2 * 137, True),
+                                                    (2 * 137 - 1, False)])
+    def test_td_snapshots_bounded_before_the_run(
+            self, tmp_path, capsys, monkeypatch, bound, reaches_run):
+        # BASE_CONFIG's layer mesh has 137 dofs: two snapshots keep
+        # 2 x 137 values, checked before the Newmark run
+        def newmark_run(*args, **kwargs):
+            raise RuntimeError("run reached")
+        monkeypatch.setattr(pmlstrip.cli, "newmark_run", newmark_run)
+        monkeypatch.setattr(pmlstrip.cli, "MAX_HISTORY", bound)
+        path, out = tmp_path / "snap.ini", tmp_path / "out"
+        path.write_text(with_setting(BASE_CONFIG, "td",
+                                     "snapshot_times = 0.5,1"))
+        code = main(["td-run", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if reaches_run:
+            assert (code, err) == (1, "error: run reached\n")
+        else:
+            assert code == 2 and err == (
+                "configuration error: td.snapshot_times and "
+                "numerics.mesh_size: 2 snapshots of 137 dofs are above "
+                f"{bound} values\n")
+            assert os.listdir(out) == []
 
     def test_bounds_cover_every_key(self):
         assert set(KEY_BOUNDS) == {(section, key) for section, keys in

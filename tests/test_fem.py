@@ -681,12 +681,13 @@ class TestBlocksOnRead:
     def test_newmark_without_norms_builds_none(self):
         blk = make_blocks(obstacle=True, pml=self.PML)
         src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=0.5)
-        on_read = {"_fluid_pair", "_iso_pair", "K_solid_h1"}
+        on_read = {"_fluid_pair", "_iso_pair"}
         newmark_run(blk, MEDIA, src, 0.5, 5)
         assert not on_read & set(vars(blk))
-        # the norms read the fluid pair and the solid H1 stiffness only
+        # the norms read the fluid pair only (K_solid_h1 is built with
+        # the other solid blocks)
         newmark_run(blk, MEDIA, src, 0.5, 5, record_norms=True)
-        assert on_read & set(vars(blk)) == {"_fluid_pair", "K_solid_h1"}
+        assert on_read & set(vars(blk)) == {"_fluid_pair"}
 
 
 class TestMapSolves:

@@ -222,3 +222,22 @@ class TestSource:
                                     T=2.0), knot)
         check_source(SourceSpec(center=(0.45, 0.135), radius=0.05,
                                 T=2.0), knot)
+
+    def test_check_source_sees_thin_inclusion_between_samples(self):
+        # an inclusion 0.005 wide, 1.5e-3 from the source centre, fits
+        # between the 21 x 21 samples (0.008 apart) once tested
+        thin = Geometry(period=1.0, surface=SurfaceProfile.flat(0.0), h=0.5,
+                        obstacle=Rectangle(0.4, 0.405, 0.2, 0.4))
+        with pytest.raises(GeometryError, match="obstacle"):
+            check_source(SourceSpec(center=(0.3985, 0.3), radius=0.08,
+                                    T=2.0), thin)
+        # the ball's bounding square, not the ball: a ball 0.01 clear of
+        # the inclusion's corner is refused, as the samples refused it;
+        # a square that only touches the open inclusion is not
+        block = Geometry(period=1.0, surface=SurfaceProfile.flat(0.0), h=0.5,
+                         obstacle=Rectangle(0.4, 0.6, 0.15, 0.35))
+        with pytest.raises(GeometryError, match="obstacle"):
+            check_source(SourceSpec(center=(0.35, 0.1), radius=0.06,
+                                    T=2.0), block)
+        check_source(SourceSpec(center=(0.3, 0.25), radius=0.1, T=2.0),
+                     block)
