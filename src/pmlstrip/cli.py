@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .fem import build_blocks, assemble, dofs_to_nodal, h_norm_sq, \
-    map_solves, shared_dofs, solve_frequency, source_l2_norm, \
+    load_vector, map_solves, shared_dofs, solve_frequency, source_l2_norm, \
     stability_ratios
 from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
@@ -309,14 +309,15 @@ def run_freq_solve(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     blk = _blocks(cfg, cfg.pml if with_layer else None)
     export_mesh(blk.mesh, os.path.join(out, "mesh.txt"))
     chi = source_l2_norm(blk, cfg.source.spatial)
+    load = load_vector(blk, cfg.source.spatial)
     s1 = cfg.pml.s1
     s2_values = cfg.numerics["freq_s2_values"]
 
     def solve(s2):
         s = complex(s1, s2)
         scale = complex(cfg.source.pulse.laplace(s))
-        sol = solve_frequency(assemble(blk, cfg.media, s, cfg.source.spatial,
-                                       scale, variant, cfg.pml))
+        sol = solve_frequency(assemble(blk, cfg.media, s, load, scale,
+                                       variant, cfg.pml))
         return sol, stability_ratios(blk, s, sol.x, abs(scale) * chi)
 
     rows = []
@@ -377,9 +378,10 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
               for s2 in cfg.numerics["freq_s2_values"]]
 
     def solve_all(blk, variant):
+        load = load_vector(blk, cfg.source.spatial)
         return map_solves(lambda s: solve_frequency(assemble(
-            blk, cfg.media, s, cfg.source.spatial,
-            complex(cfg.source.pulse.laplace(s)), variant)), s_list)
+            blk, cfg.media, s, load, complex(cfg.source.pulse.laplace(s)),
+            variant)), s_list)
 
     refs = solve_all(blk_ref, "exact_dtn")
     errors = []

@@ -291,6 +291,9 @@ def load_config(path: str) -> RunConfig:
         # a snapshot is written at its nearest step, named by that time
         snap = numerics["snapshot_times"]
         t_grid, dt = step_grid(T, numerics["n_steps"])
+        _in_range("source.T and numerics.n_steps", "the time step T / "
+                  "n_steps is not a normal double", lambda: [dt],
+                  np.finfo(float).tiny)
         if snap and not (all(0 <= ts <= T for ts in snap) and _distinct_names(
                 t_grid[nearest_steps(snap, dt)])):
             raise ConfigError("td.snapshot_times must lie in [0, T], on "
@@ -329,11 +332,13 @@ def load_config(path: str) -> RunConfig:
         # The floor of a layer symbol's denominator at Re s = s1 must
         # clear the degeneracy guard twice over, so that rounding in the
         # symbol cannot trip the guard.  The boundary-map solves run at
-        # Re s = s1, layer-check at layer.s
+        # Re s = s1, layer-check at layer.s.  The floor grows with L~,
+        # and L~ with sigma0 and with L: an audit s1 is judged by its
+        # thinnest layer, at the least sigma0 and the least L
         layers = [(min(s1, layer["s"].real), pml)] + [
-            (v, PmlProfile(sigma0=sigma0, m=audit["m"], L=L, s1=v))
-            for v in audit["s1_values"] for sigma0 in audit["sigma0_values"]
-            for L in audit["L_values"]]
+            (v, PmlProfile(sigma0=min(audit["sigma0_values"]), m=audit["m"],
+                           L=min(audit["L_values"]), s1=v))
+            for v in audit["s1_values"]]
         _in_range("pml or audit", "a layer is too thin for its boundary "
                   "symbol", lambda: [layer_denominator_floor(v, c, lay.L_tilde)
                                      for v, lay in layers],

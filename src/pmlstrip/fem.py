@@ -12,12 +12,13 @@ Gamma_h x Gamma_h for the truncated Fourier-mode multiplier B(s) on
 x3 = h.  The pressure vanishes on the bottom surface and on the layer
 top, so their nodes carry no dof.  On first use the blocks are laid out
 as the mesh's one term table (FemBlocks.form), which the contour solves
-and Newmark both combine with their weights: a layer mesh serves
-pml_layer, a mesh without the layer exact_dtn and pml_dtn, and assemble
-alone checks that pairing.
+(in its fill-reducing order, AffineForm.reordered) and Newmark both
+combine with their weights: a layer mesh serves pml_layer, a mesh
+without the layer exact_dtn and pml_dtn, and assemble alone checks that
+pairing.
 
 scipy.sparse is imported on first use, by _scatter (every assembled
-matrix) and AffineForm.matrix, and scipy.sparse.linalg by factorize:
+matrix) and AffineForm, and scipy.sparse.linalg by factorize:
 importing the package loads only numpy, and symbol-audit and parseval,
 which build no mesh, never load them.
 """
@@ -25,7 +26,9 @@ which build no mesh, never load them.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -57,9 +60,11 @@ class SingularSystemError(RuntimeError):
     pass
 
 
-# SuperLU column ordering of every factorization: minimum degree on the
-# pattern of A + A^T, which suits the structurally symmetric FEM systems
-# (the default COLAMD ignores that symmetry and fills about 1.6x more)
+# SuperLU column ordering of every factorization of a matrix in the dof
+# frame: minimum degree on the pattern of A + A^T, which suits the
+# structurally symmetric FEM systems (the default COLAMD ignores that
+# symmetry and fills about 1.6x more).  A frequency matrix comes already
+# in that order (AffineForm.reordered) and is factored with NATURAL.
 LU_ORDERING = "MMD_AT_PLUS_A"
 # Relative size at which a diagonal entry is kept as the pivot.  With
 # SuperLU's default 1.0 the row interchanges of the indefinite
@@ -69,10 +74,11 @@ LU_ORDERING = "MMD_AT_PLUS_A"
 DIAG_PIVOT_THRESH = 0.01
 
 
-def factorize(A: sp.spmatrix) -> SuperLU:
-    """Sparse LU of a square matrix (CSC preferred) with LU_ORDERING,
-    DIAG_PIVOT_THRESH and SuperLU's relax=1; the one sparse
-    factorization of the package.
+def factorize(A: sp.spmatrix, ordering: str = LU_ORDERING) -> SuperLU:
+    """Sparse LU of a square matrix (CSC preferred) with the column
+    ordering (LU_ORDERING, or NATURAL for a matrix already in its order),
+    DIAG_PIVOT_THRESH and SuperLU's relax=1; the one sparse factorization
+    of the package.
 
     relax=1 turns off SuperLU's relaxed supernodes, whose explicit zeros
     cost more than their dense kernels save on these factors (contour
@@ -82,7 +88,7 @@ def factorize(A: sp.spmatrix) -> SuperLU:
     # imported here: symbol-audit and parseval never factor
     from scipy.sparse.linalg import splu
     try:
-        return splu(A, permc_spec=LU_ORDERING,
+        return splu(A, permc_spec=ordering,
                     diag_pivot_thresh=DIAG_PIVOT_THRESH, relax=1)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
@@ -98,23 +104,135 @@ def _cpu_count() -> int:
 
 
 def map_solves(solve, items) -> list:
-    """[solve(item) for item in items], side by side on one thread per
-    CPU (_cpu_count): SuperLU and the sparse kernels release the GIL.
+    """[solve(item) for item in items], side by side on one process per
+    CPU (_cpu_count): the caller and forked workers.
 
-    The first item runs in the calling thread, so whatever the solves
-    build lazily (the FemBlocks term table, load rule and blocks) is
-    built there, before the rest fan out and only read it.
-    Results come back in input order; the exception of the first
-    failing item is re-raised and the items not yet started are
-    dropped.  Each result equals the serial loop's bit for bit, as long
-    as solve(item) depends on its item alone.
+    Threads would queue: SuperLU's solve and the per-item Python hold
+    the interpreter lock.  The first item runs in the caller, so what
+    the solves build lazily (the FemBlocks term table and its order, the
+    load rule, the blocks) is built once, before the fork, and every
+    worker reads the caller's copy.  Of the other items, with n
+    processes, the caller takes items 1, 1 + n, 1 + 2n, ... and worker j
+    items 1 + j, 1 + j + n, ...; each worker sends its results pickled
+    over a pipe.  Results come back in input order.  A share stops at
+    its first failure, and the failure with the lowest index is
+    re-raised; a worker that dies, or whose exception does not survive
+    pickling, raises RuntimeError.  Every worker is reaped before
+    map_solves returns or raises.  Each result equals the serial loop's
+    bit for bit, as long as solve(item) depends on its item alone; what
+    a solve changes in a worker's memory stays there.
     """
     items = list(items)
     if not items:
         return []
-    first = solve(items[0])
-    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
-        return [first] + list(pool.map(solve, items[1:]))
+    out = [solve(items[0])]
+    n = min(_cpu_count(), len(items) - 1)
+    if n < 2:
+        return out + [solve(item) for item in items[1:]]
+    shares = [range(j, len(items), n) for j in range(1, n + 1)]
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            pid, fd = _fork_share(solve, items, share, pipes)
+            pids.append(pid)
+            pipes.append(fd)
+        outcomes = [_run_share(solve, items, shares[0])]
+        blobs = [_read_all(fd) for fd in pipes]
+    except BaseException:
+        for pid in pids:        # not reaped yet, so the pid is still theirs
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        status = [os.waitpid(pid, 0)[1] for pid in pids]
+    outcomes += [_unpickled(blob, share, code)
+                 for blob, share, code in zip(blobs, shares[1:], status)]
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out += [None] * (len(items) - 1)
+    for share, (results, _) in zip(shares, outcomes):
+        for k, result in zip(share, results):
+            out[k] = result
+    return out
+
+
+def _run_share(solve, items, share):
+    """(results, None) of the items at the indices share, or (results so
+    far, (k, exception)) at the first item k that raises."""
+    results = []
+    for k in share:
+        try:
+            results.append(solve(items[k]))
+        except Exception as exc:
+            return results, (k, exc)
+    return results, None
+
+
+def _fork_share(solve, items, share, inherited) -> tuple[int, int]:
+    """A worker process running one share (_run_share): its pid and the
+    read end of the pipe that carries its pickled outcome.  inherited
+    lists the read ends of earlier workers, which it closes."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns when the process has other threads
+            # (OpenBLAS's pool), after the child exists: raised as an
+            # error, the warning would lose the child's pid
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        for fd in (r, *inherited):
+            os.close(fd)
+        results, failure = _run_share(solve, items, share)
+        blob = _pickled(results, failure, share[0])
+        with open(w, "wb") as pipe:
+            pipe.write(blob)
+        code = 0
+    finally:
+        os._exit(code)      # no cleanup of the caller's state in the child
+
+
+def _pickled(results, failure, first: int) -> bytes:
+    """A worker's outcome as bytes: its results, or its failure alone.
+    A failure that does not survive pickling, or results that cannot be
+    pickled, become a RuntimeError with the exception's text."""
+    try:
+        if failure is None:
+            return pickle.dumps((results, None), pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(((), failure), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(blob)      # an exception can pickle and not load
+        return blob
+    except Exception as exc:
+        k, exc = failure or (first, exc)
+        return pickle.dumps(((), (k, RuntimeError(
+            f"solve worker, item {k}: {type(exc).__name__}: {exc}"))))
+
+
+def _read_all(fd: int) -> bytes:
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
+def _unpickled(blob: bytes, share: range, status: int):
+    """A worker's outcome from its bytes; a worker that wrote none, or
+    not all of them, fails at its first item."""
+    try:
+        return pickle.loads(blob)
+    except Exception:
+        return (), (share[0], RuntimeError(
+            f"solve worker for items {share.start}::{share.step} ended with "
+            f"exit code {os.waitstatus_to_exitcode(status)} before "
+            "returning its results"))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +514,25 @@ def _fluid_and_layer(mesh):
 
 @dataclass
 class FrequencySystem:
-    matrix: sp.csc_matrix
+    """A x = rhs at one frequency, rhs and x in the dof frame.
+
+    assemble gives A in its form's fill-reducing order
+    (AffineForm.reordered): row and column k of `ordered` are dof
+    dofs[k], and solve_frequency factors it as it stands.  A system made
+    from a matrix in the dof frame has dofs None.
+    """
+
+    ordered: sp.csc_matrix
     rhs: np.ndarray
+    dofs: np.ndarray | None = None
+
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        """A in the dof frame."""
+        if self.dofs is None:
+            return self.ordered
+        at = np.argsort(self.dofs)          # the row of each dof
+        return self.ordered[at][:, at]
 
 
 @dataclass
@@ -426,21 +561,56 @@ class AffineForm:
     nonzeros and, on a mesh without the layer, every Gamma_h x Gamma_h
     pair, at positions gamma_slots (row-major).  matrix() moves values
     in that order into the CSC pattern SuperLU factors (``order``,
-    ``indices``, ``indptr``).
+    ``indices``, ``indptr``).  The form in its fill-reducing order,
+    ``reordered``, holds its values in CSC order already (order None),
+    row and column k being dof dofs[k].
     """
 
     terms: np.ndarray               # (7, nnz) real
     gamma_slots: np.ndarray
-    order: np.ndarray
+    order: np.ndarray | None
     indices: np.ndarray
     indptr: np.ndarray
+    dofs: np.ndarray | None = None
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
-        """The matrix with the given row-major values."""
+        """The matrix with the given values, in the table's order."""
         import scipy.sparse as sp      # on first use, as in _scatter
         n = self.indptr.size - 1
-        return sp.csc_matrix((values[self.order], self.indices, self.indptr),
+        if self.order is not None:
+            values = values[self.order]
+        return sp.csc_matrix((values, self.indices, self.indptr),
                              shape=(n, n))
+
+    @cached_property
+    def reordered(self) -> AffineForm:
+        """This form with rows and columns in SuperLU's LU_ORDERING order
+        of its pattern, the order of every frequency matrix on the mesh.
+
+        The order depends on the pattern alone (it equals each contour
+        factor's own perm_c), so it comes from one factor of a
+        diagonally dominant matrix on the pattern; every diagonal entry
+        is in the pattern, since every dof has mass.  Factored with
+        NATURAL, a matrix in this order fills as its LU_ORDERING factor
+        does (contour workload: 7,127,970 LU nonzeros over 161 factors
+        either way).
+        """
+        import scipy.sparse as sp      # on first use, as in _scatter
+        n = self.indptr.size - 1
+        cols = np.repeat(np.arange(n), np.diff(self.indptr))
+        dominant = np.where(self.indices == cols, float(n), -1.0)
+        at = factorize(sp.csc_matrix((dominant, self.indices, self.indptr),
+                                     shape=(n, n))).perm_c   # dof -> row
+        rows, cols = at[self.indices], at[cols]
+        k = np.lexsort((rows, cols))
+        slot = self.order[k]           # the row-major slot of each entry
+        where = np.empty_like(slot)
+        where[slot] = np.arange(slot.size)
+        return AffineForm(terms=self.terms[:, slot],
+                          gamma_slots=where[self.gamma_slots], order=None,
+                          indices=rows[k],
+                          indptr=np.searchsorted(cols[k], np.arange(n + 1)),
+                          dofs=np.argsort(at))
 
 
 def _affine_form(blk: FemBlocks) -> AffineForm:
@@ -534,6 +704,10 @@ def assemble(blk: FemBlocks, media: MediaParams, s: complex,
 
     The transformed source is g_hat(x, s) = g_hat_scale * chi(x); the
     right-hand side of the variational problem is int g_hat / c^2 * q.
+    g_hat_spatial is chi, or its nodal load load_vector(blk, chi), which
+    a caller solving many frequencies computes once.  The matrix comes
+    in the order of the mesh's frequency matrices
+    (AffineForm.reordered).
     The variant must suit the mesh (pml_layer a layer mesh, exact_dtn
     and pml_dtn a mesh without the layer), and pml_dtn needs the
     profile pml; anything else raises AssemblyError before any work.
@@ -546,7 +720,7 @@ def assemble(blk: FemBlocks, media: MediaParams, s: complex,
                             " an absorbing layer")
     if variant == "pml_dtn" and pml is None:
         raise AssemblyError("pml_dtn variant needs a layer profile")
-    form = blk.form
+    form = blk.form.reordered
     theta = frequency_weights(media, s)
     data = theta.real @ form.terms + 1j * (theta.imag @ form.terms)
     if form.gamma_slots.size:
@@ -555,9 +729,11 @@ def assemble(blk: FemBlocks, media: MediaParams, s: complex,
             (dtn_block(blk, media.c, s, L_tilde) / s).ravel()
     rhs = np.zeros(blk.dof.size, dtype=complex)
     if g_hat_spatial is not None:
-        rhs = (g_hat_scale / media.c ** 2) \
-            * load_vector(blk, g_hat_spatial).astype(complex)
-    return FrequencySystem(matrix=form.matrix(data), rhs=rhs)
+        load = load_vector(blk, g_hat_spatial) if callable(g_hat_spatial) \
+            else g_hat_spatial
+        rhs = (g_hat_scale / media.c ** 2) * load.astype(complex)
+    return FrequencySystem(ordered=form.matrix(data), rhs=rhs,
+                           dofs=form.dofs)
 
 
 def _ldexp(v: np.ndarray, e: int) -> np.ndarray:
@@ -572,24 +748,30 @@ def solve_frequency(system: FrequencySystem) -> FrequencySolution:
     and one step of iterative refinement if needed, on the load scaled
     by the power of two 2^-e that puts max|b| in [0.5, 1), where neither
     norm underflows nor overflows; x is scaled back by 2^e.  A residual
-    that is not finite fails the check as one above the bound does."""
-    b = system.rhs
+    that is not finite fails the check as one above the bound does.
+    A system in a fill-reducing order (dofs) is factored in that order
+    with NATURAL, b and x mapped between it and the dof frame."""
+    A, b = system.ordered, system.rhs
+    if system.dofs is not None:
+        b = b[system.dofs]
     e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
     b = _ldexp(b, -e)
-    lu = factorize(system.matrix)
+    lu = factorize(A, LU_ORDERING if system.dofs is None else "NATURAL")
     x = lu.solve(b)
     norm_b = np.linalg.norm(b)
     if norm_b > 0:
-        r = b - system.matrix @ x
+        r = b - A @ x
         if not np.linalg.norm(r) <= 1e-10 * norm_b:
             x = x + lu.solve(r)
-            r = b - system.matrix @ x
+            r = b - A @ x
             if not np.linalg.norm(r) <= 1e-8 * norm_b:
                 raise SingularSystemError(
                     f"relative residual {np.linalg.norm(r)/norm_b:.2e}")
         res = float(np.linalg.norm(r) / norm_b)
     else:
         res = 0.0
+    if system.dofs is not None:         # back to the dof frame
+        x[system.dofs] = x.copy()
     return FrequencySolution(x=_ldexp(x, e), residual=res, lu_nnz=lu.nnz)
 
 

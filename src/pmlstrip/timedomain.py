@@ -239,10 +239,11 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
                        probes: ProbeSet,
                        variant: str = "exact_dtn") -> TimeTrajectory:
     """Probe pressure trajectories from per-frequency solves on the
-    contour s = s1 + i s2, exploiting conjugate symmetry; the solves run
-    side by side (fem.map_solves).  meta reports the pulse
-    self-reconstruction error, the solve pool's size (workers) and the
-    largest relative solve residual (max_residual)."""
+    contour s = s1 + i s2, exploiting conjugate symmetry, with the
+    source's load computed once; the solves run side by side
+    (fem.map_solves).  meta reports the pulse self-reconstruction error,
+    the solve pool's size (workers) and the largest relative solve
+    residual (max_residual)."""
     t = cfg.t_grid
     if t is None:
         t = np.linspace(0.0, source.T, 201)
@@ -258,10 +259,11 @@ def contour_synthesize(blk: FemBlocks, media: MediaParams,
                       TruncationWarning, stacklevel=2)
 
     read_probes = _probe_reader(blk, probes)
+    load = load_vector(blk, source.spatial)
 
     def solve(w):
         s = cfg.s1 + 1j * w
-        sol = solve_frequency(assemble(blk, media, s, source.spatial,
+        sol = solve_frequency(assemble(blk, media, s, load,
                                        complex(source.pulse.laplace(s)),
                                        variant))
         return read_probes(pad_dofs(sol.x)), sol.residual

@@ -5,9 +5,7 @@ import contextlib
 import csv
 import io
 import os
-import sys
 import tempfile
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -350,6 +348,52 @@ class TestConfig:
         assert err.startswith("configuration error:") \
             and err.count("\n") == 1
         assert not out.exists() or not os.listdir(out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s1=st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=1,
+                       max_size=3, unique=True),
+           sigma0=st.lists(st.sampled_from([1e-3, 0.5, 1.0, 4.0, 1e3]),
+                           min_size=1, max_size=3, unique=True),
+           L=st.lists(st.sampled_from([1e-15, 5e-15, 9e-15, 1e-14, 1.1e-14,
+                                       2e-14, 1e-13, 1.0]),
+                      min_size=1, max_size=3, unique=True),
+           m=st.integers(1, 3))
+    def test_audit_floor_judged_by_thinnest_layer(self, s1, sigma0, L, m):
+        # load_config judges each audit s1 by one layer, at the least
+        # sigma0 and the least L; the verdict is the whole grid's
+        floor = 2.0 * pmlstrip.symbols.DEGENERATE_DENOMINATOR
+        whole_grid = all(
+            pmlstrip.symbols.layer_denominator_floor(
+                v, 1.0, PmlProfile(sigma0=g, m=m, L=thick, s1=v).L_tilde)
+            >= floor for v in s1 for g in sigma0 for thick in L)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.ini")
+            Path(path).write_text(
+                BASE_CONFIG + "[audit]\n" + "\n".join(
+                    f"{key} = {','.join(map(repr, values))}" for key, values
+                    in (("s1_values", s1), ("sigma0_values", sigma0),
+                        ("L_values", L), ("m", [m]))) + "\n")
+            try:
+                load_config(path)
+                accepted = True
+            except ConfigError as exc:
+                assert "too thin" in str(exc)
+                accepted = False
+        assert accepted == whole_grid
+
+    def test_underflowing_step_rejected(self, tmp_path, capsys):
+        # dt = T / n_steps underflows to 0: snapping a snapshot time to a
+        # step divided by it (a ZeroDivisionError traceback)
+        path, out = tmp_path / "dt.ini", tmp_path / "out"
+        path.write_text(BASE_CONFIG.replace("T = 1.0", "T = 5e-324")
+                        .replace("n_steps = 40", "n_steps = 2")
+                        + "[td]\nsnapshot_times = 0\n")
+        assert main(["td-run", "--config", str(path), "--out", str(out)]) \
+            == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: source.T and numerics.n_steps: " \
+            "the time step T / n_steps is not a normal double\n"
+        assert not (out / "manifest.txt").exists()
 
     def test_readme_schema_names_every_key(self):
         # the README's INI block documents exactly the sections and keys
@@ -966,10 +1010,11 @@ KEY_BOUNDS = {
                                                "0.2,0.43")),
     ("source", "radius"): ("freq-solve", [-0.06, 0.0, 0.06, 0.15, 0.25],
                            lambda v: not 0 < v < 0.25),
-    # at 5e102 the pulse has decayed to 0 at every step; from 1e160
-    # Newmark's dt^2 overflows
-    ("source", "T"): ("td-run", [-1.0, 0.0, 1e-3, 1.0, 4.0, 5e102, 1e160],
-                      lambda v: v <= 0 or v == 1e160),
+    # at 5e-324 the step T / 4 underflows to 0; at 5e102 the pulse has
+    # decayed to 0 at every step; from 1e160 Newmark's dt^2 overflows
+    ("source", "T"): ("td-run", [-1.0, 0.0, 5e-324, 1e-3, 1.0, 4.0, 5e102,
+                                 1e160],
+                      lambda v: v <= 0 or v in (5e-324, 1e160)),
     # a >= 0, and (s + a -+ i omega0)^4 must be a finite double
     ("source", "a"): ("freq-solve", [-1.0, 0.0, 4.0, 1e76, 1.2e77, 1e78],
                       lambda v: v < 0 or v > QUARTIC_BOUND),
@@ -1061,6 +1106,7 @@ OWN_RULE_KEYS = [("source", "T"), ("source", "radius"), ("source", "a"),
                  ("parseval", "n_freq")]
 JOINT_REJECTIONS = {
     ("source", "T", 1e160),             # Newmark's step matrix
+    ("source", "T", 5e-324),            # Newmark's step
     ("source", "radius", 0.25),         # the ball must fit the strip
     ("source", "a", 1.2e77), ("source", "a", 1e78),   # the pulse transform
     ("sweep", "L_values", "0.125,0.5,1"),               # above mesh_size
@@ -1393,29 +1439,25 @@ class TestConcurrentSolves:
 
     def test_term_table_built_once_under_stress(self, tmp_path,
                                                 monkeypatch):
-        # eight threads on any machine, switching every microsecond: the
-        # term table the solves share is still built once, by the
-        # calling thread, and the outputs still equal the serial loop's
+        # eight processes on any machine: the term table the solves
+        # share, and its copy in the frequency matrices' order, are each
+        # built once, by the caller before the fork, and the outputs
+        # still equal the serial loop's
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(8)), raising=False)
         form, builders = pmlstrip.fem.AffineForm, []
 
         def counted(**fields):
-            builders.append(threading.current_thread())
+            builders.append(os.getpid())
             return form(**fields)
         monkeypatch.setattr(pmlstrip.fem, "AffineForm", counted)
         path = tmp_path / "f.ini"
         path.write_text(BASE_CONFIG + "variant = pml_layer\n[freq]\n"
                         "s2_values = " + ",".join(map(str, range(16))) + "\n")
         out = tmp_path / "out"
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert main(["freq-solve", "--config", str(path),
-                         "--out", str(out)]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        assert builders == [threading.current_thread()]
+        assert main(["freq-solve", "--config", str(path),
+                     "--out", str(out)]) == 0
+        assert builders == [os.getpid()] * 2
         ref = tmp_path / "ref"
         ref.mkdir()
         serial_freq_solve(load_config(str(path)), str(ref))

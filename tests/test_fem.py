@@ -1,7 +1,11 @@
 """Finite element assembly and the frequency-domain solver."""
 
 import os
-import threading
+import select
+import time
+import warnings
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from pmlstrip import (Geometry, MediaParams, PmlProfile, Rectangle,
                       build_mesh, dofs_to_nodal, dtn_block,
                       dtn_symbol_grid, h_norm_sq, load_vector, shared_dofs,
                       solve_frequency, source_l2_norm, stability_ratios)
-from pmlstrip.fem import AssemblyError, DofMap, FemBlocks, \
+from pmlstrip.fem import AffineForm, AssemblyError, DofMap, FemBlocks, \
     FrequencySystem, SingularSystemError, _assemble_scalar, _cpu_count, \
     _tri_geometry, map_solves
 from pmlstrip.timedomain import newmark_run
@@ -407,8 +411,8 @@ class TestFrequencySolve:
         lo, hi = -1021 - e.min(), 1024 - e.max()
         assert np.linalg.norm(np.ldexp(b, lo)) == 0.0
         k = data.draw(st.one_of(st.just(lo), st.integers(lo, hi)))
-        sol = solve_frequency(FrequencySystem(system.matrix,
-                                              np.ldexp(b, k).view(complex)))
+        sol = solve_frequency(replace(system,
+                                      rhs=np.ldexp(b, k).view(complex)))
         assert np.array_equal(sol.x.view(float), np.ldexp(x, k))
         assert sol.residual == base.residual > 0.0
 
@@ -690,36 +694,175 @@ class TestBlocksOnRead:
         assert on_read & set(vars(blk)) == {"_fluid_pair"}
 
 
+class Unloadable(Exception):
+    """An exception that pickles but does not unpickle: its class needs
+    two arguments, and unpickling passes one."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+def no_child_left():
+    """Whether this process has no child, exited or running."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 class TestMapSolves:
     def test_results_in_input_order(self, cpus):
-        # on two threads item 2 finishes before item 1 starts returning;
-        # the results keep the input order
-        done = threading.Event()
+        # on two processes the worker's item 2 finishes before the
+        # caller's item 1 returns; the results keep the input order
+        r, w = os.pipe()
+        try:
+            def solve(k):
+                if k == 1 and cpus == 2:
+                    assert select.select([r], [], [], 10)[0]
+                if k == 2:
+                    os.write(w, b"2")
+                return k * k
+            assert map_solves(solve, range(7)) == [k * k for k in range(7)]
+            assert map_solves(solve, []) == []
+        finally:
+            os.close(r)
+            os.close(w)
+        assert no_child_left()
 
-        def solve(k):
-            if k == 1 and cpus == 2:
-                assert done.wait(timeout=10)
-            if k == 2:
-                done.set()
-            return k * k
-        assert map_solves(solve, range(7)) == [k * k for k in range(7)]
-        assert map_solves(solve, []) == []
-
-    def test_one_thread_per_cpu(self, cpus):
-        # the first item runs in the calling thread, the rest on the pool
-        names = map_solves(lambda k: threading.current_thread().name,
-                           range(40))
-        assert names[0] == threading.current_thread().name
-        assert 1 <= len(set(names[1:])) <= cpus
-        assert threading.current_thread().name not in names[1:]
+    def test_one_process_per_cpu(self, cpus):
+        # the caller runs the first item and then every cpus-th, from
+        # item 1; a worker process each of the other shares
+        pids = map_solves(lambda k: os.getpid(), range(40))
+        assert [k for k, pid in enumerate(pids) if pid == os.getpid()] \
+            == [0] + list(range(1, 40, cpus))
+        assert len(set(pids)) == cpus
+        assert no_child_left()
 
     def test_first_failure_raised(self, cpus):
+        # on two processes the caller's share is 1, 3, 5, 7 and the
+        # worker's 2, 4, 6: the lowest failing item wins, in either share
+        for failing in ((3, 5), (2, 3), (3, 4), (4, 6)):
+            def solve(k):
+                if k in failing:
+                    raise SingularSystemError(f"item {k}")
+                return k
+            with pytest.raises(SingularSystemError,
+                               match=f"item {min(failing)}"):
+                map_solves(solve, range(8))
+            assert no_child_left()
+
+    @pytest.mark.parametrize("fault", ["exit", "local class", "unloadable",
+                                       "result"])
+    def test_worker_faults_raise(self, fault, monkeypatch):
+        # item 2 is the worker's on two processes; it dies, or raises an
+        # exception that does not survive pickling, or returns a result
+        # that cannot be pickled
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+        class Local(Exception):
+            pass
+
         def solve(k):
-            if k in (3, 5):
-                raise SingularSystemError(f"item {k}")
+            if k != 2:
+                return k
+            if fault == "exit":
+                os._exit(3)
+            if fault == "local class":
+                raise Local("no module path")
+            if fault == "unloadable":
+                raise Unloadable("one argument", "of two")
+            return lambda: k
+        message = {"exit": "exit code 3", "local class": "item 2: Local: no "
+                   "module path", "unloadable": "item 2: Unloadable: one "
+                   "argument", "result": "item 2: .*pickle"}[fault]
+        with pytest.raises(RuntimeError, match=message):
+            map_solves(solve, range(6))
+        assert no_child_left()
+
+    def test_workers_killed_when_the_caller_is_interrupted(self, cpus):
+        # an exception that is not an Exception (here in the caller's
+        # item 1) kills the workers, which sleep, rather than waiting
+        class Interrupt(BaseException):
+            pass
+        caller = os.getpid()
+
+        def solve(k):
+            if k == 1:
+                raise Interrupt
+            if os.getpid() != caller:
+                time.sleep(60)
             return k
-        with pytest.raises(SingularSystemError, match="item 3"):
-            map_solves(solve, range(8))
+        start = time.perf_counter()
+        with pytest.raises(Interrupt):
+            map_solves(solve, range(6))
+        assert time.perf_counter() - start < 30
+        assert no_child_left()
+
+    def test_fork_warning_is_not_an_error(self, monkeypatch):
+        # Python >= 3.12 warns in the parent, after the fork, when the
+        # process has other threads; under the suite's warnings-as-errors
+        # the pool still runs and reaps its worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert map_solves(lambda k: k + 1, range(5)) == [1, 2, 3, 4, 5]
+        assert no_child_left()
+
+    def test_solves_equal_serial_loop_bitwise(self, cpus):
+        blk = make_blocks(obstacle=True)
+        src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=2.0)
+        load = load_vector(blk, src.spatial)
+
+        def solve(s):
+            return solve_frequency(assemble(blk, MEDIA, s, load, 1.0,
+                                            "exact_dtn"))
+        s_list = [0.5 + 1j * w for w in range(9)]
+        for sol, ref in zip(map_solves(solve, s_list),
+                            [solve(s) for s in s_list]):
+            assert np.array_equal(sol.x, ref.x)
+            assert sol.residual == ref.residual
+            assert sol.lu_nnz == ref.lu_nnz
+
+    @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
+    def test_order_once_per_form(self, cpus, variant, monkeypatch):
+        # every process factors in the order the caller computed once,
+        # before the fork; the reordered solve matches the solve in the
+        # dof frame under LU_ORDERING, with the same fill
+        pml = PmlProfile(sigma0=2.0, m=1, L=0.4, s1=1.0)
+        blk = make_blocks(obstacle=True, target=0.05,
+                          pml=pml if variant == "pml_layer" else None)
+        src = SourceSpec(center=(0.2, 0.25), radius=0.08, T=2.0)
+        reorder, builders = vars(AffineForm)["reordered"].func, []
+
+        def counted(form):
+            builders.append(os.getpid())
+            return reorder(form)
+        prop = cached_property(counted)
+        prop.__set_name__(AffineForm, "reordered")
+        monkeypatch.setattr(AffineForm, "reordered", prop)
+
+        def solve(s):
+            system = assemble(blk, MEDIA, s, src.spatial, 1.0, variant)
+            ref = solve_frequency(FrequencySystem(system.matrix, system.rhs))
+            return solve_frequency(system), ref, list(builders)
+        for sol, ref, seen in map_solves(solve, [0.5 + 1j * w
+                                                 for w in range(0, 60, 6)]):
+            assert seen == [os.getpid()]
+            assert sol.lu_nnz == ref.lu_nnz
+            assert np.abs(sol.x - ref.x).max() <= 1e-12 * np.abs(ref.x).max()
 
     def test_cpu_count_from_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},

@@ -1,6 +1,6 @@
 """Newmark integration, probes, and contour synthesis."""
 
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -485,17 +485,17 @@ class TestConcurrentContour:
     @pytest.mark.parametrize("variant", ["exact_dtn", "pml_layer"])
     def test_equals_serial_loop_bitwise(self, cpus, variant, monkeypatch):
         blk, probes = self.setup_blocks(variant)
-        # every solve reads the fluid load rule, which the first solve
-        # builds in the calling thread
+        # the source's load is computed once, in the caller, which
+        # builds the fluid load rule for it
         rule, builders = pmlstrip.fem._load_rule, []
 
         def counted(*args):
-            builders.append(threading.current_thread())
+            builders.append(os.getpid())
             return rule(*args)
         monkeypatch.setattr(pmlstrip.fem, "_load_rule", counted)
         traj = contour_synthesize(blk, ODD_MEDIA, self.SRC, self.CFG, probes,
                                   variant)
-        assert builders == [threading.current_thread()]
+        assert builders == [os.getpid()]
         ref, residuals = serial_contour(blk, ODD_MEDIA, self.SRC, self.CFG,
                                         probes, variant)
         assert np.abs(ref).max() > 0
