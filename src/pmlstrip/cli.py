@@ -17,17 +17,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
-from .fem import build_blocks, assemble, dofs_to_nodal, h_norm_sq, \
-    load_vector, map_solves, shared_dofs, solve_frequency, source_l2_norm, \
-    stability_ratios
+from .config import ConfigError, RunConfig, distinct_names, load_config
+from .fem import build_blocks, assemble, dofs_to_nodal, frequency_weights, \
+    h_norm_sq, load_vector, map_solves, shared_dofs, solve_frequency, \
+    source_l2_norm, stability_ratios
 from .layer_bvp import LayerMode, analytic_layer_solution, fd_layer_solve, \
     numeric_dtn_at_h
 from .mesh import build_mesh, check_grid, export_mesh
-from .model import GeometryError, PmlProfile
-from .symbols import default_xi_grid, dtn_symbol_grid, symbol_gap_sup
+from .model import GeometryError, PmlProfile, check_source, validate_media
+from .symbols import DEGENERATE_DENOMINATOR, default_xi_grid, \
+    dtn_symbol_grid, layer_denominator_floor, symbol_gap_sup
 from .timedomain import ProbeError, energy_trace, locate_probes, \
-    newmark_run
+    nearest_steps, newmark_run, step_grid
 from .xform import SampledSignal, parseval_residual, \
     transform_property_check
 
@@ -138,8 +139,8 @@ def fit_rate(L_values, errors) -> RateFit:
 
 def emit_plots(csv_path: str, out_path: str, kind: str,
                rates: tuple = ()) -> None:
-    """Write a self-contained matplotlib script for one result CSV: kind
-    "convergence" (with reference rates) or "audit"."""
+    """Write a self-contained matplotlib script for one result CSV, run
+    beside it: kind "convergence" (with reference rates) or "audit"."""
     if kind == "convergence":
         body = f"""\
 import csv
@@ -149,7 +150,7 @@ matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
 L, err = [], []
-with open({csv_path!r}) as fh:
+with open({os.path.basename(csv_path)!r}) as fh:
     for row in csv.DictReader(fh):
         L.append(float(row["L"]))
         err.append(float(row["error"]))
@@ -172,7 +173,7 @@ matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
 curves = defaultdict(list)
-with open({csv_path!r}) as fh:
+with open({os.path.basename(csv_path)!r}) as fh:
     for row in csv.DictReader(fh):
         key = (row["s1"], row["s2"])
         curves[key].append((float(row["xi"]), float(row["gap"]),
@@ -198,6 +199,101 @@ plt.savefig("symbol_audit.png", dpi=150)
 # ---------------------------------------------------------------------------
 
 # each run_* writes its files to `out` and returns (ok, manifest extras)
+
+def _in_range(keys: str, what: str, numbers, floor: float = 0.0) -> None:
+    """The one numeric-range rule: a ConfigError naming keys unless every
+    number v listed by numbers() (warnings off) has floor <= |v| < inf."""
+    try:
+        with np.errstate(all="ignore"):
+            v = np.abs(np.concatenate([np.ravel(x) for x in numbers()]))
+    except ArithmeticError:     # a Python float power overflows, or x / 0
+        v = np.inf
+    if not np.all((floor <= v) & (v < np.inf)):
+        raise ConfigError(f"{keys}: {what}")
+
+
+def _check_symbols(keys: str, c: float, layers) -> None:
+    """The boundary symbols' rules at Re s = s1, for (s1, layer profiles)
+    pairs: their root of s^2/c^2 + xi^2 lands on the branch cut once
+    (s1/c)^2 underflows, and is lost once it overflows; the floor of a
+    layer symbol's denominator clears the degeneracy guard twice over,
+    so that rounding in the symbol cannot trip the guard."""
+    _in_range(keys, "(s1/c)^2 is not a normal double",
+              lambda: [(v / c) ** 2 for v, _ in layers], np.finfo(float).tiny)
+    _in_range(keys, "a layer is too thin for its boundary symbol",
+              lambda: [layer_denominator_floor(v, c, np.array(
+                  [p.L_tilde for p in profiles])) for v, profiles in layers],
+              2.0 * DEGENERATE_DENOMINATOR)
+
+
+def _check_strip(cfg: RunConfig, layers=()) -> None:
+    """The mesh runs' rules: admissible media, and a strip with the
+    source ball in its fluid that build_mesh grids at the mesh size, bare
+    and topped by each layer of layers, (keys, thickness) pairs."""
+    bad = validate_media(cfg.media)
+    if bad:
+        raise ConfigError("inadmissible media: " + ", ".join(bad))
+    keys = "geom, source and numerics.mesh_size"
+    try:
+        check_source(cfg.source, cfg.geometry)
+        for keys, L in [(keys, None), *layers]:
+            check_grid(cfg.geometry, L, cfg.numerics["mesh_size"])
+    except GeometryError as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
+# numerics.s1 over the faster of the layer's damping rate sigma0 and a
+# wave's rate c / mesh_size across one mesh cell: the least ratio the
+# frequency systems resolve
+ABSCISSA_FLOOR = 1e-5
+
+
+def _check_frequencies(cfg: RunConfig, layers=()) -> None:
+    """The frequency systems' rules, at each s = s1 + i s2 of [freq], with
+    boundary maps the layer symbols of layers (profiles) or the exact."""
+    c, s1 = cfg.media.c, cfg.pml.s1
+    _check_symbols("numerics.s1, pml and media.c", c, [(s1, layers)])
+    # Below this floor the frequency systems at s2 = 0 lose their
+    # slowest modes to rounding.  A layer's relative residual grows
+    # like 1e-16 sigma0/s1 (flat and inclusion strips, meshes 0.125 to
+    # 0.05, c = 0.1 to 10: 2e-10 at sigma0/s1 = 2e6, failing the
+    # residual check from about 1e8), and an inclusion without a layer
+    # failed its check at s1 = 1e-10 (mesh 0.125); at s1 = 1e-150 its
+    # mass terms underflow
+    floor = ABSCISSA_FLOOR * max(cfg.pml.sigma0,
+                                 c / cfg.numerics["mesh_size"])
+    _in_range("numerics.s1", f"below {ABSCISSA_FLOOR:g} max(sigma0, "
+              f"c / mesh_size) = {floor:g}", lambda: [s1], floor)
+    # the weights theta(s) grow like |s|^3, and past a finite
+    # (s + a -+ i omega0)^4 the pulse transform reads 0 or nan
+    s = s1 + 1j * np.array(cfg.numerics["freq_s2_values"])
+    _in_range("media, source, numerics.s1 and freq.s2_values",
+              "the frequency system overflows",
+              lambda: [frequency_weights(cfg.media, s[:, None]),
+                       *cfg.source.pulse.laplace_denominators(s)])
+
+
+def _newmark(cfg: RunConfig, blk, **kwargs):
+    """newmark_run of the configured source on blk over T in n_steps, if
+    the step is a normal double and the snapshots lie in [0, T] on steps
+    of distinct names; step matrices that overflow refuse the config."""
+    T, n_steps = cfg.source.T, cfg.numerics["n_steps"]
+    t_grid, dt = step_grid(T, n_steps)
+    _in_range("source.T and numerics.n_steps", "the time step T / "
+              "n_steps is not a normal double", lambda: [dt],
+              np.finfo(float).tiny)
+    # a snapshot is written at its nearest step, named by that time
+    snap = kwargs.get("snapshot_times", ())
+    if snap and not (all(0 <= ts <= T for ts in snap)
+                     and distinct_names(t_grid[nearest_steps(snap, dt)])):
+        raise ConfigError("td.snapshot_times must lie in [0, T], on time "
+                          "steps with distinct file names")
+    try:
+        return newmark_run(blk, cfg.media, cfg.source, T, n_steps, **kwargs)
+    except OverflowError as exc:
+        raise ConfigError(f"media, source.T and numerics.n_steps: {exc}") \
+            from exc
+
 
 def _blocks(cfg: RunConfig, pml: PmlProfile | None):
     """Blocks on the configured strip and mesh size, topped by `pml`."""
@@ -228,8 +324,9 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> tuple[bool, dict]:
              for L in a["L_values"]]
     paths = [os.path.join(out, f"audit_sigma{sigma0:g}_L{L:g}.csv")
              for sigma0, L in files]
-    profiles = {v: [replace(cfg.pml, sigma0=sigma0, m=a["m"], L=L, s1=v)
+    profiles = {v: [PmlProfile(sigma0=sigma0, m=a["m"], L=L, s1=v)
                     for sigma0, L in files] for v in a["s1_values"]}
+    _check_symbols("audit and media.c", c, profiles.items())
     s1, s2 = (g.ravel() for g in np.meshgrid(
         a["s1_values"], np.linspace(*a["s2_range"]), indexing="ij"))
     shared = ",".join([CELL] * 5) + ","
@@ -265,6 +362,19 @@ def run_symbol_audit(cfg: RunConfig, out: str) -> tuple[bool, dict]:
 
 def run_layer_check(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     lay, c, pml = cfg.layer, cfg.media.c, cfg.pml
+    _check_symbols("layer.s, pml and media.c", c, [(lay["s"].real, [pml])])
+    # fd_layer_solve's largest entry is below 2 (n/L)^2 + k^2 sigma_max,
+    # with k^2 = |s|^2/c^2 + xi^2 >= |s^2/c^2 + xi^2| and the damping
+    # peaking at sigma_max = 1 + sigma0/s1 on the layer top; it squares
+    # its widest grid step L/n; and the layer symbol takes
+    # exp(-2 beta L~), with |beta| <= k
+    def sizes():
+        n, k = lay["n_values"], np.hypot(
+            np.abs(lay["s"]) / c, np.max(np.abs(lay["xi_values"])))
+        return [2.0 * (max(n) / pml.L) ** 2
+                + k * k * (1.0 + pml.sigma0 / pml.s1),
+                (pml.L / min(n)) ** 2, 2.0 * k * pml.L_tilde]
+    _in_range("layer with pml", "layer-check overflows", sizes)
     ok, summary = True, []
     for xi in lay["xi_values"]:
         mode = LayerMode(xi=xi, s=lay["s"], c=c, pml=pml)
@@ -291,21 +401,11 @@ def run_layer_check(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     return ok, {"pass": int(ok)}
 
 
-def _above_mesh_size(what: str, L_values, cfg: RunConfig) -> None:
-    """Reject layers build_mesh cannot grid at the configured mesh size
-    (mesh.check_grid), before anything is solved."""
-    for L in L_values:
-        try:
-            check_grid(cfg.geometry, L, cfg.numerics["mesh_size"])
-        except GeometryError as exc:
-            raise ConfigError(f"{what}: {exc}") from exc
-
-
 def run_freq_solve(cfg: RunConfig, out: str) -> tuple[bool, dict]:
     variant = cfg.numerics["variant"]
     with_layer = variant == "pml_layer"
-    if with_layer:
-        _above_mesh_size("pml.L", [cfg.pml.L], cfg)
+    _check_strip(cfg, [("pml.L", cfg.pml.L)] if with_layer else ())
+    _check_frequencies(cfg, [cfg.pml] if variant == "pml_dtn" else [])
     blk = _blocks(cfg, cfg.pml if with_layer else None)
     export_mesh(blk.mesh, os.path.join(out, "mesh.txt"))
     chi = source_l2_norm(blk, cfg.source.spatial)
@@ -336,25 +436,23 @@ def run_freq_solve(cfg: RunConfig, out: str) -> tuple[bool, dict]:
 
 
 def run_td(cfg: RunConfig, out: str) -> tuple[bool, dict]:
-    _above_mesh_size("pml.L", [cfg.pml.L], cfg)
+    _check_strip(cfg, [("pml.L", cfg.pml.L)])
+    snap = cfg.numerics["snapshot_times"]
     # the inclusion carries no pressure: a probe there would read 0
     ob = cfg.geometry.obstacle
     if ob is not None and np.any(ob.contains(*cfg.probes.T)):
         raise ConfigError("probes.points must lie off the inclusion")
     blk = _blocks(cfg, cfg.pml)
-    n_snap = len(cfg.numerics["snapshot_times"])
-    if n_snap * blk.dof.size > MAX_HISTORY:
+    if len(snap) * blk.dof.size > MAX_HISTORY:
         raise ConfigError(f"td.snapshot_times and numerics.mesh_size: "
-                          f"{n_snap} snapshots of {blk.dof.size} dofs are "
-                          f"above {MAX_HISTORY} values")
+                          f"{len(snap)} snapshots of {blk.dof.size} dofs "
+                          f"are above {MAX_HISTORY} values")
     try:
         probes = locate_probes(blk.mesh, cfg.probes)
     except ProbeError as exc:
         raise ConfigError(f"probes.points: {exc}") from exc
-    traj = newmark_run(blk, cfg.media, cfg.source, cfg.source.T,
-                       cfg.numerics["n_steps"], probes=probes,
-                       snapshot_times=cfg.numerics["snapshot_times"],
-                       record_norms=True)
+    traj = _newmark(cfg, blk, probes=probes, snapshot_times=snap,
+                    record_norms=True)
     rows = np.column_stack((np.repeat(traj.t, probes.n),
                             np.tile(np.arange(probes.n), traj.t.size),
                             traj.probe_p.T.ravel()))
@@ -373,6 +471,7 @@ def _freq_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     """Squared H-norm gaps between the transparent-boundary reference
     and the layer solutions, summed over the configured frequencies,
     and the reference's effective boundary-map mode count."""
+    _check_frequencies(cfg)
     blk_ref = _blocks(cfg, None)
     s_list = [complex(cfg.pml.s1, s2)
               for s2 in cfg.numerics["freq_s2_values"]]
@@ -400,7 +499,7 @@ def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     fem.shared_dofs), and the sub-layer blocks' effective boundary-map
     mode count."""
     n_steps = cfg.numerics["n_steps"]
-    T = cfg.source.T
+    dt = cfg.source.T / n_steps
     sigma_ref = max([cfg.pml.sigma0] + cfg.sweep["sigma0_values"])
     blk_sub = _blocks(cfg, None)
     if (n_steps + 1) * blk_sub.dof.size > MAX_HISTORY:
@@ -411,11 +510,10 @@ def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
     def history(L, sigma0):
         """Sub-layer dof vectors of one run, one column per step."""
         blk = _blocks(cfg, replace(cfg.pml, L=L, sigma0=sigma0))
-        return newmark_run(blk, cfg.media, cfg.source, T, n_steps,
-                           store_dofs=shared_dofs(blk_sub, blk)).history
+        return _newmark(cfg, blk, store_dofs=shared_dofs(blk_sub,
+                                                         blk)).history
 
     x_ref = history(cfg.sweep["L_ref"], sigma_ref)
-    dt = T / n_steps
     errors = []
     for L in L_values:
         gaps = h_norm_sq(blk_sub, history(L, cfg.pml.sigma0) - x_ref)
@@ -424,16 +522,15 @@ def _time_route_errors(cfg: RunConfig, L_values) -> tuple[list[float], int]:
 
 
 def run_convergence(cfg: RunConfig, out: str) -> tuple[bool, dict]:
-    L_values = cfg.sweep["L_values"]
+    L_values, L_ref = cfg.sweep["L_values"], cfg.sweep["L_ref"]
     if len(L_values) < 3:
         raise ConfigError("sweep.L_values: convergence needs at least 3")
-    _above_mesh_size("every sweep.L_values entry", L_values, cfg)
     time_route = cfg.numerics["route"] == "time"
-    if time_route and not cfg.sweep["L_ref"] > L_values[-1]:
+    if time_route and not L_ref > L_values[-1]:
         raise ConfigError("sweep.L_ref must be above every sweep.L_values "
                           "entry")
-    if time_route:
-        _above_mesh_size("sweep.L_ref", [cfg.sweep["L_ref"]], cfg)
+    _check_strip(cfg, [("every sweep.L_values entry", L) for L in L_values]
+                 + [("sweep.L_ref", L_ref)] * time_route)
     route = _time_route_errors if time_route else _freq_route_errors
     errors, n_modes_effective = route(cfg, L_values)
     csv_path = os.path.join(out, "convergence.csv")

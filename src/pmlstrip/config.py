@@ -8,15 +8,13 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fem import VARIANTS, frequency_weights
-from .mesh import check_grid
+from .fem import VARIANTS
 from .model import Geometry, MediaParams, PmlProfile, Pulse, Rectangle, \
-    SourceSpec, SurfaceProfile, check_source, validate_media
-from .symbols import DEGENERATE_DENOMINATOR, layer_denominator_floor
-from .timedomain import nearest_steps, step_grid, step_weights
+    SourceSpec, SurfaceProfile
 
 
 class ConfigError(ValueError):
@@ -75,7 +73,7 @@ def _size(low: int):
                  f"must be an integer from {low} to {MAX_SAMPLES}")
 
 
-def _distinct_names(values) -> bool:
+def distinct_names(values) -> bool:
     """Whether values print apart in the `:g` format, which names files."""
     names = [f"{v:g}" for v in values]
     return len(set(names)) == len(names)
@@ -83,7 +81,7 @@ def _distinct_names(values) -> bool:
 
 def _named(parse):
     """Values that each name an output file."""
-    return _rule(parse, _distinct_names,
+    return _rule(parse, distinct_names,
                  "two values give one output file name (values in :g)")
 
 
@@ -145,19 +143,19 @@ def _obstacle(text: str):
 # section -> key -> (default, parser).  The config digest hashes the
 # default strings, so changing one changes every run's config_sha256.
 SCHEMA = {
-    "media": {"c": ("1.0", _finite), "rho0": ("1.0", _finite),
+    "media": {"c": ("1.0", _positive), "rho0": ("1.0", _finite),
               "rho_e": ("1.0", _finite), "lambda": ("1.0", _finite),
               "mu": ("1.0", _finite)},
-    "geom": {"period": ("1.0", _finite), "h": ("0.5", _finite),
+    "geom": {"period": ("1.0", _positive), "h": ("0.5", _finite),
              "surface": ("flat", _surface), "obstacle": ("", _obstacle)},
-    "pml": {"sigma0": ("2.0", _finite), "m": ("1", int),
-            "L": ("1.0", _finite)},
+    "pml": {"sigma0": ("2.0", _at_least(0)), "m": ("1", _at_least(1, int)),
+            "L": ("1.0", _positive)},
     # for a < 0 the pulse grows, and has no transform at Re s <= -a
     "source": {"center": ("0.5,0.25", _pair), "radius": ("0.08", _positive),
                "T": ("2.0", _positive), "a": ("4.0", _at_least(0)),
                "omega0": ("8.0", _finite)},
     "numerics": {"mesh_size": ("0.05", _finite),
-                 "s1": ("", lambda text: _finite(text) if text else None),
+                 "s1": ("", lambda text: _positive(text) if text else None),
                  "n_steps": ("400", _size(1)),
                  "n_modes": ("64", _at_least(0, int)),
                  "route": ("freq", _choice("freq", "time")),
@@ -202,10 +200,10 @@ SCHEMA = {
 
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs, parsed and validated."""
+    """Each section parsed and built, the strip on its first read (its
+    rule, model.Geometry); each subcommand checks the rules it reads."""
 
     media: MediaParams
-    geometry: Geometry
     pml: PmlProfile
     source: SourceSpec
     numerics: dict
@@ -214,28 +212,19 @@ class RunConfig:
     layer: dict
     probes: np.ndarray
     parseval: dict
+    geom: dict
     digest: str = ""
 
-
-def _in_range(keys: str, what: str, numbers, floor: float = 0.0) -> None:
-    """The one numeric-range rule: a ConfigError naming keys unless every
-    number v listed by numbers() (warnings off) has floor <= |v| < inf."""
-    try:
-        with np.errstate(all="ignore"):
-            v = np.abs(np.concatenate([np.ravel(x) for x in numbers()]))
-    except ArithmeticError:     # a Python float power overflows, or x / 0
-        v = np.inf
-    if not np.all((floor <= v) & (v < np.inf)):
-        raise ConfigError(f"{keys}: {what}")
-
-
-# numerics.s1 over the faster of the layer's damping rate sigma0 and a
-# wave's rate c / mesh_size across one mesh cell: the least ratio the
-# frequency systems resolve
-ABSCISSA_FLOOR = 1e-5
+    @cached_property
+    def geometry(self) -> Geometry:
+        g = self.geom
+        return Geometry(period=g["period"], surface=g["surface"][0](
+            g["period"]), h=g["h"], obstacle=g["obstacle"])
 
 
 def load_config(path: str) -> RunConfig:
+    """The config at path, each key parsed by its SCHEMA row (its own
+    rule), with the digest of its keys and of a surface samples file."""
     cp = configparser.ConfigParser()
     cp.read_dict({sec: {key: default for key, (default, _) in keys.items()}
                   for sec, keys in SCHEMA.items()})
@@ -262,110 +251,23 @@ def load_config(path: str) -> RunConfig:
             except (ValueError, configparser.Error) as exc:
                 raise ConfigError(f"{sec}.{key}: {exc}") from exc
 
-    try:
-        med, geo, src = p["media"], p["geom"], p["source"]
-        media = MediaParams(c=med["c"], rho0=med["rho0"], rho_e=med["rho_e"],
-                            lam=med["lambda"], mu=med["mu"])
-        bad = validate_media(media)
-        if bad:
-            raise ConfigError("inadmissible media: " + ", ".join(bad))
-
-        make_surface, surface_bytes = geo["surface"]
-        geometry = Geometry(period=geo["period"],
-                            surface=make_surface(geo["period"]),
-                            h=geo["h"], obstacle=geo["obstacle"])
-
-        T = src["T"]
-        s1 = p["numerics"].pop("s1")   # kept once, as pml.s1
-        s1 = 1.0 / T if s1 is None else s1
-        pml = PmlProfile(s1=s1, **p["pml"])
-
-        source = SourceSpec(center=src["center"], radius=src["radius"], T=T,
-                            pulse=Pulse(a=src["a"], omega0=src["omega0"]))
-        check_source(source, geometry)
-
-        numerics = {**p["numerics"],
-                    "freq_s2_values": p["freq"]["s2_values"],
-                    "snapshot_times": p["td"]["snapshot_times"]}
-        check_grid(geometry, None, numerics["mesh_size"])
-        # a snapshot is written at its nearest step, named by that time
-        snap = numerics["snapshot_times"]
-        t_grid, dt = step_grid(T, numerics["n_steps"])
-        _in_range("source.T and numerics.n_steps", "the time step T / "
-                  "n_steps is not a normal double", lambda: [dt],
-                  np.finfo(float).tiny)
-        if snap and not (all(0 <= ts <= T for ts in snap) and _distinct_names(
-                t_grid[nearest_steps(snap, dt)])):
-            raise ConfigError("td.snapshot_times must lie in [0, T], on "
-                              "time steps with distinct file names")
-
-        audit, layer, parseval = p["audit"], p["layer"], p["parseval"]
-        # The numbers the runs derive, each a double in range.  The
-        # symbols take the root of s^2/c^2 + xi^2, which lands on the
-        # branch cut once (s1/c)^2 underflows and is lost once it overflows
-        c, abscissas = media.c, [s1, *audit["s1_values"], layer["s"].real]
-        _in_range("numerics.s1, audit.s1_values or layer.s, over media.c",
-                  "(s1/c)^2 is not a normal double",
-                  lambda: [(v / c) ** 2 for v in abscissas],
-                  np.finfo(float).tiny)
-        # Below this floor the frequency systems at s2 = 0 lose their
-        # slowest modes to rounding.  A layer's relative residual grows
-        # like 1e-16 sigma0/s1 (flat and inclusion strips, meshes 0.125 to
-        # 0.05, c = 0.1 to 10: 2e-10 at sigma0/s1 = 2e6, failing the
-        # residual check from about 1e8), and an inclusion without a layer
-        # failed its check at s1 = 1e-10 (mesh 0.125); at s1 = 1e-150 its
-        # mass terms underflow
-        floor = ABSCISSA_FLOOR * max(pml.sigma0, c / numerics["mesh_size"])
-        _in_range("numerics.s1", f"below {ABSCISSA_FLOOR:g} max(sigma0, "
-                  f"c / mesh_size) = {floor:g}", lambda: [s1], floor)
-        # the frequency systems at each s = s1 + i s2: the weights theta(s)
-        # grow like |s|^3, and past a finite (s + a -+ i omega0)^4 the
-        # pulse transform reads 0 or nan
-        s = s1 + 1j * np.array(numerics["freq_s2_values"])
-        _in_range("media, source, numerics.s1 and freq.s2_values",
-                  "the frequency system overflows",
-                  lambda: [frequency_weights(media, s[:, None]),
-                           *source.pulse.laplace_denominators(s)])
-        _in_range("media, source.T and numerics.n_steps",
-                  "the Newmark step matrix overflows",
-                  lambda: step_weights(media, dt))
-        # The floor of a layer symbol's denominator at Re s = s1 must
-        # clear the degeneracy guard twice over, so that rounding in the
-        # symbol cannot trip the guard.  The boundary-map solves run at
-        # Re s = s1, layer-check at layer.s.  The floor grows with L~,
-        # and L~ with sigma0 and with L: an audit s1 is judged by its
-        # thinnest layer, at the least sigma0 and the least L
-        layers = [(min(s1, layer["s"].real), pml)] + [
-            (v, PmlProfile(sigma0=min(audit["sigma0_values"]), m=audit["m"],
-                           L=min(audit["L_values"]), s1=v))
-            for v in audit["s1_values"]]
-        _in_range("pml or audit", "a layer is too thin for its boundary "
-                  "symbol", lambda: [layer_denominator_floor(v, c, lay.L_tilde)
-                                     for v, lay in layers],
-                  2.0 * DEGENERATE_DENOMINATOR)
-        # layer-check: fd_layer_solve's largest entry is below 2 (n/L)^2 +
-        # k^2 sigma_max, with k^2 = |s|^2/c^2 + xi^2 >= |s^2/c^2 + xi^2|
-        # and the damping peaking at sigma_max = 1 + sigma0/s1 on the
-        # layer top; it squares its widest grid step L/n; and the layer
-        # symbol takes exp(-2 beta L~), with |beta| <= k
-        def layer_check():
-            n, k = layer["n_values"], np.hypot(
-                np.abs(layer["s"]) / c, np.max(np.abs(layer["xi_values"])))
-            return [2.0 * (max(n) / pml.L) ** 2
-                    + k * k * (1.0 + pml.sigma0 / s1),
-                    (pml.L / min(n)) ** 2, 2.0 * k * pml.L_tilde]
-        _in_range("layer with pml", "layer-check overflows", layer_check)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    med, src = p["media"], p["source"]
+    s1 = p["numerics"].pop("s1")   # kept once, as pml.s1
     digest = hashlib.sha256(repr(sorted(
         (sec, tuple(sorted(cp.items(sec)))) for sec in cp.sections()
     )).encode())
+    surface_bytes = p["geom"]["surface"][1]
     if surface_bytes:   # the samples file is an input too
         digest.update(hashlib.sha256(surface_bytes).digest())
-    return RunConfig(media=media, geometry=geometry, pml=pml,
-                     source=source, numerics=numerics, sweep=p["sweep"],
-                     audit=audit, layer=layer, probes=p["probes"]["points"],
-                     parseval=parseval, digest=digest.hexdigest())
+    return RunConfig(
+        media=MediaParams(c=med["c"], rho0=med["rho0"], rho_e=med["rho_e"],
+                          lam=med["lambda"], mu=med["mu"]),
+        pml=PmlProfile(s1=1.0 / src["T"] if s1 is None else s1, **p["pml"]),
+        source=SourceSpec(center=src["center"], radius=src["radius"],
+                          T=src["T"], pulse=Pulse(a=src["a"],
+                                                  omega0=src["omega0"])),
+        numerics={**p["numerics"], "freq_s2_values": p["freq"]["s2_values"],
+                  "snapshot_times": p["td"]["snapshot_times"]},
+        sweep=p["sweep"], audit=p["audit"], layer=p["layer"],
+        probes=p["probes"]["points"], parseval=p["parseval"], geom=p["geom"],
+        digest=digest.hexdigest())

@@ -260,7 +260,8 @@ class Pulse:
 
     def _decaying(self, t):
         t = np.asarray(t, dtype=float)
-        e = np.exp(-self.a * t)
+        with np.errstate(over="ignore"):    # -a t = -inf: e = 0
+            e = np.exp(-self.a * t)
         return e, np.where(e > 0, t, 0.0)
 
     def __call__(self, t):

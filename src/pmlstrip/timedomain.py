@@ -93,12 +93,6 @@ def nearest_steps(times, dt: float) -> list[int]:
     return [int(round(ts / dt)) for ts in times]
 
 
-def step_weights(media: MediaParams, dt: float):
-    """Each term's weight in Kr and in A_eff = w_M + NEWMARK_BETA dt^2 w_K."""
-    w_M, w_K = term_weights(media)
-    return w_K, w_M + NEWMARK_BETA * dt * dt * w_K
-
-
 @dataclass
 class TimeTrajectory:
     """Probe series and per-step diagnostics of one transient run."""
@@ -121,6 +115,7 @@ def newmark_run(blk: FemBlocks, media: MediaParams, source: SourceSpec,
 
     store_dofs keeps the full history of the listed dofs (the sentinel
     dof.size reads 0).  meta records the step matrix's LU fill (lu_nnz).
+    A step matrix entry that is not finite raises OverflowError.
     """
     if n_steps < 1 or T <= 0:
         raise ValueError("need T > 0 and n_steps >= 1")
@@ -135,7 +130,12 @@ def newmark_run(blk: FemBlocks, media: MediaParams, source: SourceSpec,
 
     form = blk.form
     n = blk.dof.size
-    Kr, A_eff = (form.matrix(w @ form.terms) for w in step_weights(media, dt))
+    w_M, w_K = term_weights(media)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Kr, A_eff = (form.matrix(w @ form.terms)
+                     for w in (w_K, w_M + beta_n * dt * dt * w_K))
+    if not all(np.isfinite(m.data).all() for m in (Kr, A_eff)):
+        raise OverflowError("a Newmark step matrix overflows")
     lu = factorize(A_eff)
     f_shape = load_vector(blk, source.spatial) / media.c ** 2
 

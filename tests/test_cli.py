@@ -5,9 +5,13 @@ import contextlib
 import csv
 import io
 import os
+import runpy
+import sys
 import tempfile
+import types
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,10 +214,11 @@ class TestConfig:
         ("[numerics]", "[numerics]\nroute = sideways"),
     ])
     def test_invalid_configs(self, tmp_path, patch):
+        # freq-solve reads [geom], [source] and [numerics]
         path = tmp_path / "bad.ini"
         path.write_text(BASE_CONFIG.replace(*patch))
-        with pytest.raises(ConfigError):
-            load_config(str(path))
+        assert main(["freq-solve", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("section, line", [
         ("audit", "sigma0_values = 0"),
@@ -302,8 +307,9 @@ class TestConfig:
         # singular`)
         ("source", "T = 1e160"),
         ("source", "T = 1e308"),
-        # the frequency weights theta(s) overflow at s2 = 5 and 10
-        # (freq-solve: `Factor is exactly singular`)
+        # Newmark's stiffness Kr overflows (td-run: `the Newmark state is
+        # not finite`), as do the frequency weights theta(s) at s2 = 5 and
+        # 10 (freq-solve: `Factor is exactly singular`)
         ("media", "mu = 1e308"),
         # a growing pulse, with no transform at Re s <= -a (freq-solve
         # exited 0 on the closed form, which does not hold there)
@@ -316,13 +322,14 @@ class TestConfig:
     ])
     def test_rejected_at_load(self, tmp_path, section, line):
         # each of these used to load and then fail, or be ignored, at
-        # run time
+        # run time; a subcommand that reads the key refuses it before it
+        # solves: layer-check the [layer] and [pml] values, otherwise the
+        # key's subcommand in KEY_BOUNDS (any for an unknown key)
         path = tmp_path / "bad.ini"
         path.write_text(with_setting(BASE_CONFIG, section, line))
-        with pytest.raises(ConfigError):
-            load_config(str(path))
+        key = line.split("=")[0].strip()
         command = "layer-check" if section in ("layer", "pml") \
-            else "symbol-audit"
+            else KEY_BOUNDS.get((section, key), ("symbol-audit",))[0]
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) \
             == 2
@@ -339,13 +346,11 @@ class TestConfig:
         # is degenerate at every s; these used to end in a traceback
         path = tmp_path / "thin.ini"
         path.write_text(text)
-        with pytest.raises(ConfigError, match="too thin"):
-            load_config(str(path))
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) \
             == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") \
+        assert err.startswith("configuration error:") and "too thin" in err \
             and err.count("\n") == 1
         assert not out.exists() or not os.listdir(out)
 
@@ -359,8 +364,8 @@ class TestConfig:
                       min_size=1, max_size=3, unique=True),
            m=st.integers(1, 3))
     def test_audit_floor_judged_by_thinnest_layer(self, s1, sigma0, L, m):
-        # load_config judges each audit s1 by one layer, at the least
-        # sigma0 and the least L; the verdict is the whole grid's
+        # symbol-audit judges the floor over every profile it audits: its
+        # verdict is the whole grid's, its thinnest layer's
         floor = 2.0 * pmlstrip.symbols.DEGENERATE_DENOMINATOR
         whole_grid = all(
             pmlstrip.symbols.layer_denominator_floor(
@@ -369,17 +374,20 @@ class TestConfig:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "grid.ini")
             Path(path).write_text(
-                BASE_CONFIG + "[audit]\n" + "\n".join(
-                    f"{key} = {','.join(map(repr, values))}" for key, values
-                    in (("s1_values", s1), ("sigma0_values", sigma0),
-                        ("L_values", L), ("m", [m]))) + "\n")
-            try:
-                load_config(path)
-                accepted = True
-            except ConfigError as exc:
-                assert "too thin" in str(exc)
-                accepted = False
-        assert accepted == whole_grid
+                BASE_CONFIG + "[audit]\ns2_range = -5,5,1\nxi_points = 2\n"
+                + "\n".join(f"{key} = {','.join(map(repr, values))}"
+                            for key, values in (
+                                ("s1_values", s1), ("sigma0_values", sigma0),
+                                ("L_values", L), ("m", [m]))) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), mock.patch.object(
+                    pmlstrip.cli, "symbol_gap_sup",
+                    side_effect=RuntimeError("audit reached")):
+                code = main(["symbol-audit", "--config", path,
+                             "--out", os.path.join(tmp, "out")])
+        assert code == (1 if whole_grid else 2)
+        assert "audit reached" in err.getvalue() if whole_grid \
+            else "too thin" in err.getvalue()
 
     def test_underflowing_step_rejected(self, tmp_path, capsys):
         # dt = T / n_steps underflows to 0: snapping a snapshot time to a
@@ -496,6 +504,46 @@ class TestPlots:
         text = out.read_text()
         assert "matplotlib" in text
         compile(text, str(out), "exec")
+
+    @pytest.mark.parametrize("command, route, script, csv_name", [
+        ("symbol-audit", "freq", "plot_audit.py", "audit_sigma1_L0.5.csv"),
+        ("convergence", "freq", "plot_convergence.py", "convergence.csv"),
+        ("convergence", "time", "plot_convergence.py", "convergence.csv")])
+    def test_script_runs_in_its_directory(self, tmp_path, monkeypatch,
+                                          command, route, script, csv_name):
+        # README: run the script inside the output directory, whatever
+        # --out was; it opened --out/<csv> from there.  matplotlib is
+        # stubbed by a pyplot that records what the script plots
+        path = tmp_path / "p.ini"
+        path.write_text(with_setting(FUZZ_CONFIG, "numerics",
+                                     f"route = {route}"))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", str(path), "--out", "rel_out"]) \
+            == 0
+        plotted = []
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.semilogy = pyplot.loglog = \
+            lambda x, y, *args, **kwargs: plotted.append((x, y))
+        pyplot.xlabel = pyplot.ylabel = pyplot.legend = pyplot.savefig = \
+            lambda *args, **kwargs: None
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.use, matplotlib.pyplot = lambda backend: None, pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        monkeypatch.chdir(tmp_path / "rel_out")
+        runpy.run_path(script)
+        rows = read_csv(csv_name)
+        if command == "convergence":     # measured first, then the rates
+            assert plotted[0] == ([float(r["L"]) for r in rows],
+                                  [float(r["error"]) for r in rows])
+        else:       # per (s1, s2) curve, its gaps, then its bounds
+            for column, curves in (("gap", plotted[0::2]),
+                                   ("bound", plotted[1::2])):
+                assert sorted(v for _, y in curves for v in y) == \
+                    sorted(float(r[column]) for r in rows)
+            assert sorted(x for xi, _ in plotted[0::2] for x in xi) == \
+                sorted(float(r["xi"]) if float(r["xi"]) > 0 else 1e-3
+                       for r in rows)
 
 
 class TestWriters:
@@ -954,7 +1002,8 @@ AROUND_LAYER_BOUND = [0.0, 1e150, 7.7e153, 7.8e153, 1e154, 1e160]
 # draws s1 = 1.15e77 and 1.16e77
 QUARTIC_BOUND = np.finfo(float).max ** 0.25
 # numerics.s1 below 1e-5 max(sigma0, c / mesh_size) = 1e-5 / FUZZ_MESH
-# is rejected (sigma0 = 2, c = 1); pml.sigma0 above 1e5 s1 = 1e5 too
+# is rejected (sigma0 = 2, c = 1) by freq-solve and convergence, and so
+# is pml.sigma0 above 1e5 s1 = 1e5
 S1_FLOOR = 1e-5 / FUZZ_MESH
 RECTANGLE = "0.4,0.15; 0.6,0.15; 0.6,0.35; 0.4,0.35"
 # (section, key): (a subcommand that reads the key, values at and around
@@ -972,9 +1021,9 @@ KEY_BOUNDS = {
                          lambda v: v <= 0),
     ("media", "lambda"): ("freq-solve", [-1.0, -0.7, -0.6, 0.0],
                           lambda v: 3 * v + 2 < 0),
-    # from 1e308 the frequency weights overflow at s2 = 5 and 10
-    ("media", "mu"): ("td-run", [-0.5, 0.0, 1e-3, 2.0, 1e308],
-                      lambda v: v < 0 or v == 1e308),
+    # from about 3e307 Newmark's stiffness Kr overflows
+    ("media", "mu"): ("td-run", [-0.5, 0.0, 1e-3, 2.0, 1e307, 3e307, 1e308],
+                      lambda v: v < 0 or v >= 3e307),
     # the inclusion's right side is at x1 = 0.6; from 1e200 the grid
     # exceeds mesh.MAX_VERTICES
     ("geom", "period"): ("freq-solve", [-1.0, 0.0, 0.6, 0.7, 2.0, 1e200,
@@ -995,8 +1044,9 @@ KEY_BOUNDS = {
         "0.1,0.15; 0.3,0.15; 0.3,0.35; 0.1,0.35",   # holds the source
         "0.4,0.15; 0.6,0.15; 0.6,0.5; 0.4,0.5",     # reaches h
         "0.4,0.15; 0.6,0.15; 0.6,0.35"], lambda v: v not in ("", RECTANGLE)),
+    # the frequency systems' floor on s1 (S1_FLOOR) is not td-run's
     ("pml", "sigma0"): ("td-run", [-1.0, 0.0, 0.5, 2.0, 2e5],
-                        lambda v: v < 0 or v > 1e5),
+                        lambda v: v < 0),
     ("pml", "m"): ("td-run", [0, 1, 2], lambda v: v < 1),
     # from 1e155 the grid exceeds mesh.MAX_VERTICES
     ("pml", "L"): ("td-run", AROUND_MESH + [1e155, 1e308],
@@ -1115,6 +1165,48 @@ JOINT_REJECTIONS = {
     # the rows of an audit file
     ("audit", "s2_range", "-5,5,1e15"), ("audit", "xi_points", 1000000000000),
     ("layer", "xi_values", "1e154"), ("layer", "s", "1e160,0"),
+}
+
+
+# One row per rule joining keys: lines on FUZZ_CONFIG that break that
+# rule alone, the subcommands that read its keys and exit 2 on them,
+# and one that does not and exits as it does on FUZZ_CONFIG (parseval's
+# coarse grid fails its gate).  While load_config ran every rule for
+# every subcommand, each non-reader exited 2, but for the Newmark row,
+# whose readers ended in `error: the Newmark state is not finite`
+TIME_ROUTE = ("numerics", "route = time")
+RULE_SCOPE = {
+    "media": ([("media", "lambda = -1")],
+              ["freq-solve", "td-run", "convergence"], ("symbol-audit", 0)),
+    "geometry": ([("geom", "h = 0.3")],
+                 ["freq-solve", "td-run", "convergence"], ("symbol-audit", 0)),
+    "source-ball": ([("source", "radius = 0.3")],
+                    ["freq-solve", "td-run", "convergence"], ("parseval", 1)),
+    "mesh-size": ([("numerics", "mesh_size = 0.5")],
+                  ["freq-solve", "td-run", "convergence"], ("layer-check", 0)),
+    "time-step": ([("source", "T = 5e-324"), ("numerics", "n_steps = 2"),
+                   TIME_ROUTE], ["td-run", "convergence"], ("freq-solve", 0)),
+    "snapshots": ([("td", "snapshot_times = 5")], ["td-run"],
+                  ("freq-solve", 0)),
+    "s1-square": ([("numerics", "s1 = 1e-160")],
+                  ["freq-solve", "convergence"], ("symbol-audit", 0)),
+    "s1-floor": ([("pml", "sigma0 = 2e5")], ["freq-solve", "convergence"],
+                 ("td-run", 0)),
+    "frequency-overflow": ([("freq", "s2_values = 0,1e200")],
+                           ["freq-solve", "convergence"], ("td-run", 0)),
+    "newmark-overflow": ([("media", "mu = 3e307"), ("freq", "s2_values = "),
+                          TIME_ROUTE], ["td-run", "convergence"],
+                         ("layer-check", 0)),
+    "audit-square": ([("audit", "s1_values = 1,1e-170")], ["symbol-audit"],
+                     ("parseval", 1)),
+    "audit-floor": ([("audit", "L_values = 1e-15")], ["symbol-audit"],
+                    ("freq-solve", 0)),
+    "layer-square": ([("layer", "s = 1e-300,0")], ["layer-check"],
+                     ("td-run", 0)),
+    "layer-floor": ([("pml", "L = 1e-15"), ("numerics", "variant = pml_dtn")],
+                    ["layer-check", "freq-solve"], ("symbol-audit", 0)),
+    "layer-check-overflow": ([("layer", "xi_values = 1e160")],
+                             ["layer-check"], ("freq-solve", 0)),
 }
 
 
@@ -1272,9 +1364,14 @@ class TestExitContract:
             and err.count("\n") == 1, err
         assert not (out / "manifest.txt").exists()
 
-    def test_snapshots_keep_distinct_file_names(self, tmp_path):
+    def test_snapshots_keep_distinct_file_names(self, tmp_path, capsys,
+                                                monkeypatch):
         # dt = 2.5e-7: 0.1 and 0.1000002 snap to steps 400,000 and
-        # 400,001, whose times 0.1 and 0.10000025 both name p_t0.1.txt
+        # 400,001, whose times 0.1 and 0.10000025 both name p_t0.1.txt;
+        # td-run checks them before its run
+        def newmark_run(*args, **kwargs):
+            raise RuntimeError("run reached")
+        monkeypatch.setattr(pmlstrip.cli, "newmark_run", newmark_run)
         text = with_setting(BASE_CONFIG, "source", "T = 0.25")
         text = with_setting(text, "numerics", "n_steps = 1000000")
         assert round(0.1 / 2.5e-7) != round(0.1000002 / 2.5e-7)
@@ -1282,9 +1379,11 @@ class TestExitContract:
         for times, ok in [("0.1,0.1000002", False), ("0.1,0.1000012", True)]:
             path.write_text(with_setting(text, "td",
                                          f"snapshot_times = {times}"))
-            with contextlib.nullcontext() if ok else \
-                    pytest.raises(ConfigError, match="td.snapshot_times"):
-                load_config(str(path))
+            code = main(["td-run", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert (code, err) == (1, "error: run reached\n") if ok else \
+                code == 2 and "td.snapshot_times" in err
 
     @pytest.mark.parametrize("n_steps, bound, reaches_run", [
         (40, 41 * 89, True), (40, 41 * 89 - 1, False),
@@ -1333,6 +1432,43 @@ class TestExitContract:
                 "numerics.mesh_size: 2 snapshots of 137 dofs are above "
                 f"{bound} values\n")
             assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("rule", sorted(RULE_SCOPE))
+    def test_rule_runs_where_its_keys_are_read(self, tmp_path, rule):
+        lines, readers, (other, usual) = RULE_SCOPE[rule]
+        text = FUZZ_CONFIG
+        for section, line in lines:
+            text = with_setting(text, section, line)
+        path = tmp_path / "scope.ini"
+        path.write_text(text)
+        for command in readers + [other]:
+            out = tmp_path / command
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path),
+                             "--out", str(out)])
+            if command == other:
+                assert code == usual, (command, err.getvalue())
+            else:
+                assert code == 2 and err.getvalue().count("\n") == 1 \
+                    and not (out / "manifest.txt").exists(), \
+                    (command, err.getvalue())
+
+    @pytest.mark.parametrize("command", ["td-run", "convergence"])
+    @pytest.mark.parametrize("mu", ["3e307", "1e308"])
+    def test_newmark_step_matrices_overflow(self, tmp_path, capsys, command,
+                                            mu):
+        # Newmark's stiffness Kr overflows while A_eff, scaled by dt^2,
+        # stays finite; with no frequency to check, this ended in
+        # `error: the Newmark state is not finite`
+        text = BASE_CONFIG + f"[media]\nmu = {mu}\n[freq]\ns2_values =\n"
+        path, out = tmp_path / "stiff.ini", tmp_path / "out"
+        path.write_text(with_setting(text, "numerics", "route = time"))
+        assert main([command, "--config", str(path), "--out", str(out)]) \
+            == 2
+        assert capsys.readouterr().err == "configuration error: media, " \
+            "source.T and numerics.n_steps: a Newmark step matrix overflows\n"
+        assert not (out / "manifest.txt").exists()
 
     def test_bounds_cover_every_key(self):
         assert set(KEY_BOUNDS) == {(section, key) for section, keys in

@@ -2,6 +2,7 @@
 and the subcommands without finite elements (symbol-audit, parseval)
 load numpy alone; scipy.sparse comes with the first mesh assembly."""
 
+import ast
 import functools
 import json
 import os
@@ -92,3 +93,22 @@ def test_sparse_loads_with_the_first_mesh(tmp_path):
         assert "scipy.linalg" not in loaded, command
     # the lazy path: freq-solve builds and factors sparse matrices
     assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(steps[2][2])
+
+
+
+def test_config_imports_no_solver():
+    # load_config parses and builds; the rules that join keys, and the
+    # solver functions they call, sit with the subcommands that read them
+    path = os.path.join(os.path.dirname(pmlstrip.__file__), "config.py")
+    with open(path) as fh:
+        nodes = list(ast.walk(ast.parse(fh.read())))
+    modules = {part for node in nodes if isinstance(node, ast.ImportFrom)
+               for part in (node.module or "").split(".")}
+    names = {alias.name.split(".")[-1] for node in nodes
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    names |= {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert "model" in modules
+    assert not {"timedomain", "symbols"} & (modules | names)
+    assert not {"frequency_weights", "term_weights", "step_weights"} & names
